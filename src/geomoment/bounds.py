@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report
-from .errors import DomainError, ParseError
+from .conjugate import envelope_lp
+from .errors import DomainError, NoConvergenceError, ParseError
 from .geometry import Ball, PointCloud, Shape, min_enclosing_ball, meb_support, shape_sample
 from .lp import LpProblem, LpStatus, hull_membership, solve_lp
 
@@ -193,13 +194,9 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
 
 
 def _bd_bound_cloud(cloud, xbar):
-    P = cloud.points
     if xbar.size != cloud.dim:
         raise ValueError(f"mean has dimension {xbar.size}, cloud has {cloud.dim}")
-    N = P.shape[0]
-    A = np.vstack([P.T, np.ones((1, N))])
-    b = np.concatenate([xbar, [1.0]])
-    sol = solve_lp(LpProblem(-(P * P).sum(axis=1), A, b))
+    sol = envelope_lp(cloud, xbar)
     if sol.status is LpStatus.INFEASIBLE:
         raise DomainError("mean outside the convex hull of the atoms",
                           certificate=sol.certificate)
@@ -226,7 +223,7 @@ def max_variance(cloud, dist_tol=None, feas_tol=1e-8, seed=0):
         # should not happen for a certified enclosing ball; retry looser
         w_bdry = hull_membership(P[idx], ball.center, feas_tol=1e-6)
         if w_bdry is None:
-            raise AssertionError("enclosing-ball center not in hull of its support")
+            raise NoConvergenceError("enclosing-ball center not in hull of its support")
     w = np.zeros(P.shape[0])
     w[idx] = w_bdry
     maximizer = AtomicMeasure(cloud, w)
@@ -237,11 +234,7 @@ def max_variance(cloud, dist_tol=None, feas_tol=1e-8, seed=0):
 
 def primal_lp_value(cloud, feas_tol=1e-8):
     """Exact optimum of: maximize sum w_i |x_i|^2 over zero-mean weights."""
-    P = cloud.points
-    N = P.shape[0]
-    A = np.vstack([P.T, np.ones((1, N))])
-    b = np.concatenate([np.zeros(cloud.dim), [1.0]])
-    sol = solve_lp(LpProblem(-(P * P).sum(axis=1), A, b), feas_tol=feas_tol)
+    sol = envelope_lp(cloud, np.zeros(cloud.dim), feas_tol=feas_tol)
     if sol.status is LpStatus.INFEASIBLE:
         raise DomainError("origin not in the convex hull of the atoms",
                           certificate=sol.certificate)

@@ -2,8 +2,8 @@
 
 Each command prints exactly one JSON run report on stdout (floats at 17
 significant digits, byte-identical for identical inputs and seed) and
-human diagnostics on stderr.  Exit codes: 0 success, 2 parse error,
-3 domain precondition, 4 no convergence.
+human diagnostics on stderr.  Exit codes: 0 success, 2 parse error or
+invalid flag value, 3 domain precondition, 4 no convergence.
 """
 
 import argparse
@@ -301,6 +301,9 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

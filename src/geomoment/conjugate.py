@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
+from .errors import NoConvergenceError
 from .geometry import PointCloud, Shape
-from .lp import LpProblem, LpStatus, solve_lp
+from .lp import FEAS_TOL, LpProblem, LpStatus, solve_lp
 
 
 def phi(shape, x):
@@ -35,24 +36,35 @@ def conjugate_at(cloud, y):
     return float(np.max(P @ y + (P * P).sum(axis=1)))
 
 
-def biconjugate_at(cloud, x, feas_tol=1e-8):
-    """Convex envelope of phi over the cloud, evaluated at x.
+def envelope_lp(cloud, x, feas_tol=FEAS_TOL):
+    """The envelope program at x: min sum t_i (-|x_i|^2) over weights
+    t >= 0 with unit mass and mean x.
 
-    Computed as min sum t_i (-|x_i|^2) over weights t >= 0 with unit mass
-    and mean x; +inf when x lies outside the convex hull of the atoms.
+    Returns the :class:`LpSolution`: OPTIMAL, or INFEASIBLE with a
+    separating certificate when x lies outside the convex hull of the atoms.
     """
     P = cloud.points
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != cloud.dim:
-        raise ValueError(f"point has dimension {x.size}, cloud has {cloud.dim}")
     N = P.shape[0]
     A = np.vstack([P.T, np.ones((1, N))])
     b = np.concatenate([x, [1.0]])
     sol = solve_lp(LpProblem(-(P * P).sum(axis=1), A, b), feas_tol=feas_tol)
+    if sol.status is LpStatus.UNBOUNDED:
+        raise NoConvergenceError("envelope program cannot be unbounded on a simplex")
+    return sol
+
+
+def biconjugate_at(cloud, x, feas_tol=1e-8):
+    """Convex envelope of phi over the cloud, evaluated at x.
+
+    The value of :func:`envelope_lp` at x; +inf when x lies outside the
+    convex hull of the atoms.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size != cloud.dim:
+        raise ValueError(f"point has dimension {x.size}, cloud has {cloud.dim}")
+    sol = envelope_lp(cloud, x, feas_tol=feas_tol)
     if sol.status is LpStatus.INFEASIBLE:
         return math.inf
-    if sol.status is not LpStatus.OPTIMAL:
-        raise AssertionError("envelope program cannot be unbounded on a simplex")
     return sol.value
 
 

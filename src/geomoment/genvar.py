@@ -2,11 +2,11 @@
 functional, its minimizing center, and the minimax level it never exceeds.
 
 The minimax (smallest sublevel set covering the cloud, after translation)
-is computed by cutting planes on the radial reach max_i |x_i - z| and
-mapped through the cost profile, which brackets the level two-sidedly; the
-inner minimization behind the generalized variance uses the closed form
-for the quadratic cost, a damped Weiszfeld iteration for the first-power
-cost, and the same cutting-plane engine for everything else.
+is the cost profile at the smallest enclosing ball's radius, certified from
+below by the variance maximizer that is that ball's dual; the inner
+minimization behind the generalized variance uses the closed form for the
+quadratic cost, a damped Weiszfeld iteration for the first-power cost, and
+a cutting-plane engine for everything else.
 """
 
 import json
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import max_variance
 from .errors import NoConvergenceError, ParseError
-from .geometry import diameter
 from .lp import LpProblem, LpStatus, solve_lp
 
 DEFAULT_TOL_CLOSED = 1e-8
@@ -185,7 +185,7 @@ def _cut_lp(cuts_g, cuts_c, lo, hi):
     c[2 * n + 1] = -1.0
     sol = solve_lp(LpProblem(c, A, b))
     if sol.status is not LpStatus.OPTIMAL:
-        raise AssertionError("cut relaxation must be feasible and bounded on a box")
+        raise NoConvergenceError("cut relaxation must be feasible and bounded on a box")
     z = lo + sol.solution[:n]
     return z, sol.value
 
@@ -233,65 +233,31 @@ def _minimize_convex(oracle, lo, hi, tol, max_iters=300, init_points=()):
     return best_f, best_z, max(gap, 0.0), False
 
 
-def _radial_reach(P, z):
-    """max_i |x_i - z| and a subgradient of that max."""
-    d = np.linalg.norm(P - z, axis=1)
-    i = int(np.argmax(d))
-    if d[i] < 1e-300:
-        return 0.0, np.zeros(P.shape[1])
-    return float(d[i]), (z - P[i]) / d[i]
-
-
-def chebyshev_level(cloud, cost, tol=None, max_iters=400):
+def chebyshev_level(cloud, cost, tol=None):
     """Smallest level lambda such that some translate of the cloud fits in
     the cost's lambda-sublevel set, with the attaining center.
 
-    Solves min_z max_i v(|x_i - z|) by cutting planes on the radial reach
-    max_i |x_i - z|; since v is increasing, the reach bracket [L, U] maps
-    to the certified level bracket [v(L), v(U)].
+    Since v is nondecreasing, min_z max_i v(|x_i - z|) = v(R) for the
+    smallest enclosing ball (radius R), attained at its center z: the
+    returned level is the cost that z actually attains.  The variance
+    maximizer w certifies it from below, because every center has
+    max_i |x_i - z|^2 >= sum w_i |x_i - z|^2 >= var(w); a certified bracket
+    [v(sqrt(var(w))), lambda] wider than ``tol`` raises NoConvergenceError.
     """
     if tol is None:
         tol = DEFAULT_TOL_ITER
-    P = cloud.points
-    N, n = P.shape
-    if N == 1:
-        return float(cost(0.0)), P[0].copy()
-    diam = diameter(cloud)
-    if diam == 0.0:
-        return float(cost(0.0)), P[0].copy()
-    lo = P.min(axis=0) - diam
-    hi = P.max(axis=0) + diam
-
-    cuts_g, cuts_c = [], []
-    best_u = math.inf
-    best_z = None
-
-    def add_cut(z):
-        nonlocal best_u, best_z
-        f, g = _radial_reach(P, z)
-        cuts_g.append(g)
-        cuts_c.append(f - float(g @ z))
-        if f < best_u:
-            best_u = f
-            best_z = z
-        return f
-
-    add_cut(P.mean(axis=0))
-    for _ in range(max_iters):
-        z_lp, lower = _cut_lp(cuts_g, cuts_c, lo, hi)
-        lower = max(lower, 0.0)
-        if float(cost(best_u)) - float(cost(lower)) <= tol:
-            return float(cost(best_u)), best_z
-        mid = 0.5 * (z_lp + best_z)
-        add_cut(z_lp)
-        if np.linalg.norm(mid - z_lp) > 1e-12 * (1.0 + diam):
-            add_cut(mid)
-        if len(cuts_c) > MAX_CUTS:
-            del cuts_g[:2], cuts_c[:2]
-    raise NoConvergenceError(
-        f"minimax level not certified within {max_iters} cutting-plane rounds",
-        cap=max_iters, best=(float(cost(best_u)), best_z),
-    )
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    rep = max_variance(cloud)
+    z = rep.dual_center
+    lam = float(cost(np.linalg.norm(cloud.points - z, axis=1).max()))
+    lower = float(cost(math.sqrt(rep.primal_value)))
+    if lam - lower > tol:
+        raise NoConvergenceError(
+            f"minimax level bracket [{lower}, {lam}] is wider than tol={tol}",
+            best=(lam, z),
+        )
+    return lam, z
 
 
 def _weiszfeld(P, w, tol, max_iters=5000):
@@ -389,7 +355,8 @@ def generalized_variance(measure, cost, tol=None):
 
 def sup_genvar(cloud, cost, tol=None):
     """Largest generalized variance over measures on the cloud: the
-    minimax level of :func:`chebyshev_level`."""
+    minimax level of :func:`chebyshev_level`, which is the cost of the
+    smallest enclosing ball's radius."""
     lam, _ = chebyshev_level(cloud, cost, tol=tol)
     return lam
 

@@ -141,7 +141,7 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
             f"simplex phase 1 exceeded the iteration cap of {max_iters}", cap=max_iters
         )
     if status == UNBOUNDED:  # sum of artificials is bounded below by 0
-        raise AssertionError("phase 1 reported unbounded; tableau is corrupt")
+        raise NoConvergenceError("phase 1 reported unbounded; tableau is corrupt")
     phase1 = -T[k, -1]
     if phase1 > feas_tol:
         y = 1.0 - T[k, m:m + k]

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from geomoment import AtomicMeasure, PointCloud, write_cloud_csv, write_measure_json
+from geomoment import (AtomicMeasure, NoConvergenceError, PointCloud, RadialCost,
+                       bounds, chebyshev_level, write_cloud_csv, write_measure_json)
 from geomoment.cli import main
 from geomoment.geometry import regular_simplex
 
@@ -149,6 +150,37 @@ def test_chebyshev(capsys, simplex_csv):
     code, out, _ = run_cli(capsys, "chebyshev", simplex_csv, "--tol", "1e-8")
     rep = json.loads(out)
     assert rep["outputs"]["lambda"] == pytest.approx(1 / 3, abs=1e-7)
+
+
+def test_chebyshev_uncertified_ball_exit_4(capsys, monkeypatch, simplex_csv):
+    # an enclosing-ball center outside the hull of its support atoms
+    monkeypatch.setattr(bounds, "hull_membership", lambda *args, **kwargs: None)
+    with pytest.raises(NoConvergenceError):
+        chebyshev_level(PointCloud(regular_simplex(2, 1.0).vertices), RadialCost.power(2))
+    code, out, err = run_cli(capsys, "chebyshev", simplex_csv)
+    assert code == 4
+    assert out == ""
+    assert "no convergence" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["bound", "--cloud", "{simplex}", "--xbar", "0.5"],
+    ["isodiametric", "--n", "0", "--atoms", "3", "--restarts", "2"],
+    ["isodiametric", "--n", "2", "--atoms", "3", "--restarts", "0"],
+    ["isodiametric", "--n", "2", "--atoms", "0", "--restarts", "2"],
+    ["genvar", "{measure}", "--tol", "-1"],
+    ["chebyshev", "{simplex}", "--tol", "-1"],
+    ["bound", "--shape", "ellipse", "--a-scalar", "2", "--b", "1",
+     "--xbar", "0,0", "--resolution", "0"],
+])
+def test_invalid_flag_value_exit_2(capsys, tmp_path, simplex_csv, args):
+    measure = tmp_path / "m.json"
+    write_measure_json(AtomicMeasure([[0.0], [1.0]], [0.5, 0.5]), measure)
+    args = [a.format(simplex=simplex_csv, measure=measure) for a in args]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
 
 
 def test_jung(capsys, simplex_csv):

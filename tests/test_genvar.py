@@ -122,6 +122,16 @@ def test_chebyshev_quadratic_matches_enclosing_ball():
         ball = min_enclosing_ball(cloud)
         assert abs(lam - ball.radius ** 2) <= 1e-6
         assert np.linalg.norm(z - ball.center) <= 1e-3
+    pwl = RadialCost.piecewise_linear([[0, 0], [0.5, 0.2], [1.5, 1.5], [3, 4.5]])
+    for trial in range(30):
+        cost = [RadialCost.power(1), RadialCost.power(3), pwl][trial // 3 % 3]
+        P = rng.normal(size=(int(rng.integers(5, 30)), [2, 3, 5][trial % 3]))
+        for cloud in (PointCloud(P), PointCloud(P + 1e3)):
+            lam, z = chebyshev_level(cloud, cost, tol=1e-6)
+            exact = cost(min_enclosing_ball(cloud).radius)
+            assert abs(lam - exact) <= 1e-12 * exact
+            reach = cost(np.linalg.norm(cloud.points - z, axis=1).max())
+            assert abs(lam - reach) <= 1e-12 * lam
 
 
 def test_chebyshev_power1_simplex():
