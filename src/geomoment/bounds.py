@@ -241,7 +241,7 @@ def primal_lp_value(cloud, feas_tol=1e-8):
     return -sol.value
 
 
-def duality_gap(cloud, interior_margin=INTERIOR_MARGIN):
+def duality_gap(cloud, interior_margin=INTERIOR_MARGIN, seed=0):
     """Strong-duality residual: moment program vs enclosing ball.
 
     The zero-mean moment program over the cloud recentered on the
@@ -252,12 +252,13 @@ def duality_gap(cloud, interior_margin=INTERIOR_MARGIN):
 
     Requires the origin in the interior of the hull (quantitative
     surrogate: max-min-weight representation >= ``interior_margin``).
+    ``seed`` fixes the enclosing-ball recursion's scan order.
     """
     if not in_hull_interior(cloud.points, np.zeros(cloud.dim), margin=interior_margin):
         raise DomainError(
             "origin is not interior to the convex hull (attainment hypothesis fails)"
         )
-    ball = min_enclosing_ball(cloud)
+    ball = min_enclosing_ball(cloud, seed=seed)
     primal = primal_lp_value(cloud.translated(-ball.center))
     return abs(primal - ball.radius ** 2)
 

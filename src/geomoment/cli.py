@@ -183,7 +183,7 @@ def cmd_isodiametric(args):
 
 def cmd_jung(args):
     cloud = read_cloud_csv(args.cloud)
-    rep = jung_verify(cloud)
+    rep = jung_verify(cloud, seed=args.seed)
     return _run_report(
         "jung",
         {"cloud": args.cloud, "points": len(cloud), "dim": cloud.dim},
@@ -201,8 +201,8 @@ def cmd_jung(args):
 
 def cmd_duality(args):
     cloud = read_cloud_csv(args.cloud)
-    gap = duality_gap(cloud)
-    ball = min_enclosing_ball(cloud)
+    gap = duality_gap(cloud, seed=args.seed)
+    ball = min_enclosing_ball(cloud, seed=args.seed)
     return _run_report(
         "duality",
         {"cloud": args.cloud, "points": len(cloud), "dim": cloud.dim},
@@ -224,10 +224,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-        p.add_argument("--emit-csv", metavar="DIR", default=None,
-                       help="directory for CSV side files")
 
     p = sub.add_parser("meb", help="smallest enclosing ball of a cloud")
     p.add_argument("cloud")
@@ -257,12 +254,14 @@ def build_parser():
     p.add_argument("measure", help="measure JSON file")
     p.add_argument("--cost", default='{"kind":"power","p":2}',
                    help="cost JSON (inline or file path)")
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
     common(p)
     p.set_defaults(func=cmd_genvar)
 
     p = sub.add_parser("chebyshev", help="minimax cost level over a cloud")
     p.add_argument("cloud")
     p.add_argument("--cost", default='{"kind":"power","p":2}')
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
     common(p)
     p.set_defaults(func=cmd_chebyshev)
 
@@ -273,6 +272,8 @@ def build_parser():
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--iters", type=int, default=400)
+    p.add_argument("--emit-csv", metavar="DIR", default=None,
+                   help="directory for CSV side files")
     common(p)
     p.set_defaults(func=cmd_isodiametric)
 

@@ -209,11 +209,16 @@ class Shape:
 
 
 def diameter(cloud):
-    """Largest pairwise Euclidean distance; 0 for a singleton."""
+    """Largest pairwise Euclidean distance; 0 for a singleton.
+
+    The cloud is recentred on its mean first, so that the Gram identity
+    |x - y|^2 = |x|^2 + |y|^2 - 2 x.y does not cancel far from the origin.
+    """
     P = cloud.points if isinstance(cloud, PointCloud) else np.atleast_2d(cloud)
     N = P.shape[0]
     if N == 1:
         return 0.0
+    P = P - P.mean(axis=0)
     sq = (P * P).sum(axis=1)
     best = 0.0
     step = max(1, int(2e6 / max(N, 1)))
@@ -253,47 +258,37 @@ def circumball(points):
     return Ball(center, float(np.linalg.norm(center - P[0])))
 
 
-def _independent_subset(P, idx):
-    """Greedily keep an affinely independent subset of the rows P[idx]."""
-    kept = [idx[0]]
-    basis = []
-    for j in idx[1:]:
-        u = P[j] - P[kept[0]]
-        r = u.copy()
-        for q in basis:
-            r -= (r @ q) * q
-        nr = np.linalg.norm(r)
-        if nr > RANK_TOL * max(1.0, np.linalg.norm(u)):
-            basis.append(r / nr)
-            kept.append(j)
-    return kept
-
-
-def _support_ball(P, R):
-    """Ball determined by the candidate boundary set R (indices into P)."""
-    if not R:
-        return None
-    if len(R) > 1:
-        R = _independent_subset(P, list(R))
-    return circumball(P[list(R)])
-
-
-def _ball_covers(ball, p):
-    if ball is None:
-        return False
-    d2 = float(((p - ball.center) ** 2).sum())
-    r2 = ball.radius * ball.radius
-    return d2 <= r2 + max(1e-14, CONTAIN_TOL * r2)
-
-
 def _welzl(P, order):
-    """Randomized move-to-front recursion; recursion depth <= dim + 2.
+    """Welzl's move-to-front recursion on Gärtner's push/pop support stack
+    (Welzl 1991; Gärtner, "Fast and Robust Smallest Enclosing Balls", 1999).
 
-    The point list lives in an array-backed linked list so that
-    move-to-front never changes which points precede a recursion marker.
+    The cloud is recentred on its mean.  With m support points pushed,
+    level k < m of the stack holds the smallest ball C[k], R2[k] (center,
+    squared radius) with the first k + 1 of them on its boundary, and for
+    k >= 1 the k-th point's offset from the first, orthogonalized against
+    the earlier directions, as V[k] with squared length Z[k].  A push
+    orthogonalizes p - C[0] against V[1..m-1] and moves the center along
+    the new direction until p is on the sphere, in O(n m); a pop only
+    lowers m.  A point whose orthogonal part has |v|^2 at most
+    RANK_TOL^2 |p - C[0]|^2 is affinely dependent on the support and is
+    not pushed.  The current ball is the one of the latest push; a point
+    is covered when its squared distance from the center exceeds R2 by at
+    most CONTAIN_TOL times max(R2, max_i |x_i - mean|^2).  Recursion
+    depth <= dim + 1.  The point list lives in an array-backed linked
+    list so that move-to-front never changes which points precede a
+    recursion marker.  The radius returned is the distance from the
+    center to the farthest point, so the ball contains the cloud.
     """
-    N = P.shape[0]
-    n = P.shape[1]
+    N, n = P.shape
+    mean = P.mean(axis=0)
+    Q = P - mean
+    spread2 = float((Q * Q).sum(axis=1).max())
+    C = np.empty((n + 1, n))
+    R2 = [0.0] * (n + 1)
+    V = np.empty((n + 1, n))
+    Z = [0.0] * (n + 1)
+    m = 0  # support points on the stack
+    top = -1  # level of the latest push, whose ball is the current one
     nxt = np.empty(N + 1, dtype=np.int64)  # node N is the list head sentinel
     prv = np.empty(N + 1, dtype=np.int64)
     seq = [N] + list(order)
@@ -302,15 +297,45 @@ def _welzl(P, order):
         prv[b] = a
     nxt[seq[-1]] = -1
 
-    def solve(end, R):
-        ball = _support_ball(P, R)
-        if len(R) == n + 1:
-            return ball
+    def push(p):
+        nonlocal m, top
+        if m:
+            v = p - C[0]
+            u2 = v @ v
+            for k in range(1, m):
+                v -= (v @ V[k]) / Z[k] * V[k]
+            z = float(v @ v)
+            if z <= RANK_TOL * RANK_TOL * u2:
+                return False
+            d = p - C[m - 1]
+            e = float(d @ d) - R2[m - 1]  # p's excess over ball m - 1
+            f = 0.5 * e / z
+            C[m] = C[m - 1] + f * v
+            R2[m] = R2[m - 1] + 0.5 * e * f
+            V[m] = v
+            Z[m] = z
+        else:
+            C[0] = p
+            R2[0] = 0.0
+        top = m
+        m += 1
+        return True
+
+    def covers(p):
+        d = p - C[top]
+        r2 = R2[top]
+        return d @ d <= r2 + CONTAIN_TOL * max(r2, spread2)
+
+    def solve(end):
+        nonlocal m
+        if m == n + 1:
+            return
         v = nxt[N]
         while v != end and v != -1:
             after = nxt[v]
-            if not _ball_covers(ball, P[v]):
-                ball = solve(v, R + (v,))
+            if (top < 0 or not covers(Q[v])) and push(Q[v]):
+                solve(v)
+                m -= 1
                 # move v to the front; v stays ahead of every active marker
                 nxt[prv[v]] = nxt[v]
                 if nxt[v] != -1:
@@ -322,10 +347,10 @@ def _welzl(P, order):
                 if first != -1:
                     prv[first] = v
             v = after
-        return ball
 
-    ball = solve(-1, ())
-    return ball if ball is not None else Ball(P[0], 0.0)
+    solve(-1)
+    center = C[top] + mean
+    return Ball(center, float(np.sqrt(((P - center) ** 2).sum(axis=1).max())))
 
 
 def _meb_refine(P, tol=1e-12):
@@ -354,8 +379,10 @@ def _meb_refine(P, tol=1e-12):
 def min_enclosing_ball(cloud, seed=0):
     """Smallest closed ball containing the cloud.
 
-    Welzl's randomized recursion with move-to-front for desk-scale input;
-    beyond 12 dimensions or 1e5 points, a certified farthest-point
+    Welzl's move-to-front recursion for desk-scale input, scanning the
+    points in an order drawn from ``seed``; its support balls are updated
+    incrementally by pushes and pops on Gärtner's stack, with no linear
+    solve.  Beyond 12 dimensions or 1e5 points, a certified farthest-point
     refinement takes over.
     """
     P = cloud.points if isinstance(cloud, PointCloud) else np.atleast_2d(cloud)

@@ -349,13 +349,14 @@ def _is_unit_simplex_pattern(P, n, tol):
     return True
 
 
-def jung_verify(cloud, tol=1e-7):
+def jung_verify(cloud, tol=1e-7, seed=0):
     """Check the enclosing-ball radius against r_n times the diameter.
 
     ``tight`` means the ratio is attained within ``tol``; in that case the
     report tries to extract n+1 atoms forming a simplex at the diameter.
+    ``seed`` fixes the enclosing-ball recursion's scan order.
     """
-    ball = min_enclosing_ball(cloud)
+    ball = min_enclosing_ball(cloud, seed=seed)
     dia = diameter(cloud)
     n = cloud.dim
     bound = jung_radius(n) * dia

@@ -124,13 +124,12 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
 
     # phase 1: nonnegative rhs, artificial basis
     flip = b < 0
-    A1 = np.where(flip[:, None], -A, A)
     b1 = np.where(flip, -b, b)
     T = np.zeros((k + 1, m + k + 1))
-    T[:k, :m] = A1
+    T[:k, :m] = np.where(flip[:, None], -A, A)  # no sign-flipped copy of A is kept
     T[:k, m:m + k] = np.eye(k)
     T[:k, -1] = b1
-    T[k, :m] = -A1.sum(axis=0)
+    T[k, :m] = -T[:k, :m].sum(axis=0)
     T[k, -1] = -b1.sum()
     basis = np.arange(m, m + k, dtype=np.int64)
     cost1 = np.concatenate([np.zeros(m), np.ones(k)])
@@ -165,6 +164,7 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
         k = basis.size
 
     T2 = np.ascontiguousarray(np.concatenate([T[:, :m], T[:, -1:]], axis=1))
+    del T  # a wide program (a mesh of 1e4 points) holds one tableau less in phase 2
     _refresh_objective(T2, basis, c)
 
     status, it2 = _run_phase(T2, basis, c, pivot_tol, max(max_iters - it1, 1), stall)

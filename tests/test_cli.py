@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from geomoment import (AtomicMeasure, NoConvergenceError, PointCloud, RadialCost,
-                       bounds, chebyshev_level, write_cloud_csv, write_measure_json)
+                       bounds, chebyshev_level, cli, geometry, isodiametric,
+                       write_cloud_csv, write_measure_json)
 from geomoment.cli import main
 from geomoment.geometry import regular_simplex
 
@@ -239,3 +240,34 @@ def test_usage_error_exit_2(capsys):
 def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["meb", "maxvar", "jung", "duality"])
+def test_seed_reaches_every_enclosing_ball(capsys, monkeypatch, simplex_csv, command):
+    seeds = []
+    real = geometry.min_enclosing_ball
+
+    def recording(cloud, seed=0):
+        seeds.append(seed)
+        return real(cloud, seed=seed)
+
+    for mod in (cli, bounds, isodiametric):
+        monkeypatch.setattr(mod, "min_enclosing_ball", recording)
+    code, out, _ = run_cli(capsys, command, simplex_csv, "--seed", "5")
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["seed"] == 5
+    assert seeds and all(s == 5 for s in seeds)
+
+
+@pytest.mark.parametrize("args", [
+    ["meb", "{simplex}", "--tol", "1e-3"],
+    ["jung", "{simplex}", "--emit-csv", "{dir}"],
+    ["bound", "--shape", "ball", "--R", "1", "--xbar", "0,0", "--tol", "1e-3"],
+])
+def test_flag_without_effect_exit_2(capsys, tmp_path, simplex_csv, args):
+    args = [a.format(simplex=simplex_csv, dir=tmp_path / "side") for a in args]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not (tmp_path / "side").exists()

@@ -276,3 +276,45 @@ def test_shape_cloud_membership():
     assert shape.contains([1.0, 1.0])
     assert not shape.contains([0.5, 0.5])
     assert shape.dim == 2
+
+
+def test_diameter_far_from_origin():
+    # the Gram identity cancels far from the origin unless the cloud is
+    # recentred first: a spread-5 cloud moved by 1e6 keeps its diameter
+    rng = np.random.default_rng(5)
+    P = rng.uniform(-2.5, 2.5, (200, 3))
+    d0 = diameter(PointCloud(P))
+    moved = diameter(PointCloud(P + 1e6))
+    assert abs(moved - d0) <= 1e-9 * d0
+    tri = regular_simplex(2, 1.0).vertices
+    for offset in (1e6, 1e7):
+        assert abs(diameter(PointCloud(tri + offset)) - 1.0) <= 1e-8
+
+
+def _simplex_clusters(rng, n, d, rho):
+    """n+1 clusters of 2-3 points within rho * d of the vertices of a
+    regular simplex of diameter d: the configurations the isodiametric
+    search converges to."""
+    pts = []
+    for v in regular_simplex(n, d).vertices:
+        g = rng.normal(size=(int(rng.integers(2, 4)), n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        pts.append(v + rho * d * rng.uniform(size=(len(g), 1)) * g)
+    P = np.vstack(pts)
+    return P[rng.permutation(len(P))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1e-3, 1.0, 1e3])
+def test_meb_clustered_simplex_support(n, d):
+    rng = np.random.default_rng(100 * n + int(math.log10(d)) + 3)
+    for rho in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        P = _simplex_clusters(rng, n, d, rho)
+        cloud = PointCloud(P)
+        radii = []
+        for seed in range(5):
+            b = min_enclosing_ball(cloud, seed=seed)
+            assert np.linalg.norm(P - b.center, axis=1).max() <= b.radius * (1 + 1e-12)
+            assert hull_membership(P[meb_support(cloud, b)], b.center) is not None
+            radii.append(b.radius)
+        assert max(radii) - min(radii) <= 1e-12 * max(radii)

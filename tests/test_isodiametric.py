@@ -212,3 +212,15 @@ def test_search_with_explicit_step_and_iters():
                        max_iters=200, step=0.1)
     res = search_max(cfg)
     assert res.best_value == pytest.approx(0.25, abs=1e-8)
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e7])
+def test_jung_simplex_tight_far_from_origin(offset):
+    # the diameter used to lose 0.031 at offset 1e7, so the ratio read as
+    # not attained
+    V = regular_simplex(2, 1.0).vertices + offset
+    rep = jung_verify(PointCloud(V))
+    assert rep.ok and rep.tight
+    assert rep.extraction_ok
+    assert np.abs(rep.simplex_points[np.lexsort(rep.simplex_points.T)]
+                  - V[np.lexsort(V.T)]).max() <= 1e-6
