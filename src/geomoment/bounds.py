@@ -208,20 +208,26 @@ def max_variance(cloud, dist_tol=None, feas_tol=1e-8, seed=0):
 
     The dual optimum is the squared radius of the smallest enclosing ball;
     the maximizer is supported on atoms at (numerically) that radius from
-    the center, weighted so the barycenter is the center.
+    the center, weighted so the barycenter is the center.  The ball, the
+    support selection and the hull-membership weights are computed on the
+    cloud recentred on its mean, so they do not lose precision far from
+    the origin; ``dist_tol`` defaults to 1e-7 times the radius.
     """
     P = cloud.points
-    ball = min_enclosing_ball(cloud, seed=seed)
-    if dist_tol is None:
-        dist_tol = 1e-7 * (1.0 + ball.radius)
     if len(cloud) == 1:
+        ball = min_enclosing_ball(cloud, seed=seed)
         maximizer = AtomicMeasure(cloud, np.ones(1))
         return DualityReport(0.0, 0.0, 0.0, ball.center, ball, maximizer)
-    idx = meb_support(cloud, ball, tol=dist_tol)
-    w_bdry = hull_membership(P[idx], ball.center, feas_tol=feas_tol)
+    shift = P.mean(axis=0)
+    Q = P - shift
+    ball = min_enclosing_ball(Q, seed=seed)
+    if dist_tol is None:
+        dist_tol = 1e-7 * ball.radius
+    idx = meb_support(Q, ball, tol=dist_tol)
+    w_bdry = hull_membership(Q[idx], ball.center, feas_tol=feas_tol)
     if w_bdry is None:
         # should not happen for a certified enclosing ball; retry looser
-        w_bdry = hull_membership(P[idx], ball.center, feas_tol=1e-6)
+        w_bdry = hull_membership(Q[idx], ball.center, feas_tol=1e-6)
         if w_bdry is None:
             raise NoConvergenceError("enclosing-ball center not in hull of its support")
     w = np.zeros(P.shape[0])
@@ -229,7 +235,9 @@ def max_variance(cloud, dist_tol=None, feas_tol=1e-8, seed=0):
     maximizer = AtomicMeasure(cloud, w)
     primal = variance(maximizer)
     dual = ball.radius ** 2
-    return DualityReport(primal, dual, abs(primal - dual), ball.center, ball, maximizer)
+    center = ball.center + shift
+    return DualityReport(primal, dual, abs(primal - dual), center,
+                         Ball(center, ball.radius), maximizer)
 
 
 def primal_lp_value(cloud, feas_tol=1e-8):

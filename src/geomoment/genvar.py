@@ -6,7 +6,10 @@ is the cost profile at the smallest enclosing ball's radius, certified from
 below by the variance maximizer that is that ball's dual; the inner
 minimization behind the generalized variance uses the closed form for the
 quadratic cost, a damped Weiszfeld iteration for the first-power cost, and
-a cutting-plane engine for everything else.
+a cutting-plane engine for everything else.  That engine is Kelley's: each
+round solves the master LP over the cuts so far as its dual, an (n + 1)-row
+program over convex combinations of the cuts, whose optimum certifies a
+lower bound and whose LP duals give the next cut point.
 """
 
 import json
@@ -158,45 +161,49 @@ class SaddleReport:
 
 
 def _cut_lp(cuts_g, cuts_c, lo, hi):
-    """min h s.t. h >= c_j + g_j . z over the box [lo, hi].
+    """Kelley master min_z max_j (c_j + g_j . z) over the box [lo, hi],
+    solved as its LP dual.
 
-    Returns (z, lower_bound).  Variables: box slack pair (s, t) with
-    z = lo + s, the free epigraph value h as h+ - h-, one surplus per cut.
+    With u = hi - lo and b_j = c_j + g_j . lo the dual is
+
+        max sum_j lam_j b_j - u . mu   subject to   sum_j lam_j = 1,
+        sum_j lam_j g_j + mu - nu = 0,   lam, mu, nu >= 0,
+
+    n + 1 rows by ncuts + 2n columns.  Returns (z, lower_bound): the bound
+    is the dual optimum, and z = lo + s minimizes the master, where s is the
+    LP dual vector of the last n rows clipped to [0, u].  Every feasible lam
+    gives a lower bound on the master by weak duality, so the bound stays
+    valid even if the simplex stops short of its optimum.
     """
-    n = lo.size
-    ncuts = len(cuts_c)
     G = np.asarray(cuts_g)
-    c0 = np.asarray(cuts_c)
-    rng_box = hi - lo
-    k = n + ncuts
-    m = 2 * n + 2 + ncuts
-    A = np.zeros((k, m))
-    b = np.zeros(k)
-    A[:n, :n] = np.eye(n)
-    A[:n, n:2 * n] = np.eye(n)
-    b[:n] = rng_box
-    A[n:, :n] = -G
-    A[n:, 2 * n] = 1.0
-    A[n:, 2 * n + 1] = -1.0
-    A[n:, 2 * n + 2:] = -np.eye(ncuts)
-    b[n:] = c0 + G @ lo
-    c = np.zeros(m)
-    c[2 * n] = 1.0
-    c[2 * n + 1] = -1.0
-    sol = solve_lp(LpProblem(c, A, b))
+    ncuts, n = G.shape
+    u = hi - lo
+    A = np.zeros((n + 1, ncuts + 2 * n))
+    A[0, :ncuts] = 1.0
+    A[1:, :ncuts] = G.T
+    A[1:, ncuts:ncuts + n] = np.eye(n)
+    A[1:, ncuts + n:] = -np.eye(n)
+    rhs = np.zeros(n + 1)
+    rhs[0] = 1.0
+    c = np.concatenate([-(np.asarray(cuts_c) + G @ lo), u, np.zeros(n)])
+    sol = solve_lp(LpProblem(c, A, rhs))
     if sol.status is not LpStatus.OPTIMAL:
         raise NoConvergenceError("cut relaxation must be feasible and bounded on a box")
-    z = lo + sol.solution[:n]
-    return z, sol.value
+    return lo + np.clip(sol.duals[1:], 0.0, u), -sol.value
 
 
 def _minimize_convex(oracle, lo, hi, tol, max_iters=300, init_points=()):
     """Kelley cutting planes over a box.
 
     ``oracle(z) -> (f, g)`` returns the value and a subgradient.  Returns
-    (best value, best point, certified gap, converged).  A midpoint cut is
-    added each round to damp zigzagging, and stale cuts are dropped beyond
-    MAX_CUTS (which keeps the lower bound valid, merely looser).
+    (best value, best point, certified gap, converged).  Each round solves
+    the master min_z max_j (c_j + g_j . z) as its LP dual (:func:`_cut_lp`):
+    the dual value is a lower bound on the function over the box (weak
+    duality), the gap is the best value seen minus that bound, and the
+    master's minimizer, read off the LP duals, is the next cut point.  A
+    midpoint cut is added each round to damp zigzagging, and stale cuts are
+    dropped beyond MAX_CUTS (which keeps the lower bound valid, merely
+    looser).
     """
     cuts_g, cuts_c = [], []
     best_f = math.inf
@@ -267,10 +274,10 @@ def _weiszfeld(P, w, tol, max_iters=5000):
     (norm of the minimal subgradient) * (largest atom distance).
     """
     z = w @ P
+    scale = 1.0 + float(np.abs(P).max())
     for _ in range(max_iters):
         d = np.linalg.norm(P - z, axis=1)
         j = int(np.argmin(d))
-        scale = 1.0 + float(np.abs(P).max())
         if d[j] < 1e-13 * scale:
             mask = np.arange(P.shape[0]) != j
             dm = d[mask]

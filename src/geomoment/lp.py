@@ -5,10 +5,19 @@ the form ``min c.t`` subject to ``A t = b, t >= 0`` with at most a few
 thousand variables, so a dense tableau with Bland's anti-cycling rule is
 all the machinery required.  The pivot loop runs in a compiled kernel with
 a pure-python fallback (see :mod:`geomoment._kernel`).
+
+One solve gives both sides of the program: an optimal :class:`LpSolution`
+carries the primal vertex ``t`` and, as ``duals``, the dual vector ``y`` of
+``max b.y`` subject to ``A^T y <= c``, read off the final basis B by
+solving ``B^T y = c_B`` on the original rows (on first use, so callers
+that need only ``t`` pay nothing for it).  Rows that phase 1 drops as
+redundant get dual 0, so ``A^T y <= c`` and ``b.y = c.t`` hold up to
+rounding.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +73,10 @@ class LpSolution:
     """Certified outcome of :func:`solve_lp`.
 
     ``certificate`` carries the phase-1 dual vector (a Farkas certificate
-    of infeasibility) when status is INFEASIBLE.
+    of infeasibility) when status is INFEASIBLE.  ``duals`` is the optimal
+    dual vector y, one entry per constraint row (0 on a row dropped as
+    redundant), when status is OPTIMAL and None otherwise:
+    ``A^T y <= c`` and ``b.y = value``.
     """
 
     status: LpStatus
@@ -72,6 +84,19 @@ class LpSolution:
     solution: np.ndarray | None
     iterations: int
     certificate: np.ndarray | None = None
+    # (A, c, final basis, kept rows) of an optimal solve
+    _basis: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def duals(self):
+        """Solved from ``B^T y = c_B`` on first use: one dense solve of the
+        basis size, which most callers never need."""
+        if self._basis is None:
+            return None
+        A, c, basis, keep = self._basis
+        y = np.zeros(keep.size)
+        y[keep] = np.linalg.solve(A[:, basis][keep].T, c[basis])
+        return y
 
 
 def _refresh_objective(T, basis, cost_full):
@@ -108,7 +133,8 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
     """Two-phase dense simplex on a standard-form problem.
 
     Phase-1 optimum above ``feas_tol`` yields INFEASIBLE with a Farkas
-    certificate; an unbounded ray in phase 2 yields UNBOUNDED.  Bland's
+    certificate; an unbounded ray in phase 2 yields UNBOUNDED; an optimum
+    comes with its dual vector (``B^T y = c_B`` on the final basis).  Bland's
     rule engages after 10*(k+m) pivots without improvement; exceeding the
     iteration cap (default 50*(k+m)) raises NoConvergenceError.
     """
@@ -178,7 +204,7 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
 
     t = np.zeros(m)
     t[basis] = T2[:k, m]
-    return LpSolution(LpStatus.OPTIMAL, float(c @ t), t, iters)
+    return LpSolution(LpStatus.OPTIMAL, float(c @ t), t, iters, _basis=(A, c, basis, keep))
 
 
 def hull_membership(points, target, feas_tol=FEAS_TOL):

@@ -133,6 +133,21 @@ def test_max_variance_singleton():
     assert rep.primal_value == 0.0
 
 
+@pytest.mark.parametrize("spread, offset", [(1e-6, 1.0), (1e-3, 1e3), (1.0, 1e6)])
+def test_max_variance_far_from_origin(spread, offset):
+    # offset/spread = 1e6; an absolute support tolerance of 1e-7 (1 + R)
+    # took interior points for support at spread 1e-6 (relative gaps to 0.03)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        Q = rng.normal(size=(int(rng.integers(10, 41)), int(rng.integers(2, 5))))
+        rep = max_variance(PointCloud(Q * spread + offset))
+        ref = max_variance(PointCloud(Q))
+        assert rep.gap <= 1e-9 * rep.dual_value
+        assert abs(rep.dual_value - ref.dual_value * spread ** 2) <= 1e-9 * rep.dual_value
+        R = rep.enclosing_ball.radius
+        assert np.abs(mean(rep.maximizer) - rep.dual_center).max() <= 1e-8 * R
+
+
 def test_primal_lp_value_examples():
     assert primal_lp_value(PointCloud([-1.0, 1.0])) == pytest.approx(1.0)
     V = regular_simplex(2, 1.0).vertices

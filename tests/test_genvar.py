@@ -7,7 +7,8 @@ from geomoment import (AtomicMeasure, ParseError, PointCloud, RadialCost,
                        chebyshev_level, generalized_variance, mean,
                        min_enclosing_ball, regular_simplex, sup_genvar,
                        variance, verify_saddle)
-from geomoment.genvar import read_cost_json
+from geomoment.genvar import MAX_CUTS, _cut_lp, read_cost_json
+from geomoment.lp import LpProblem, LpStatus, solve_lp
 
 
 def unit_simplex_measure(n):
@@ -229,3 +230,52 @@ def test_verify_saddle_power1_tetrahedron():
     rep = verify_saddle(mu, PointCloud(V), RadialCost.power(1), tol=1e-6)
     assert rep.is_maximizer
     assert rep.level == pytest.approx(math.sqrt(3.0 / 8.0), abs=1e-6)
+
+
+def _primal_cut_lp(cuts_g, cuts_c, lo, hi):
+    """Reference master: min h s.t. h >= c_j + g_j . z over the box, as an
+    epigraph LP with z = lo + s, box slacks, h = h+ - h- and one surplus
+    per cut.  Returns the optimal h."""
+    n = lo.size
+    ncuts = len(cuts_c)
+    G = np.asarray(cuts_g)
+    A = np.zeros((n + ncuts, 2 * n + 2 + ncuts))
+    b = np.zeros(n + ncuts)
+    A[:n, :n] = np.eye(n)
+    A[:n, n:2 * n] = np.eye(n)
+    b[:n] = hi - lo
+    A[n:, :n] = -G
+    A[n:, 2 * n] = 1.0
+    A[n:, 2 * n + 1] = -1.0
+    A[n:, 2 * n + 2:] = -np.eye(ncuts)
+    b[n:] = np.asarray(cuts_c) + G @ lo
+    c = np.zeros(2 * n + 2 + ncuts)
+    c[2 * n] = 1.0
+    c[2 * n + 1] = -1.0
+    sol = solve_lp(LpProblem(c, A, b))
+    assert sol.status is LpStatus.OPTIMAL
+    return sol.value
+
+
+def test_cut_master_dual_matches_primal_epigraph():
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        n = trial % 5 + 1
+        ncuts = int(rng.integers(1, MAX_CUTS + 3))
+        lo = rng.normal(size=n)
+        hi = lo + rng.uniform(0.1, 3.0, size=n)
+        if trial % 2:
+            # tangent planes of a convex function, as the engine makes them
+            a = rng.normal(size=n)
+            Z = lo + (hi - lo) * rng.uniform(size=(ncuts, n))
+            G = 2.0 * (Z - a)
+            cc = ((Z - a) ** 2).sum(axis=1) - (G * Z).sum(axis=1)
+        else:
+            G = rng.normal(size=(ncuts, n))
+            cc = rng.normal(size=ncuts)
+        cuts_g, cuts_c = list(G), list(cc)
+        z, lower = _cut_lp(cuts_g, cuts_c, lo, hi)
+        h = _primal_cut_lp(cuts_g, cuts_c, lo, hi)
+        assert abs(lower - h) <= 1e-9 * (1 + abs(h))
+        assert (lo <= z).all() and (z <= hi).all()
+        assert abs(float((cc + G @ z).max()) - lower) <= 1e-9 * (1 + abs(h))

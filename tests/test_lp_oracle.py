@@ -18,6 +18,14 @@ def _scipy_status(res):
     raise AssertionError(f"oracle failed: {res.message}")
 
 
+def _check_duals(A, b, c, sol, tol=1e-7):
+    """Optimal duals certify the value: b.y = c.t and A^T y <= c."""
+    y = sol.duals
+    assert y.shape == b.shape
+    assert abs(float(b @ y) - sol.value) <= tol
+    assert (A.T @ y <= c + tol).all()
+
+
 def test_against_scipy_on_random_programs():
     rng = np.random.default_rng(2024)
     agree = 0
@@ -37,7 +45,10 @@ def test_against_scipy_on_random_programs():
         assert ours.status is _scipy_status(ref)
         if ours.status is LpStatus.OPTIMAL:
             assert ours.value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+            _check_duals(A, b, c, ours)
             agree += 1
+        else:
+            assert ours.duals is None
     assert agree >= 80  # plenty of optimal instances exercised
 
 
@@ -55,3 +66,18 @@ def test_against_scipy_on_envelope_programs():
         ref = scipy_opt.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert ours.status is LpStatus.OPTIMAL and ref.status == 0
         assert ours.value == pytest.approx(ref.fun, abs=1e-8, rel=1e-8)
+        _check_duals(A, b, c, ours)
+
+
+def test_dual_of_redundant_row_is_zero():
+    # phase 1 pivots on row 0 (ties go to the smaller basis index), which
+    # zeroes the identical row 1, so row 1 is dropped as redundant
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 1.0, 1.5])
+    c = np.array([1.0, 2.0, 1.0])
+    sol = solve_lp(LpProblem(c, A, b))
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.duals[1] == 0.0
+    _check_duals(A, b, c, sol)
+    ref = scipy_opt.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert sol.value == pytest.approx(ref.fun, abs=1e-9)
