@@ -376,14 +376,21 @@ def _meb_refine(P, tol=1e-12):
     return Ball(ball.center, float(d[far]))
 
 
-def min_enclosing_ball(cloud, seed=0):
+def min_enclosing_ball(cloud, seed=0, first=None):
     """Smallest closed ball containing the cloud.
 
     Welzl's move-to-front recursion for desk-scale input, scanning the
     points in an order drawn from ``seed``; its support balls are updated
     incrementally by pushes and pops on Gärtner's stack, with no linear
     solve.  Beyond 12 dimensions or 1e5 points, a certified farthest-point
-    refinement takes over.
+    refinement takes over and ignores ``first``.
+
+    ``first`` warm-starts the recursion: an array of distinct point
+    indices (ValueError otherwise), typically the support of a nearby
+    ball, that are scanned first, the other points following in index
+    order; no order is drawn and ``seed`` has no effect.  The ball is unique, so the scan order
+    changes only its rounding, but a good guess at the support leaves few
+    points uncovered and so saves most of the pushes.
     """
     P = cloud.points if isinstance(cloud, PointCloud) else np.atleast_2d(cloud)
     N, n = P.shape
@@ -391,15 +398,29 @@ def min_enclosing_ball(cloud, seed=0):
         return Ball(P[0], 0.0)
     if n > WELZL_MAX_DIM or N > WELZL_MAX_POINTS:
         return _meb_refine(P)
-    rng = np.random.default_rng(seed)
-    return _welzl(P, rng.permutation(N))
+    if first is None:
+        return _welzl(P, np.random.default_rng(seed).permutation(N))
+    first = np.asarray(first, dtype=np.intp)
+    rest = np.ones(N, dtype=bool)
+    rest[first] = False
+    if np.count_nonzero(rest) + first.size != N:
+        # a repeated point would close a cycle in the recursion's list
+        raise ValueError("first must hold distinct point indices")
+    return _welzl(P, np.concatenate([first, np.flatnonzero(rest)]))
 
 
 def meb_support(cloud, ball, tol=None):
-    """Indices of cloud points on the boundary sphere of ``ball``."""
+    """Indices of cloud points on the boundary sphere of ``ball``.
+
+    ``tol`` defaults to 1e-9 R plus 16 eps max_i |x_i|: relative to the
+    radius, with a floor at the rounding of a distance computed from the
+    coordinates (at most 1.4 eps max_i |x_i| on regular simplices far from
+    the origin), so neither a small cloud nor a far one changes the answer.
+    """
     P = cloud.points if isinstance(cloud, PointCloud) else np.atleast_2d(cloud)
     if tol is None:
-        tol = 1e-9 * (1.0 + ball.radius)
+        scale = float(np.linalg.norm(P, axis=1).max())
+        tol = 1e-9 * ball.radius + 16.0 * np.finfo(float).eps * scale
     d = np.linalg.norm(P - ball.center, axis=1)
     return np.nonzero(np.abs(d - ball.radius) <= tol)[0]
 

@@ -126,7 +126,7 @@ def _project_diameter(atoms, w, d):
     return atoms - (w @ atoms)
 
 
-def _weights_at_atoms(atoms, cost, inner_tol):
+def _weights_at_atoms(atoms, cost, inner_tol, d):
     """Best weights at fixed atoms, with the certified value they attain.
 
     Quadratic cost: exactly the variance-maximizing measure over the atom
@@ -134,7 +134,8 @@ def _weights_at_atoms(atoms, cost, inner_tol):
     level around the enclosing-ball center, chosen by a feasibility LP so
     the center is stationary for the recentered moment (the saddle
     conditions); Frank-Wolfe ascent is the fallback when no such weights
-    exist at this configuration.
+    exist at this configuration.  The tolerances scale with the diameter
+    cap ``d``: the level band with d + R, the value's with v(d).
     """
     if cost.kind == "power" and cost.p == 2:
         rep = max_variance(PointCloud(atoms))
@@ -142,21 +143,25 @@ def _weights_at_atoms(atoms, cost, inner_tol):
     ball = min_enclosing_ball(PointCloud(atoms))
     dist = np.linalg.norm(atoms - ball.center, axis=1)
     lam = float(cost(ball.radius))
-    lvl_tol = max(1e-7 * (1.0 + ball.radius), 10 * inner_tol * (1 + ball.radius))
+    lvl_tol = max(1e-7, 10 * inner_tol) * (d + ball.radius)
+    # a profile flat up to d makes every value 0; keep the tolerance positive
+    val_tol = inner_tol * (float(cost(d)) or 1.0)
     on_level = np.abs(dist - ball.radius) <= lvl_tol
     idx = np.nonzero(on_level)[0]
     w = None
     if idx.size and (dist[idx] > 1e-300).all():
-        grads = (cost.slope(dist[idx])[:, None]
-                 * (ball.center - atoms[idx]) / dist[idx][:, None])
+        # slopes relative to the level's, so the LP's absolute tolerance
+        # sees the same gradients whatever the scale
+        rel = cost.slope(dist[idx]) / (float(cost.slope(ball.radius)) or 1.0)
+        grads = rel[:, None] * (ball.center - atoms[idx]) / dist[idx][:, None]
         w_lvl = hull_membership(grads, np.zeros(atoms.shape[1]))
         if w_lvl is not None:
             w = np.zeros(atoms.shape[0])
             w[idx] = w_lvl
     if w is None:
         w = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
-        w = _frank_wolfe_weights(atoms, w, cost, inner_tol)
-    val = generalized_variance(AtomicMeasure(atoms, w), cost, tol=inner_tol).value
+        w = _frank_wolfe_weights(atoms, w, cost, val_tol)
+    val = generalized_variance(AtomicMeasure(atoms, w), cost, tol=val_tol).value
     return w, val
 
 
@@ -188,6 +193,12 @@ def _search_one(config, restart):
     pulled back together), then solve for the best weights at the final
     atoms.  The radius level v(R) is exactly the largest recentered moment
     any measure on the atoms can achieve, so it is the search objective.
+
+    Each step's enclosing ball is warm-started from the atoms the step
+    pushed outward, the support of the previous ball: the recursion scans
+    them first, so it finds most of the new support among them and makes
+    few pushes.  Every tolerance is relative to d + R (or to d), so the
+    search does not depend on the scale of the diameter cap.
     """
     rng = np.random.default_rng(config.seed + restart)
     n, N, d, cost = config.n, config.atom_count, config.d, config.cost
@@ -203,20 +214,20 @@ def _search_one(config, restart):
     for _ in range(config.max_iters):
         offs = atoms - ball.center
         norms = np.linalg.norm(offs, axis=1)
-        on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (1.0 + ball.radius)
+        on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
         movable = on_bdry & (norms > 1e-12 * d)
         dirs = np.zeros((N, n))
         dirs[movable] = offs[movable] / norms[movable, None]
         cand = _project_diameter(atoms + step * dirs, w0, d)
-        cand_ball = min_enclosing_ball(PointCloud(cand))
-        if cand_ball.radius > ball.radius + 1e-15:
+        cand_ball = min_enclosing_ball(PointCloud(cand), first=np.flatnonzero(on_bdry))
+        if cand_ball.radius > ball.radius + 1e-15 * d:
             atoms, ball = cand, cand_ball
         else:
             step *= 0.5
             if step < step_floor:
                 converged = True
                 break
-    w, val = _weights_at_atoms(atoms, cost, inner_tol)
+    w, val = _weights_at_atoms(atoms, cost, inner_tol, d)
     return atoms, w, val, converged
 
 

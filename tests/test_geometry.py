@@ -318,3 +318,40 @@ def test_meb_clustered_simplex_support(n, d):
             assert hull_membership(P[meb_support(cloud, b)], b.center) is not None
             radii.append(b.radius)
         assert max(radii) - min(radii) <= 1e-12 * max(radii)
+
+
+def _first_index_sets(rng, P, support):
+    N = len(P)
+    subset = rng.choice(N, size=int(rng.integers(0, N + 1)), replace=False)
+    return [support, subset, np.arange(N), rng.permutation(N), []]
+
+
+def test_meb_first_matches_seeded_ball():
+    # the warm-started scan finds the same (unique) ball as the seeded one
+    rng = np.random.default_rng(61)
+    clouds = [rng.normal(size=(int(rng.integers(2, 41)), int(rng.integers(1, 6))))
+              for _ in range(40)]
+    clouds += [_simplex_clusters(rng, n, d, rho)
+               for n in (1, 2, 3) for d in (1e-3, 1.0, 1e3) for rho in (1e-12, 1e-9, 1e-6)]
+    for P in clouds:
+        cloud = PointCloud(P)
+        ref = min_enclosing_ball(cloud, seed=3)
+        for first in _first_index_sets(rng, P, meb_support(cloud, ref)):
+            b = min_enclosing_ball(cloud, first=first)
+            assert abs(b.radius - ref.radius) <= 1e-12 * ref.radius
+            assert np.linalg.norm(b.center - ref.center) <= 1e-12 * ref.radius
+            assert np.linalg.norm(P - b.center, axis=1).max() <= b.radius
+    with pytest.raises(ValueError):
+        min_enclosing_ball(PointCloud(clouds[0]), first=[1, 0, 1])
+
+
+@pytest.mark.parametrize("spread, offset", [(1e-6, 0.0), (1e-3, 1e6), (1.0, 1e6)])
+def test_meb_support_default_tolerance_is_relative(spread, offset):
+    # points 1e-4 R and 1e-3 R inside the sphere are not support; the old
+    # absolute 1e-9 (1 + R) took them for support at spread 1e-6
+    V = regular_simplex(2, spread).vertices
+    R = np.linalg.norm(V[0])
+    u = np.array([0.6, 0.8])
+    cloud = PointCloud(np.vstack([V, (1 - 1e-4) * R * u, -(1 - 1e-3) * R * u]) + offset)
+    b = min_enclosing_ball(cloud)
+    assert meb_support(cloud, b).tolist() == [0, 1, 2]

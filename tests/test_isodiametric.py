@@ -8,6 +8,7 @@ from geomoment import (AtomicMeasure, DomainError, PointCloud, RadialCost,
                        isodiametric_bound, jung_radius, jung_verify,
                        regular_simplex, search_max, simplex_maximizer,
                        tension_check, variance, verify_simplex_optimality)
+from geomoment import geometry, isodiametric
 from geomoment.isodiametric import SearchResult
 
 
@@ -224,3 +225,44 @@ def test_jung_simplex_tight_far_from_origin(offset):
     assert rep.extraction_ok
     assert np.abs(rep.simplex_points[np.lexsort(rep.simplex_points.T)]
                   - V[np.lexsort(V.T)]).max() <= 1e-6
+
+
+# power(3) at d = 1e6 is left out: the cutting-plane master of
+# generalized_variance fails there (NoConvergenceError)
+@pytest.mark.parametrize("p, d", [(1, 1e-6), (1, 1e6), (2, 1e-6), (2, 1e6), (3, 1e-6)])
+def test_search_scale_invariant(p, d):
+    # every tolerance of the search is relative to the diameter cap, and
+    # the level's gradients to its slope; at d = 1e-6 the absolute ones
+    # used to change the restarts' values (power(3): all of them read 0)
+    cost = RadialCost.power(p)
+
+    def ratios(dd):
+        res = search_max(SearchConfig(n=2, d=dd, atom_count=6, restarts=6, seed=41, cost=cost))
+        return np.array(res.per_restart_values) / isodiametric_bound(2, dd, cost)
+
+    assert np.abs(ratios(d) - ratios(1.0)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_search_warm_start_matches_cold_start(p, monkeypatch):
+    # the enclosing ball is unique, so scanning the previous support first
+    # changes only its rounding: the search ends where the seeded scan does
+    warm = []
+
+    def spy(cloud, seed=0, first=None):
+        warm.append(first is not None)
+        return geometry.min_enclosing_ball(cloud, seed=seed, first=first)
+
+    def cold(cloud, seed=0, first=None):
+        return geometry.min_enclosing_ball(cloud, seed=seed)
+
+    configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
+                            cost=RadialCost.power(p))
+               for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)]
+    monkeypatch.setattr(isodiametric, "min_enclosing_ball", spy)
+    ws = [search_max(cfg) for cfg in configs]
+    assert sum(warm) > 0.9 * len(warm)
+    monkeypatch.setattr(isodiametric, "min_enclosing_ball", cold)
+    for w, c in zip(ws, (search_max(cfg) for cfg in configs)):
+        assert np.allclose(w.per_restart_values, c.per_restart_values, rtol=1e-12, atol=0)
+        assert w.converged_restarts == c.converged_restarts
