@@ -5,6 +5,7 @@ the sample shapes used by the bound computations.
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,24 +275,26 @@ def _welzl(P, order):
     not pushed.  The current ball is the one of the latest push; a point
     is covered when its squared distance from the center exceeds R2 by at
     most CONTAIN_TOL times max(R2, max_i |x_i - mean|^2).  Recursion
-    depth <= dim + 1.  The point list lives in an array-backed linked
-    list so that move-to-front never changes which points precede a
-    recursion marker.  The radius returned is the distance from the
-    center to the farthest point, so the ball contains the cloud.
+    depth <= dim + 1.  ``order``, a list of the indices 0..N-1, is the
+    scan order; the points live in a linked list (Python lists of node
+    indices) so that move-to-front never changes which points precede a
+    recursion marker.  The radius returned is the distance from the center
+    to the farthest point, so the ball contains the cloud.
     """
     N, n = P.shape
-    mean = P.mean(axis=0)
+    mean = P.sum(axis=0) / N  # P.mean's arithmetic, without its dispatch
     Q = P - mean
     spread2 = float((Q * Q).sum(axis=1).max())
-    C = np.empty((n + 1, n))
+    rows = list(Q)
+    C = [None] * (n + 1)
     R2 = [0.0] * (n + 1)
-    V = np.empty((n + 1, n))
+    V = [None] * (n + 1)
     Z = [0.0] * (n + 1)
     m = 0  # support points on the stack
     top = -1  # level of the latest push, whose ball is the current one
-    nxt = np.empty(N + 1, dtype=np.int64)  # node N is the list head sentinel
-    prv = np.empty(N + 1, dtype=np.int64)
-    seq = [N] + list(order)
+    nxt = [0] * (N + 1)  # node N is the list head sentinel
+    prv = [0] * (N + 1)
+    seq = [N] + order
     for a, b in zip(seq, seq[1:]):
         nxt[a] = b
         prv[b] = a
@@ -333,7 +336,8 @@ def _welzl(P, order):
         v = nxt[N]
         while v != end and v != -1:
             after = nxt[v]
-            if (top < 0 or not covers(Q[v])) and push(Q[v]):
+            p = rows[v]
+            if (top < 0 or not covers(p)) and push(p):
                 solve(v)
                 m -= 1
                 # move v to the front; v stays ahead of every active marker
@@ -367,7 +371,7 @@ def _meb_refine(P, tol=1e-12):
     rng = np.random.default_rng(0)
     for _ in range(N):
         sub = P[core]
-        ball = _welzl(sub, rng.permutation(len(core)))
+        ball = _welzl(sub, rng.permutation(len(core)).tolist())
         d = np.linalg.norm(P - ball.center, axis=1)
         far = int(np.argmax(d))
         if d[far] <= ball.radius * (1 + tol) + tol:
@@ -383,30 +387,43 @@ def min_enclosing_ball(cloud, seed=0, first=None):
     points in an order drawn from ``seed``; its support balls are updated
     incrementally by pushes and pops on Gärtner's stack, with no linear
     solve.  Beyond 12 dimensions or 1e5 points, a certified farthest-point
-    refinement takes over and ignores ``first``.
+    refinement takes over and ignores ``first`` once it is validated.
 
-    ``first`` warm-starts the recursion: an array of distinct point
-    indices (ValueError otherwise), typically the support of a nearby
-    ball, that are scanned first, the other points following in index
-    order; no order is drawn and ``seed`` has no effect.  The ball is unique, so the scan order
-    changes only its rounding, but a good guess at the support leaves few
-    points uncovered and so saves most of the pushes.
+    ``first`` warm-starts the recursion: a sequence of distinct integer
+    point indices in 0..N-1, typically the support of a nearby ball, that
+    are scanned first, the other points following in index order; no order
+    is drawn and ``seed`` has no effect.  A repeated index, one outside
+    0..N-1 (negative ones included) or a value that is not an integer
+    raises ValueError.  The ball is unique, so the scan order changes only
+    its rounding, but a good guess at the support leaves few points
+    uncovered and so saves most of the pushes.
     """
     P = cloud.points if isinstance(cloud, PointCloud) else np.atleast_2d(cloud)
     N, n = P.shape
+    order = None if first is None else _scan_order(first, N)
     if N == 1:
         return Ball(P[0], 0.0)
     if n > WELZL_MAX_DIM or N > WELZL_MAX_POINTS:
         return _meb_refine(P)
-    if first is None:
-        return _welzl(P, np.random.default_rng(seed).permutation(N))
-    first = np.asarray(first, dtype=np.intp)
-    rest = np.ones(N, dtype=bool)
-    rest[first] = False
-    if np.count_nonzero(rest) + first.size != N:
+    if order is None:
+        order = np.random.default_rng(seed).permutation(N).tolist()
+    return _welzl(P, order)
+
+
+def _scan_order(first, N):
+    """The indices of ``first``, then the rest of 0..N-1 in index order."""
+    try:
+        head = [operator.index(i) for i in first]
+    except TypeError:
+        raise ValueError("first must hold integer point indices") from None
+    if not all(0 <= i < N for i in head):
+        # a negative index would alias the recursion's list sentinel
+        raise ValueError(f"first must hold point indices in 0..{N - 1}")
+    seen = set(head)
+    if len(seen) != len(head):
         # a repeated point would close a cycle in the recursion's list
         raise ValueError("first must hold distinct point indices")
-    return _welzl(P, np.concatenate([first, np.flatnonzero(rest)]))
+    return head + [i for i in range(N) if i not in seen]
 
 
 def meb_support(cloud, ball, tol=None):

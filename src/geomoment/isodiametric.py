@@ -110,15 +110,22 @@ def _project_diameter(atoms, w, d):
     atoms coalesce into clusters.  A global contraction toward the
     weighted centroid is the fallback if pair repair cycles."""
     atoms = atoms.copy()
-    for _ in range(10 * atoms.shape[0] + 20):
-        D = np.linalg.norm(atoms[:, None, :] - atoms[None, :, :], axis=2)
-        i, j = np.unravel_index(int(np.argmax(D)), D.shape)
-        if D[i, j] <= d:
+    N = atoms.shape[0]
+    for _ in range(10 * N + 20):
+        diff = atoms[:, None, :] - atoms[None, :, :]
+        # the square root of every entry, not only of the largest: distinct
+        # squares can share a root, and the first pair at the largest root
+        # is the one pulled
+        D = np.sqrt((diff * diff).sum(axis=2))
+        i, j = divmod(int(D.argmax()), N)
+        dij = D[i, j]
+        if dij <= d:
             return atoms - (w @ atoms)
-        u = (atoms[j] - atoms[i]) / D[i, j]
-        excess = D[i, j] - d
-        atoms[i] += 0.5 * excess * u
-        atoms[j] -= 0.5 * excess * u
+        u = (atoms[j] - atoms[i]) / dij
+        excess = dij - d
+        half = 0.5 * excess * u
+        atoms[i] += half
+        atoms[j] -= half
     dia = diameter(atoms)
     if dia > d:
         centroid = w @ atoms
@@ -133,58 +140,35 @@ def _weights_at_atoms(atoms, cost, inner_tol, d):
     cloud.  Other costs: weights supported on the atoms at the top cost
     level around the enclosing-ball center, chosen by a feasibility LP so
     the center is stationary for the recentered moment (the saddle
-    conditions); Frank-Wolfe ascent is the fallback when no such weights
-    exist at this configuration.  The tolerances scale with the diameter
+    conditions).  Such weights always exist, since the center lies in the
+    hull of its support; if the LP finds none, NoConvergenceError is
+    raised, as in max_variance.  The tolerances scale with the diameter
     cap ``d``: the level band with d + R, the value's with v(d).
     """
     if cost.kind == "power" and cost.p == 2:
         rep = max_variance(PointCloud(atoms))
         return rep.maximizer.weights, rep.primal_value
-    ball = min_enclosing_ball(PointCloud(atoms))
+    ball = min_enclosing_ball(atoms)
     dist = np.linalg.norm(atoms - ball.center, axis=1)
-    lam = float(cost(ball.radius))
     lvl_tol = max(1e-7, 10 * inner_tol) * (d + ball.radius)
     # a profile flat up to d makes every value 0; keep the tolerance positive
     val_tol = inner_tol * (float(cost(d)) or 1.0)
-    on_level = np.abs(dist - ball.radius) <= lvl_tol
-    idx = np.nonzero(on_level)[0]
-    w = None
+    idx = np.nonzero(np.abs(dist - ball.radius) <= lvl_tol)[0]
+    w_lvl = None
     if idx.size and (dist[idx] > 1e-300).all():
         # slopes relative to the level's, so the LP's absolute tolerance
         # sees the same gradients whatever the scale
         rel = cost.slope(dist[idx]) / (float(cost.slope(ball.radius)) or 1.0)
         grads = rel[:, None] * (ball.center - atoms[idx]) / dist[idx][:, None]
         w_lvl = hull_membership(grads, np.zeros(atoms.shape[1]))
-        if w_lvl is not None:
-            w = np.zeros(atoms.shape[0])
-            w[idx] = w_lvl
-    if w is None:
-        w = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
-        w = _frank_wolfe_weights(atoms, w, cost, val_tol)
+    if w_lvl is None:
+        raise NoConvergenceError(
+            "no weights on the top cost level make the enclosing-ball center stationary"
+        )
+    w = np.zeros(atoms.shape[0])
+    w[idx] = w_lvl
     val = generalized_variance(AtomicMeasure(atoms, w), cost, tol=val_tol).value
     return w, val
-
-
-def _frank_wolfe_weights(atoms, w, cost, inner_tol, rounds=12):
-    """Vertex steps with backtracking line search on the true value."""
-    def value(wts):
-        return generalized_variance(AtomicMeasure(atoms, wts), cost, tol=inner_tol).value
-
-    val = value(w)
-    for _ in range(rounds):
-        gv = generalized_variance(AtomicMeasure(atoms, w), cost, tol=inner_tol)
-        scores = cost(np.linalg.norm(atoms - gv.center, axis=1))
-        vertex = np.zeros_like(w)
-        vertex[int(np.argmax(scores))] = 1.0
-        for gamma in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-            w_try = (1.0 - gamma) * w + gamma * vertex
-            v_try = value(w_try)
-            if v_try > val:
-                w, val = w_try, v_try
-                break
-        else:
-            break
-    return w
 
 
 def _search_one(config, restart):
@@ -197,8 +181,13 @@ def _search_one(config, restart):
     Each step's enclosing ball is warm-started from the atoms the step
     pushed outward, the support of the previous ball: the recursion scans
     them first, so it finds most of the new support among them and makes
-    few pushes.  Every tolerance is relative to d + R (or to d), so the
-    search does not depend on the scale of the diameter cap.
+    few pushes.  A step whose moved atoms all lie in the current ball is
+    rejected without solving its ball: the smallest ball containing them
+    is no larger than the current one, so the radius cannot grow beyond
+    rounding, which stays below the 1e-15 d an accepted step must gain,
+    and the full solve would reject the step too.  Every tolerance is relative to
+    d + R (or to d), so the search does not depend on the scale of the
+    diameter cap.
     """
     rng = np.random.default_rng(config.seed + restart)
     n, N, d, cost = config.n, config.atom_count, config.d, config.cost
@@ -207,26 +196,28 @@ def _search_one(config, restart):
 
     w0 = np.full(N, 1.0 / N)
     atoms = _project_diameter(rng.uniform(-0.5 * d, 0.5 * d, (N, n)), w0, d)
-    ball = min_enclosing_ball(PointCloud(atoms))
+    ball = min_enclosing_ball(atoms)
     step = config.step if config.step is not None else 0.25 * d
     step_floor = 1e-9 * d
     converged = False
     for _ in range(config.max_iters):
         offs = atoms - ball.center
-        norms = np.linalg.norm(offs, axis=1)
+        norms = np.sqrt((offs * offs).sum(axis=1))
         on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
         movable = on_bdry & (norms > 1e-12 * d)
         dirs = np.zeros((N, n))
         dirs[movable] = offs[movable] / norms[movable, None]
         cand = _project_diameter(atoms + step * dirs, w0, d)
-        cand_ball = min_enclosing_ball(PointCloud(cand), first=np.flatnonzero(on_bdry))
-        if cand_ball.radius > ball.radius + 1e-15 * d:
-            atoms, ball = cand, cand_ball
-        else:
-            step *= 0.5
-            if step < step_floor:
-                converged = True
-                break
+        # inside the current ball, the candidate's own ball is no larger
+        if not ball.contains(cand):
+            cand_ball = min_enclosing_ball(cand, first=on_bdry.nonzero()[0])
+            if cand_ball.radius > ball.radius + 1e-15 * d:
+                atoms, ball = cand, cand_ball
+                continue
+        step *= 0.5
+        if step < step_floor:
+            converged = True
+            break
     w, val = _weights_at_atoms(atoms, cost, inner_tol, d)
     return atoms, w, val, converged
 
@@ -363,28 +354,34 @@ def _is_unit_simplex_pattern(P, n, tol):
 def jung_verify(cloud, tol=1e-7, seed=0):
     """Check the enclosing-ball radius against r_n times the diameter.
 
-    ``tight`` means the ratio is attained within ``tol``; in that case the
-    report tries to extract n+1 atoms forming a simplex at the diameter.
-    ``seed`` fixes the enclosing-ball recursion's scan order.
+    ``tight`` means the ratio is attained within ``tol``, relative: the
+    radius is at least (1 - tol) times the bound.  In that case the report
+    tries to extract n+1 atoms forming a simplex at the diameter.  ``ok``
+    allows the radius 1e-9 of the bound above it, the extraction takes the
+    points within ``tol`` times the radius of the sphere and clusters them
+    at max(1e-3, 10 tol) times the diameter, so no answer depends on the
+    scale of the cloud.  ``seed`` fixes the enclosing-ball recursion's scan
+    order.
     """
     ball = min_enclosing_ball(cloud, seed=seed)
     dia = diameter(cloud)
     n = cloud.dim
     bound = jung_radius(n) * dia
-    ok = ball.radius <= bound + 1e-9
-    tight = ball.radius >= bound - tol
+    ok = ball.radius <= bound + 1e-9 * bound
+    tight = ball.radius >= bound - tol * bound
     simplex_points = None
     extraction_ok = None
     if tight and dia > 0:
         extraction_ok = False
-        idx = meb_support(cloud, ball, tol=max(tol, 1e-9 * (1 + ball.radius)))
+        idx = meb_support(cloud, ball, tol=tol * ball.radius)
         pts = cloud.points[idx]
-        clusters = _single_linkage(pts, max(1e-3 * dia, 10 * tol))
+        geom_tol = max(1e-3, 10 * tol) * dia
+        clusters = _single_linkage(pts, geom_tol)
         if len(clusters) == n + 1:
             centers = np.asarray([pts[c].mean(axis=0) for c in clusters])
             dists = [np.linalg.norm(centers[i] - centers[j])
                      for i in range(n + 1) for j in range(i + 1, n + 1)]
-            if np.abs(np.asarray(dists) - dia).max() <= max(1e-3 * dia, 10 * tol):
+            if np.abs(np.asarray(dists) - dia).max() <= geom_tol:
                 simplex_points = centers
                 extraction_ok = True
     return JungReport(ball.radius, bound, bool(ok), bool(tight),

@@ -355,3 +355,19 @@ def test_meb_support_default_tolerance_is_relative(spread, offset):
     cloud = PointCloud(np.vstack([V, (1 - 1e-4) * R * u, -(1 - 1e-3) * R * u]) + offset)
     b = min_enclosing_ball(cloud)
     assert meb_support(cloud, b).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("first", [[-1], [0, -6], [6], [1.7], [0.0], np.array([2.0, 5.0])])
+def test_meb_first_rejects_indices_outside_the_cloud(first):
+    # index -1 used to alias the recursion's list sentinel, so the last
+    # point was never scanned and the ball came out with radius 6.36; index
+    # N raised a bare IndexError and floats were truncated to integers
+    P = np.array([[0, 0], [1, 0], [0, 1], [.2, .3], [.5, .4], [5, 5]], dtype=float)
+    assert min_enclosing_ball(P).radius == pytest.approx(math.sqrt(12.5), rel=1e-12)
+    with pytest.raises(ValueError, match="first must hold"):
+        min_enclosing_ball(P, first=first)
+    for ok in ([5], np.array([5, 0]), range(6), []):
+        assert min_enclosing_ball(P, first=ok).radius == pytest.approx(math.sqrt(12.5), rel=1e-12)
+    # the refinement path (beyond 12 dimensions) ignores first, but checks it
+    with pytest.raises(ValueError, match="first must hold"):
+        min_enclosing_ball(np.eye(3, 13), first=first)

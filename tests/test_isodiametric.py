@@ -8,7 +8,7 @@ from geomoment import (AtomicMeasure, DomainError, PointCloud, RadialCost,
                        isodiametric_bound, jung_radius, jung_verify,
                        regular_simplex, search_max, simplex_maximizer,
                        tension_check, variance, verify_simplex_optimality)
-from geomoment import geometry, isodiametric
+from geomoment import NoConvergenceError, geometry, isodiametric
 from geomoment.isodiametric import SearchResult
 
 
@@ -227,6 +227,18 @@ def test_jung_simplex_tight_far_from_origin(offset):
                   - V[np.lexsort(V.T)]).max() <= 1e-6
 
 
+def test_jung_verdicts_do_not_depend_on_scale():
+    # the tolerances used to be absolute: this cloud (ratio 0.868) read
+    # tight=True, extraction_ok=False at scale 1e-8, and simplices of
+    # diameter 1e-6 failed their extraction
+    cases = [(np.random.default_rng(3).normal(size=(40, 2)), (True, False, None))]
+    cases += [(regular_simplex(n, 1.0).vertices + 0.3, (True, True, True)) for n in (1, 2, 3)]
+    for P, verdict in cases:
+        for s in (1.0, 1e-3, 1e-6, 1e-8):
+            rep = jung_verify(PointCloud(P * s))
+            assert (rep.ok, rep.tight, rep.extraction_ok) == verdict
+
+
 # power(3) at d = 1e6 is left out: the cutting-plane master of
 # generalized_variance fails there (NoConvergenceError)
 @pytest.mark.parametrize("p, d", [(1, 1e-6), (1, 1e6), (2, 1e-6), (2, 1e6), (3, 1e-6)])
@@ -266,3 +278,49 @@ def test_search_warm_start_matches_cold_start(p, monkeypatch):
     for w, c in zip(ws, (search_max(cfg) for cfg in configs)):
         assert np.allclose(w.per_restart_values, c.per_restart_values, rtol=1e-12, atol=0)
         assert w.converged_restarts == c.converged_restarts
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
+    # a step whose atoms all lie in the current ball cannot grow its radius,
+    # so rejecting it unsolved must end every restart where solving does
+    configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
+                            cost=RadialCost.power(p))
+               for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)]
+    contains = geometry.Ball.contains
+    weights_at_atoms = isodiametric._weights_at_atoms
+    covered, finals = [], []
+
+    def spy(self, points, tol=0.0):
+        covered.append(contains(self, points, tol))
+        return covered[-1]
+
+    def record(atoms, *args):  # every restart's final atoms
+        finals.append(atoms)
+        return weights_at_atoms(atoms, *args)
+
+    monkeypatch.setattr(isodiametric, "_weights_at_atoms", record)
+    monkeypatch.setattr(geometry.Ball, "contains", spy)
+    short = [search_max(cfg) for cfg in configs]
+    assert any(covered) and not all(covered)
+    short_atoms = finals.copy()
+    finals.clear()
+    monkeypatch.setattr(geometry.Ball, "contains", lambda self, points, tol=0.0: False)
+    full = [search_max(cfg) for cfg in configs]
+    assert len(short_atoms) == len(finals) == sum(cfg.restarts for cfg in configs)
+    for a, b in zip(short_atoms, finals):
+        assert np.array_equal(a, b)
+    for s, f in zip(short, full):
+        assert s.per_restart_values == f.per_restart_values
+        assert s.converged_restarts == f.converged_restarts
+        assert np.array_equal(s.best_measure.atoms.points, f.best_measure.atoms.points)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_search_without_level_weights_raises(p, monkeypatch):
+    # the level LP always has a solution (the center lies in the hull of its
+    # support); should it find none, the search fails with the typed error
+    monkeypatch.setattr(isodiametric, "hull_membership", lambda *args, **kw: None)
+    cfg = SearchConfig(n=2, d=1.0, atom_count=4, restarts=2, seed=3, cost=RadialCost.power(p))
+    with pytest.raises(NoConvergenceError, match="stationary"):
+        search_max(cfg)
