@@ -114,7 +114,7 @@ def popoviciu(k_lo, k_hi):
     return 0.25 * (k_hi - k_lo) ** 2
 
 
-def _interior_min_weight(points, target, feas_tol=1e-8):
+def _interior_min_weight(points, target):
     """Largest m such that target = sum w_i x_i with w_i >= m, sum w = 1.
 
     Solved as an LP in (u, m) with w = u + m; returns -inf when the target
@@ -131,16 +131,16 @@ def _interior_min_weight(points, target, feas_tol=1e-8):
     b = np.concatenate([tgt, [1.0]])
     c = np.zeros(N + 1)
     c[N] = -1.0
-    sol = solve_lp(LpProblem(c, A, b), feas_tol=feas_tol)
+    sol = solve_lp(LpProblem(c, A, b))
     if sol.status is not LpStatus.OPTIMAL:
         return -math.inf
     return float(sol.solution[N])
 
 
-def in_hull_interior(points, target, margin=INTERIOR_MARGIN):
+def in_hull_interior(points, target):
     """Quantitative surrogate for interior membership: the max-min-weight
-    representation must keep every weight at least ``margin``."""
-    return _interior_min_weight(points, target) >= margin
+    representation must keep every weight at least INTERIOR_MARGIN."""
+    return _interior_min_weight(points, target) >= INTERIOR_MARGIN
 
 
 def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed=0):
@@ -203,7 +203,7 @@ def _bd_bound_cloud(cloud, xbar):
     return -float(xbar @ xbar) - sol.value
 
 
-def max_variance(cloud, dist_tol=None, feas_tol=1e-8, seed=0):
+def max_variance(cloud, seed=0):
     """Variance maximizer over all measures on the cloud.
 
     The dual optimum is the squared radius of the smallest enclosing ball;
@@ -211,7 +211,8 @@ def max_variance(cloud, dist_tol=None, feas_tol=1e-8, seed=0):
     the center, weighted so the barycenter is the center.  The ball, the
     support selection and the hull-membership weights are computed on the
     cloud recentred on its mean, so they do not lose precision far from
-    the origin; ``dist_tol`` defaults to 1e-7 times the radius.
+    the origin; the support is the atoms within 1e-7 times the radius of
+    the sphere.
     """
     P = cloud.points
     if len(cloud) == 1:
@@ -221,10 +222,8 @@ def max_variance(cloud, dist_tol=None, feas_tol=1e-8, seed=0):
     shift = P.mean(axis=0)
     Q = P - shift
     ball = min_enclosing_ball(Q, seed=seed)
-    if dist_tol is None:
-        dist_tol = 1e-7 * ball.radius
-    idx = meb_support(Q, ball, tol=dist_tol)
-    w_bdry = hull_membership(Q[idx], ball.center, feas_tol=feas_tol)
+    idx = meb_support(Q, ball, tol=1e-7 * ball.radius)
+    w_bdry = hull_membership(Q[idx], ball.center)
     if w_bdry is None:
         # should not happen for a certified enclosing ball; retry looser
         w_bdry = hull_membership(Q[idx], ball.center, feas_tol=1e-6)
@@ -240,16 +239,16 @@ def max_variance(cloud, dist_tol=None, feas_tol=1e-8, seed=0):
                          Ball(center, ball.radius), maximizer)
 
 
-def primal_lp_value(cloud, feas_tol=1e-8):
+def primal_lp_value(cloud):
     """Exact optimum of: maximize sum w_i |x_i|^2 over zero-mean weights."""
-    sol = envelope_lp(cloud, np.zeros(cloud.dim), feas_tol=feas_tol)
+    sol = envelope_lp(cloud, np.zeros(cloud.dim))
     if sol.status is LpStatus.INFEASIBLE:
         raise DomainError("origin not in the convex hull of the atoms",
                           certificate=sol.certificate)
     return -sol.value
 
 
-def duality_gap(cloud, interior_margin=INTERIOR_MARGIN, seed=0):
+def duality_gap(cloud, seed=0):
     """Strong-duality residual: moment program vs enclosing ball.
 
     The zero-mean moment program over the cloud recentered on the
@@ -259,10 +258,10 @@ def duality_gap(cloud, interior_margin=INTERIOR_MARGIN, seed=0):
     independent code paths (simplex LP vs the randomized ball recursion).
 
     Requires the origin in the interior of the hull (quantitative
-    surrogate: max-min-weight representation >= ``interior_margin``).
+    surrogate: max-min-weight representation >= INTERIOR_MARGIN).
     ``seed`` fixes the enclosing-ball recursion's scan order.
     """
-    if not in_hull_interior(cloud.points, np.zeros(cloud.dim), margin=interior_margin):
+    if not in_hull_interior(cloud.points, np.zeros(cloud.dim)):
         raise DomainError(
             "origin is not interior to the convex hull (attainment hypothesis fails)"
         )

@@ -132,7 +132,7 @@ def cmd_genvar(args):
             "classical_mean": mean(measure),
             "classical_variance": variance(measure),
         },
-        {"tol": args.tol, "seed": args.seed},
+        {"tol": args.tol},
     )
 
 
@@ -144,7 +144,7 @@ def cmd_chebyshev(args):
         "chebyshev",
         {"cloud": args.cloud, "points": len(cloud), "cost": cost.to_spec()},
         {"lambda": lam, "z": z},
-        {"tol": args.tol, "seed": args.seed},
+        {"tol": args.tol},
     )
 
 
@@ -255,14 +255,12 @@ def build_parser():
     p.add_argument("--cost", default='{"kind":"power","p":2}',
                    help="cost JSON (inline or file path)")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common(p)
     p.set_defaults(func=cmd_genvar)
 
     p = sub.add_parser("chebyshev", help="minimax cost level over a cloud")
     p.add_argument("cloud")
     p.add_argument("--cost", default='{"kind":"power","p":2}')
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common(p)
     p.set_defaults(func=cmd_chebyshev)
 
     p = sub.add_parser("isodiametric", help="diameter-capped moment search")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoConvergenceError
 from .geometry import PointCloud, Shape
-from .lp import FEAS_TOL, LpProblem, LpStatus, solve_lp
+from .lp import LpProblem, LpStatus, solve_lp
 
 
 def phi(shape, x):
@@ -36,7 +36,7 @@ def conjugate_at(cloud, y):
     return float(np.max(P @ y + (P * P).sum(axis=1)))
 
 
-def envelope_lp(cloud, x, feas_tol=FEAS_TOL):
+def envelope_lp(cloud, x):
     """The envelope program at x: min sum t_i (-|x_i|^2) over weights
     t >= 0 with unit mass and mean x.
 
@@ -47,13 +47,13 @@ def envelope_lp(cloud, x, feas_tol=FEAS_TOL):
     N = P.shape[0]
     A = np.vstack([P.T, np.ones((1, N))])
     b = np.concatenate([x, [1.0]])
-    sol = solve_lp(LpProblem(-(P * P).sum(axis=1), A, b), feas_tol=feas_tol)
+    sol = solve_lp(LpProblem(-(P * P).sum(axis=1), A, b))
     if sol.status is LpStatus.UNBOUNDED:
         raise NoConvergenceError("envelope program cannot be unbounded on a simplex")
     return sol
 
 
-def biconjugate_at(cloud, x, feas_tol=1e-8):
+def biconjugate_at(cloud, x):
     """Convex envelope of phi over the cloud, evaluated at x.
 
     The value of :func:`envelope_lp` at x; +inf when x lies outside the
@@ -62,17 +62,17 @@ def biconjugate_at(cloud, x, feas_tol=1e-8):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != cloud.dim:
         raise ValueError(f"point has dimension {x.size}, cloud has {cloud.dim}")
-    sol = envelope_lp(cloud, x, feas_tol=feas_tol)
+    sol = envelope_lp(cloud, x)
     if sol.status is LpStatus.INFEASIBLE:
         return math.inf
     return sol.value
 
 
-def translated_biconjugate_zero(cloud, w, feas_tol=1e-8):
+def translated_biconjugate_zero(cloud, w):
     """Envelope of the cloud shifted by -w, evaluated at the origin.
 
     Satisfies the translation identity: equals |w|^2 plus the envelope of
     the unshifted cloud at w (when w is in the hull; +inf otherwise).
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    return biconjugate_at(cloud.translated(-w), np.zeros(cloud.dim), feas_tol=feas_tol)
+    return biconjugate_at(cloud.translated(-w), np.zeros(cloud.dim))

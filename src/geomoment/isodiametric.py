@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import AtomicMeasure, max_variance
+from .bounds import AtomicMeasure
 from .errors import DomainError, NoConvergenceError
-from .genvar import RadialCost, generalized_variance
+from .genvar import RadialCost
 from .geometry import (PointCloud, diameter, jung_radius, meb_support,
                        min_enclosing_ball, regular_simplex)
 from .lp import hull_membership
@@ -31,6 +31,8 @@ class SearchConfig:
     cost: RadialCost = field(default_factory=lambda: RadialCost.power(2))
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need dimension n >= 1")
         if self.atom_count < self.n + 1:
             raise ValueError("need at least n+1 atoms")
         if self.d <= 0:
@@ -133,50 +135,43 @@ def _project_diameter(atoms, w, d):
     return atoms - (w @ atoms)
 
 
-def _weights_at_atoms(atoms, cost, inner_tol, d):
-    """Best weights at fixed atoms, with the certified value they attain.
+def _weights_at_atoms(atoms, ball, cost, d):
+    """Best weights at fixed atoms, with the value they attain, read off
+    the atoms' smallest enclosing ball (center c, radius R).
 
-    Quadratic cost: exactly the variance-maximizing measure over the atom
-    cloud.  Other costs: weights supported on the atoms at the top cost
-    level around the enclosing-ball center, chosen by a feasibility LP so
-    the center is stationary for the recentered moment (the saddle
-    conditions).  Such weights always exist, since the center lies in the
-    hull of its support; if the LP finds none, NoConvergenceError is
-    raised, as in max_variance.  The tolerances scale with the diameter
-    cap ``d``: the level band with d + R, the value's with v(d).
+    By the saddle identity, no measure on the atoms has a recentered
+    moment above v(R), and weights on the ball's sphere whose barycenter
+    is c attain it for every convex increasing radial cost v: their cost
+    gradient at c, the sum of w_i v'(R) (c - x_i) / R, vanishes, so c is
+    their center.  The atoms within 1e-7 (d + R) of the sphere are
+    weighted by one hull-membership LP of their unit offsets (c - x_i) / R
+    around 0, which sees the same numbers whatever the scale, and the
+    value is sum w_i v(|x_i - c|).  Such weights always exist, since the
+    center lies in the hull of its support; if the LP finds none,
+    NoConvergenceError is raised.
     """
-    if cost.kind == "power" and cost.p == 2:
-        rep = max_variance(PointCloud(atoms))
-        return rep.maximizer.weights, rep.primal_value
-    ball = min_enclosing_ball(atoms)
-    dist = np.linalg.norm(atoms - ball.center, axis=1)
-    lvl_tol = max(1e-7, 10 * inner_tol) * (d + ball.radius)
-    # a profile flat up to d makes every value 0; keep the tolerance positive
-    val_tol = inner_tol * (float(cost(d)) or 1.0)
-    idx = np.nonzero(np.abs(dist - ball.radius) <= lvl_tol)[0]
-    w_lvl = None
-    if idx.size and (dist[idx] > 1e-300).all():
-        # slopes relative to the level's, so the LP's absolute tolerance
-        # sees the same gradients whatever the scale
-        rel = cost.slope(dist[idx]) / (float(cost.slope(ball.radius)) or 1.0)
-        grads = rel[:, None] * (ball.center - atoms[idx]) / dist[idx][:, None]
-        w_lvl = hull_membership(grads, np.zeros(atoms.shape[1]))
+    offs = ball.center - atoms
+    dist = np.sqrt((offs * offs).sum(axis=1))
+    idx = np.nonzero(np.abs(dist - ball.radius) <= 1e-7 * (d + ball.radius))[0]
+    w_lvl = hull_membership(offs[idx] / ball.radius, np.zeros(atoms.shape[1]))
     if w_lvl is None:
         raise NoConvergenceError(
-            "no weights on the top cost level make the enclosing-ball center stationary"
+            "no weights on the enclosing sphere make the enclosing-ball center stationary"
         )
     w = np.zeros(atoms.shape[0])
     w[idx] = w_lvl
-    val = generalized_variance(AtomicMeasure(atoms, w), cost, tol=val_tol).value
-    return w, val
+    return w, float(w @ cost(dist))
 
 
 def _search_one(config, restart):
     """One restart: ascend the enclosing-ball radius of the configuration
     under the diameter cap (boundary atoms step outward, worst pairs get
-    pulled back together), then solve for the best weights at the final
-    atoms.  The radius level v(R) is exactly the largest recentered moment
-    any measure on the atoms can achieve, so it is the search objective.
+    pulled back together), then weight the final atoms on the final
+    ball's sphere.  The radius level v(R) is exactly the largest
+    recentered moment any measure on the atoms can achieve, so it is the
+    search objective, and the restart's value is read off the ball the
+    ascent ends with (:func:`_weights_at_atoms`): no second ball and no
+    inner minimization.
 
     Each step's enclosing ball is warm-started from the atoms the step
     pushed outward, the support of the previous ball: the recursion scans
@@ -185,14 +180,12 @@ def _search_one(config, restart):
     rejected without solving its ball: the smallest ball containing them
     is no larger than the current one, so the radius cannot grow beyond
     rounding, which stays below the 1e-15 d an accepted step must gain,
-    and the full solve would reject the step too.  Every tolerance is relative to
-    d + R (or to d), so the search does not depend on the scale of the
-    diameter cap.
+    and the full solve would reject the step too.  Every tolerance is
+    relative to d + R (or to d), so the search does not depend on the
+    scale of the diameter cap.
     """
     rng = np.random.default_rng(config.seed + restart)
     n, N, d, cost = config.n, config.atom_count, config.d, config.cost
-    quadratic = cost.kind == "power" and cost.p == 2
-    inner_tol = 1e-8 if quadratic else 1e-6
 
     w0 = np.full(N, 1.0 / N)
     atoms = _project_diameter(rng.uniform(-0.5 * d, 0.5 * d, (N, n)), w0, d)
@@ -218,7 +211,7 @@ def _search_one(config, restart):
         if step < step_floor:
             converged = True
             break
-    w, val = _weights_at_atoms(atoms, cost, inner_tol, d)
+    w, val = _weights_at_atoms(atoms, ball, cost, d)
     return atoms, w, val, converged
 
 
@@ -273,6 +266,24 @@ def _single_linkage(points, threshold):
     return list(groups.values())
 
 
+def _simplex_clusters(points, n, side, tol, weights=None):
+    """Single-link the points at ``tol``.  When they form n+1 clusters
+    whose centers (weighted by ``weights`` if given, plain means if not)
+    lie pairwise within ``tol`` of ``side`` apart, return (clusters,
+    centers); otherwise None."""
+    clusters = _single_linkage(points, tol)
+    if len(clusters) != n + 1:
+        return None
+    centers = np.asarray([
+        np.average(points[idx], axis=0, weights=None if weights is None else weights[idx])
+        for idx in clusters])
+    dists = [np.linalg.norm(centers[i] - centers[j])
+             for i in range(n + 1) for j in range(i + 1, n + 1)]
+    if np.abs(np.asarray(dists) - side).max() > tol:
+        return None
+    return clusters, centers
+
+
 def verify_simplex_optimality(result, n, d, tol, tol_geom=None, cost=None):
     """Is the search result the simplex extremizer?
 
@@ -287,21 +298,13 @@ def verify_simplex_optimality(result, n, d, tol, tol_geom=None, cost=None):
     if result.best_value < bound - tol:
         return False
     atoms, w = result.best_measure.support()
-    clusters = _single_linkage(atoms, tol_geom)
-    if len(clusters) != n + 1:
+    found = _simplex_clusters(atoms, n, d, tol_geom, weights=w)
+    if found is None:
         return False
-    centers = []
-    for idx in clusters:
-        pts = atoms[idx]
-        ctr = np.average(pts, axis=0, weights=w[idx])
-        if np.linalg.norm(pts - ctr, axis=1).max() > tol_geom:
+    clusters, centers = found
+    for idx, ctr in zip(clusters, centers):
+        if np.linalg.norm(atoms[idx] - ctr, axis=1).max() > tol_geom:
             return False
-        centers.append(ctr)
-    centers = np.asarray(centers)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if abs(np.linalg.norm(centers[i] - centers[j]) - d) > tol_geom:
-                return False
     masses = np.array([w[idx].sum() for idx in clusters])
     return bool(np.abs(masses - 1.0 / (n + 1)).max() <= tol)
 
@@ -333,22 +336,10 @@ def tension_check(points, r, tol=1e-9):
     if r > rn + tol:
         return TensionReport("OriginInHull_Violation", True, False, True, r, rn)
     if r >= rn - tol:
-        simplexish = _is_unit_simplex_pattern(P, n, max(tol, 1e-7))
+        simplexish = _simplex_clusters(P, n, 1.0, max(tol, 1e-7)) is not None
         label = "OriginInHull_SimplexVertices" if simplexish else "OriginInHull"
         return TensionReport(label, True, simplexish, False, r, rn)
     return TensionReport("OriginInHull", True, False, False, r, rn)
-
-
-def _is_unit_simplex_pattern(P, n, tol):
-    clusters = _single_linkage(P, max(tol, 1e-9))
-    if len(clusters) != n + 1:
-        return False
-    centers = np.asarray([P[idx].mean(axis=0) for idx in clusters])
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if abs(np.linalg.norm(centers[i] - centers[j]) - 1.0) > tol:
-                return False
-    return True
 
 
 def jung_verify(cloud, tol=1e-7, seed=0):
@@ -372,17 +363,10 @@ def jung_verify(cloud, tol=1e-7, seed=0):
     simplex_points = None
     extraction_ok = None
     if tight and dia > 0:
-        extraction_ok = False
         idx = meb_support(cloud, ball, tol=tol * ball.radius)
-        pts = cloud.points[idx]
-        geom_tol = max(1e-3, 10 * tol) * dia
-        clusters = _single_linkage(pts, geom_tol)
-        if len(clusters) == n + 1:
-            centers = np.asarray([pts[c].mean(axis=0) for c in clusters])
-            dists = [np.linalg.norm(centers[i] - centers[j])
-                     for i in range(n + 1) for j in range(i + 1, n + 1)]
-            if np.abs(np.asarray(dists) - dia).max() <= geom_tol:
-                simplex_points = centers
-                extraction_ok = True
+        found = _simplex_clusters(cloud.points[idx], n, dia, max(1e-3, 10 * tol) * dia)
+        extraction_ok = found is not None
+        if extraction_ok:
+            simplex_points = found[1]
     return JungReport(ball.radius, bound, bool(ok), bool(tight),
                       simplex_points, extraction_ok)

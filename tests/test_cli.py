@@ -173,6 +173,8 @@ def test_chebyshev_uncertified_ball_exit_4(capsys, monkeypatch, simplex_csv):
     ["chebyshev", "{simplex}", "--tol", "-1"],
     ["bound", "--shape", "ellipse", "--a-scalar", "2", "--b", "1",
      "--xbar", "0,0", "--resolution", "0"],
+    ["isodiametric", "--n", "0", "--atoms", "3", "--restarts", "2",
+     "--cost", '{{"kind":"power","p":1}}'],
 ])
 def test_invalid_flag_value_exit_2(capsys, tmp_path, simplex_csv, args):
     measure = tmp_path / "m.json"
@@ -263,6 +265,8 @@ def test_seed_reaches_every_enclosing_ball(capsys, monkeypatch, simplex_csv, com
     ["meb", "{simplex}", "--tol", "1e-3"],
     ["jung", "{simplex}", "--emit-csv", "{dir}"],
     ["bound", "--shape", "ball", "--R", "1", "--xbar", "0,0", "--tol", "1e-3"],
+    ["genvar", "measure.json", "--seed", "5"],
+    ["chebyshev", "{simplex}", "--seed", "5"],
 ])
 def test_flag_without_effect_exit_2(capsys, tmp_path, simplex_csv, args):
     args = [a.format(simplex=simplex_csv, dir=tmp_path / "side") for a in args]
