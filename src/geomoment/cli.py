@@ -8,6 +8,7 @@ invalid flag value, 3 domain precondition, 4 no convergence.
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -24,9 +25,32 @@ from .isodiametric import SearchConfig, jung_verify, search_max
 
 def _parse_vec(text, name):
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vec = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise ParseError(f"--{name}: expected comma-separated reals, got {text!r}") from None
+    if not np.isfinite(vec).all():
+        raise ValueError(f"--{name}: entries must be finite, got {text!r}")
+    return vec
+
+
+def _finite_float(text):
+    """argparse type: a finite real; nan and +-inf are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a real, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or flag value on stderr as ``invalid input: ...``,
+    the prefix of every other invalid-value message, then the usage line;
+    the exit code stays 2."""
+
+    def error(self, message):
+        self.exit(2, f"invalid input: {self.prog}: {message}\n{self.format_usage()}")
 
 
 def _run_report(command, inputs, outputs, diagnostics):
@@ -216,7 +240,7 @@ def cmd_duality(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geomoment",
         description="Geometric bounds on variances and recentered moments.",
     )
@@ -236,11 +260,11 @@ def build_parser():
     p.add_argument("--cloud")
     p.add_argument("--xbar", required=True, help="mean, comma-separated")
     p.add_argument("--k", help="interval endpoints lo,hi")
-    p.add_argument("--R", type=float, help="ball radius")
+    p.add_argument("--R", type=_finite_float, help="ball radius")
     p.add_argument("--dim", type=int, default=2, help="ball dimension")
     p.add_argument("--a", help="box/diamond half-widths, comma-separated")
-    p.add_argument("--a-scalar", dest="a_scalar", type=float, help="ellipse semi-axis a")
-    p.add_argument("--b", type=float, help="ellipse semi-axis b")
+    p.add_argument("--a-scalar", dest="a_scalar", type=_finite_float, help="ellipse semi-axis a")
+    p.add_argument("--b", type=_finite_float, help="ellipse semi-axis b")
     p.add_argument("--resolution", type=int, default=256)
     common(p)
     p.set_defaults(func=cmd_bound)
@@ -254,18 +278,18 @@ def build_parser():
     p.add_argument("measure", help="measure JSON file")
     p.add_argument("--cost", default='{"kind":"power","p":2}',
                    help="cost JSON (inline or file path)")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    p.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
     p.set_defaults(func=cmd_genvar)
 
     p = sub.add_parser("chebyshev", help="minimax cost level over a cloud")
     p.add_argument("cloud")
     p.add_argument("--cost", default='{"kind":"power","p":2}')
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    p.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
     p.set_defaults(func=cmd_chebyshev)
 
     p = sub.add_parser("isodiametric", help="diameter-capped moment search")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=float, default=1.0)
+    p.add_argument("--d", type=_finite_float, default=1.0)
     p.add_argument("--cost", default='{"kind":"power","p":2}')
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--restarts", type=int, default=50)

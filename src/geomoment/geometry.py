@@ -31,10 +31,7 @@ class PointCloud:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-            raise ValueError("point cloud must be a nonempty (N, n) array")
-        if not np.isfinite(pts).all():
-            raise ValueError("point cloud has non-finite coordinates")
+        _check_points(pts)
         pts = pts.copy()
         pts.setflags(write=False)
         self._points = pts
@@ -60,6 +57,25 @@ class PointCloud:
         return PointCloud(self._points * float(s))
 
 
+def _check_points(P):
+    """Raise ValueError unless P is a nonempty (N, n) array of finite reals;
+    no arithmetic runs before the check, so bad input warns of nothing."""
+    if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] == 0:
+        raise ValueError("point cloud must be a nonempty (N, n) array")
+    if not np.isfinite(P).all():
+        raise ValueError("point cloud has non-finite coordinates")
+
+
+def _as_points(cloud):
+    """The (N, n) coordinates of a PointCloud, or of a raw array (a 1-D one
+    is a single point) that passes the same checks."""
+    if isinstance(cloud, PointCloud):
+        return cloud.points
+    P = np.atleast_2d(np.asarray(cloud, dtype=float))
+    _check_points(P)
+    return P
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed ball with center q and radius R >= 0."""
@@ -75,9 +91,9 @@ class Ball:
         object.__setattr__(self, "radius", float(self.radius))
 
     def contains(self, points, tol=0.0):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = np.linalg.norm(pts - self.center, axis=1)
-        return bool((d <= self.radius + tol).all())
+        d = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
+        # np.linalg.norm's arithmetic for real input, without its dispatch
+        return bool((np.sqrt((d * d).sum(axis=1)) <= self.radius + tol).all())
 
 
 @dataclass(frozen=True)
@@ -215,7 +231,7 @@ def diameter(cloud):
     The cloud is recentred on its mean first, so that the Gram identity
     |x - y|^2 = |x|^2 + |y|^2 - 2 x.y does not cancel far from the origin.
     """
-    P = cloud.points if isinstance(cloud, PointCloud) else np.atleast_2d(cloud)
+    P = _as_points(cloud)
     N = P.shape[0]
     if N == 1:
         return 0.0
@@ -259,7 +275,7 @@ def circumball(points):
     return Ball(center, float(np.linalg.norm(center - P[0])))
 
 
-def _welzl(P, order):
+def _welzl(P, order, guess=0):
     """Welzl's move-to-front recursion on Gärtner's push/pop support stack
     (Welzl 1991; Gärtner, "Fast and Robust Smallest Enclosing Balls", 1999).
 
@@ -275,38 +291,48 @@ def _welzl(P, order):
     not pushed.  The current ball is the one of the latest push; a point
     is covered when its squared distance from the center exceeds R2 by at
     most CONTAIN_TOL times max(R2, max_i |x_i - mean|^2).  Recursion
-    depth <= dim + 1.  ``order``, a list of the indices 0..N-1, is the
-    scan order; the points live in a linked list (Python lists of node
-    indices) so that move-to-front never changes which points precede a
-    recursion marker.  The radius returned is the distance from the center
-    to the farthest point, so the ball contains the cloud.
+    depth <= dim + 1.  ``order``, a list of distinct indices in 0..N-1,
+    is scanned first and the other points follow in index order; they
+    live in a linked list (Python lists of node indices) so that
+    move-to-front never changes which points precede a recursion marker.
+    The radius returned is the distance from the center to the farthest
+    point, so the ball contains the cloud.
+
+    With 1 <= ``guess`` <= dim + 1, the first ``guess`` points of ``order``
+    are a guess at the support, certified before any scan: they are
+    pushed, and the top ball is returned if it covers every point and its
+    center has nonnegative barycentric weights on them, for a ball through
+    points with its center in their hull that contains the cloud is the
+    smallest one (its optimality condition).  The k-th pushed offset is
+    p_k - C[0] = V[k] + sum_{j<k} A[k][j-1] V[j], with A[k] the push's
+    Gram-Schmidt coefficients, and the center is C[0] + sum_k F[k] V[k],
+    so the weights follow from F by back-substitution.  A dependent push,
+    a negative weight or an uncovered point (NaN fails every test) pops
+    the stack back to empty, and the recursion runs as without a guess.
     """
     N, n = P.shape
     mean = P.sum(axis=0) / N  # P.mean's arithmetic, without its dispatch
     Q = P - mean
     spread2 = float((Q * Q).sum(axis=1).max())
-    rows = list(Q)
     C = [None] * (n + 1)
     R2 = [0.0] * (n + 1)
     V = [None] * (n + 1)
     Z = [0.0] * (n + 1)
+    A = [None] * (n + 1)  # A[k]: the k-th push's Gram-Schmidt coefficients
+    F = [0.0] * (n + 1)  # F[k]: the k-th push's center step along V[k]
     m = 0  # support points on the stack
     top = -1  # level of the latest push, whose ball is the current one
-    nxt = [0] * (N + 1)  # node N is the list head sentinel
-    prv = [0] * (N + 1)
-    seq = [N] + order
-    for a, b in zip(seq, seq[1:]):
-        nxt[a] = b
-        prv[b] = a
-    nxt[seq[-1]] = -1
 
     def push(p):
         nonlocal m, top
         if m:
             v = p - C[0]
             u2 = v @ v
+            a = []
             for k in range(1, m):
-                v -= (v @ V[k]) / Z[k] * V[k]
+                c = (v @ V[k]) / Z[k]
+                v -= c * V[k]
+                a.append(float(c))
             z = float(v @ v)
             if z <= RANK_TOL * RANK_TOL * u2:
                 return False
@@ -317,12 +343,43 @@ def _welzl(P, order):
             R2[m] = R2[m - 1] + 0.5 * e * f
             V[m] = v
             Z[m] = z
+            A[m] = a
+            F[m] = f
         else:
             C[0] = p
             R2[0] = 0.0
         top = m
         m += 1
         return True
+
+    def ball():
+        center = C[top] + mean
+        return Ball(center, math.sqrt(((P - center) ** 2).sum(axis=1).max()))
+
+    if 0 < guess <= n + 1:
+        if all(push(Q[i]) for i in order[:guess]):
+            lam = [0.0] * m
+            for k in range(m - 1, 0, -1):
+                lam[k] = F[k] - sum(lam[i] * A[i][k - 1] for i in range(k + 1, m))
+            lam[0] = 1.0 - sum(lam)
+            D = Q - C[top]
+            r2 = R2[top]
+            if all(w >= 0.0 for w in lam) and (
+                    (D * D).sum(axis=1) <= r2 + CONTAIN_TOL * max(r2, spread2)).all():
+                return ball()
+        m, top = 0, -1
+
+    if len(order) < N:
+        seen = set(order)
+        order = order + [i for i in range(N) if i not in seen]
+    nxt = [0] * (N + 1)  # node N is the list head sentinel
+    prv = [0] * (N + 1)
+    seq = [N] + order
+    for a, b in zip(seq, seq[1:]):
+        nxt[a] = b
+        prv[b] = a
+    nxt[seq[-1]] = -1
+    rows = list(Q)
 
     def covers(p):
         d = p - C[top]
@@ -353,8 +410,7 @@ def _welzl(P, order):
             v = after
 
     solve(-1)
-    center = C[top] + mean
-    return Ball(center, float(np.sqrt(((P - center) ** 2).sum(axis=1).max())))
+    return ball()
 
 
 def _meb_refine(P, tol=1e-12):
@@ -389,29 +445,33 @@ def min_enclosing_ball(cloud, seed=0, first=None):
     solve.  Beyond 12 dimensions or 1e5 points, a certified farthest-point
     refinement takes over and ignores ``first`` once it is validated.
 
-    ``first`` warm-starts the recursion: a sequence of distinct integer
-    point indices in 0..N-1, typically the support of a nearby ball, that
-    are scanned first, the other points following in index order; no order
-    is drawn and ``seed`` has no effect.  A repeated index, one outside
-    0..N-1 (negative ones included) or a value that is not an integer
-    raises ValueError.  The ball is unique, so the scan order changes only
-    its rounding, but a good guess at the support leaves few points
-    uncovered and so saves most of the pushes.
+    ``first`` is a guess at the support, typically that of a nearby ball: a
+    sequence of distinct integer point indices in 0..N-1.  Before any scan,
+    a guess of 1 to dim + 1 points is certified: if the ball through them
+    with its center in their hull contains the cloud, it is returned.
+    Otherwise the recursion scans the points of ``first`` first and the
+    other points in index order; no order is drawn and ``seed`` has no
+    effect.  A repeated index, one outside 0..N-1 (negative ones included)
+    or a value that is not an integer raises ValueError.  The ball is
+    unique, so the guess changes only its rounding, but a good guess
+    leaves few points uncovered and so saves most of the pushes.  Empty,
+    ragged or non-finite input raises ValueError, as PointCloud does.
     """
-    P = cloud.points if isinstance(cloud, PointCloud) else np.atleast_2d(cloud)
+    P = _as_points(cloud)
     N, n = P.shape
-    order = None if first is None else _scan_order(first, N)
+    head = None if first is None else _check_first(first, N)
     if N == 1:
         return Ball(P[0], 0.0)
     if n > WELZL_MAX_DIM or N > WELZL_MAX_POINTS:
         return _meb_refine(P)
-    if order is None:
-        order = np.random.default_rng(seed).permutation(N).tolist()
-    return _welzl(P, order)
+    if head is None:
+        return _welzl(P, np.random.default_rng(seed).permutation(N).tolist())
+    return _welzl(P, head, len(head))
 
 
-def _scan_order(first, N):
-    """The indices of ``first``, then the rest of 0..N-1 in index order."""
+def _check_first(first, N):
+    """The indices of ``first`` as a list, checked to be distinct and in
+    0..N-1."""
     try:
         head = [operator.index(i) for i in first]
     except TypeError:
@@ -419,11 +479,10 @@ def _scan_order(first, N):
     if not all(0 <= i < N for i in head):
         # a negative index would alias the recursion's list sentinel
         raise ValueError(f"first must hold point indices in 0..{N - 1}")
-    seen = set(head)
-    if len(seen) != len(head):
+    if len(set(head)) != len(head):
         # a repeated point would close a cycle in the recursion's list
         raise ValueError("first must hold distinct point indices")
-    return head + [i for i in range(N) if i not in seen]
+    return head
 
 
 def meb_support(cloud, ball, tol=None):
@@ -434,7 +493,7 @@ def meb_support(cloud, ball, tol=None):
     coordinates (at most 1.4 eps max_i |x_i| on regular simplices far from
     the origin), so neither a small cloud nor a far one changes the answer.
     """
-    P = cloud.points if isinstance(cloud, PointCloud) else np.atleast_2d(cloud)
+    P = _as_points(cloud)
     if tol is None:
         scale = float(np.linalg.norm(P, axis=1).max())
         tol = 1e-9 * ball.radius + 16.0 * np.finfo(float).eps * scale

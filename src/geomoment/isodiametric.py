@@ -4,6 +4,7 @@ them, and checkers for the sphere-support tension statement and for the
 enclosing-ball/diameter ratio bound.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,8 +36,10 @@ class SearchConfig:
             raise ValueError("need dimension n >= 1")
         if self.atom_count < self.n + 1:
             raise ValueError("need at least n+1 atoms")
-        if self.d <= 0:
-            raise ValueError("diameter bound must be positive")
+        if not 0 < self.d < math.inf:
+            raise ValueError("diameter bound must be positive and finite")
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
 
@@ -174,15 +177,16 @@ def _search_one(config, restart):
     inner minimization.
 
     Each step's enclosing ball is warm-started from the atoms the step
-    pushed outward, the support of the previous ball: the recursion scans
-    them first, so it finds most of the new support among them and makes
-    few pushes.  A step whose moved atoms all lie in the current ball is
-    rejected without solving its ball: the smallest ball containing them
-    is no larger than the current one, so the radius cannot grow beyond
-    rounding, which stays below the 1e-15 d an accepted step must gain,
-    and the full solve would reject the step too.  Every tolerance is
-    relative to d + R (or to d), so the search does not depend on the
-    scale of the diameter cap.
+    pushed outward, the support of the previous ball: they are almost
+    always the new support too, and the ball through them is certified
+    without a scan; when it is not, the recursion scans them first and
+    makes few pushes.  A step whose moved atoms all lie in the current
+    ball is rejected without solving its ball: the smallest ball
+    containing them is no larger than the current one, so the radius
+    cannot grow beyond rounding, which stays below the 1e-15 d an accepted
+    step must gain, and the full solve would reject the step too.  Every
+    tolerance is relative to d + R (or to d), so the search does not
+    depend on the scale of the diameter cap.
     """
     rng = np.random.default_rng(config.seed + restart)
     n, N, d, cost = config.n, config.atom_count, config.d, config.cost

@@ -175,6 +175,15 @@ def test_chebyshev_uncertified_ball_exit_4(capsys, monkeypatch, simplex_csv):
      "--xbar", "0,0", "--resolution", "0"],
     ["isodiametric", "--n", "0", "--atoms", "3", "--restarts", "2",
      "--cost", '{{"kind":"power","p":1}}'],
+    ["isodiametric", "--n", "2", "--atoms", "3", "--restarts", "2", "--d", "nan"],
+    ["isodiametric", "--n", "2", "--atoms", "3", "--restarts", "2", "--d", "inf"],
+    ["genvar", "{measure}", "--tol", "nan"],
+    ["chebyshev", "{simplex}", "--tol", "nan"],
+    ["bound", "--shape", "ball", "--R", "nan", "--xbar", "0,0"],
+    ["bound", "--shape", "ball", "--R", "inf", "--xbar", "0,0"],
+    ["bound", "--shape", "ball", "--R", "1", "--xbar", "nan,0"],
+    ["bound", "--shape", "ellipse", "--a-scalar", "inf", "--b", "1", "--xbar", "0,0"],
+    ["bound", "--shape", "ellipse", "--a-scalar", "2", "--b", "nan", "--xbar", "0,0"],
 ])
 def test_invalid_flag_value_exit_2(capsys, tmp_path, simplex_csv, args):
     measure = tmp_path / "m.json"

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,25 @@ def test_pointcloud_validation():
         PointCloud([[np.nan, 0.0]])
     c = PointCloud([1.0, 2.0, 3.0])
     assert c.dim == 1 and len(c) == 3
+
+
+@pytest.mark.parametrize("P, message", [
+    ([[np.nan, 0.0], [1.0, 1.0]], "non-finite"),
+    ([[np.inf, 0.0], [1.0, 1.0]], "non-finite"),
+    ([[0.0, 0.0], [1.0, -np.inf]], "non-finite"),
+    (np.empty((0, 2)), "nonempty"),
+    ([], "nonempty"),
+])
+@pytest.mark.parametrize("func", [diameter, min_enclosing_ball])
+def test_raw_array_rejected_like_pointcloud(P, message, func):
+    # diameter([[nan, 0], [1, 1]]) used to return 0.0 (max(0.0, nan) keeps
+    # 0.0) and the ball was NaN; an empty array warned before it failed
+    with pytest.raises(ValueError, match=message) as exc:
+        PointCloud(P)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(str(exc.value))):
+            func(P)
 
 
 def test_diameter_examples():
@@ -341,6 +362,18 @@ def test_meb_first_matches_seeded_ball():
             assert abs(b.radius - ref.radius) <= 1e-12 * ref.radius
             assert np.linalg.norm(b.center - ref.center) <= 1e-12 * ref.radius
             assert np.linalg.norm(P - b.center, axis=1).max() <= b.radius
+    # guesses the certificate must turn down: an obtuse triangle (the ball
+    # through its vertices covers it but is not the smallest), a collinear
+    # triple (its third push is dependent) and a 3-point guess with a far
+    # fourth point outside its ball
+    misses = [(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 0.5]]), [0, 1, 2]),
+              (np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]), [0, 1, 2]),
+              (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [9.0, 7.0]]), [0, 1, 2])]
+    for P, first in misses:
+        ref = min_enclosing_ball(PointCloud(P), seed=3)
+        b = min_enclosing_ball(PointCloud(P), first=first)
+        assert abs(b.radius - ref.radius) <= 1e-12 * ref.radius
+        assert np.linalg.norm(b.center - ref.center) <= 1e-12 * ref.radius
     with pytest.raises(ValueError):
         min_enclosing_ball(PointCloud(clouds[0]), first=[1, 0, 1])
 

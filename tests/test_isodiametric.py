@@ -42,6 +42,14 @@ def test_search_config_validation():
         SearchConfig(n=1, d=-1.0, atom_count=3)
     with pytest.raises(ValueError):
         SearchConfig(n=1, d=1.0, atom_count=3, restarts=0)
+    for d in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SearchConfig(n=1, d=d, atom_count=3)
+    # a step of 0 or below used to report every restart converged below
+    # the sharp bound
+    for step in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SearchConfig(n=1, d=1.0, atom_count=3, step=step)
 
 
 def test_search_n1_recovers_popoviciu_pair():
