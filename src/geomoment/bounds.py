@@ -153,6 +153,8 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
     if ``xbar`` lies outside the support's convex hull.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
+    if not np.isfinite(xbar).all():
+        raise ValueError("mean must be finite")
     if isinstance(shape_or_cloud, PointCloud):
         return _bd_bound_cloud(shape_or_cloud, xbar)
     shape = shape_or_cloud
@@ -203,35 +205,35 @@ def _bd_bound_cloud(cloud, xbar):
     return -float(xbar @ xbar) - sol.value
 
 
+def sphere_weights(points, ball, tol):
+    """Weights on the points within ``tol`` of the ball's sphere whose
+    barycenter is the ball's center (one :func:`hull_membership` LP), zero
+    elsewhere.  The center of a smallest enclosing ball lies in the hull
+    of its support; if the LP finds no weights, NoConvergenceError is
+    raised."""
+    idx = meb_support(points, ball, tol=tol)
+    w_sphere = hull_membership(points[idx], ball.center) if idx.size else None
+    if w_sphere is None:
+        raise NoConvergenceError("no weights on the enclosing sphere make the "
+                                 "enclosing-ball center stationary")
+    w = np.zeros(len(points))
+    w[idx] = w_sphere
+    return w
+
+
 def max_variance(cloud, seed=0):
     """Variance maximizer over all measures on the cloud.
 
-    The dual optimum is the squared radius of the smallest enclosing ball;
-    the maximizer is supported on atoms at (numerically) that radius from
-    the center, weighted so the barycenter is the center.  The ball, the
-    support selection and the hull-membership weights are computed on the
-    cloud recentred on its mean, so they do not lose precision far from
-    the origin; the support is the atoms within 1e-7 times the radius of
-    the sphere.
+    The dual optimum is the squared radius R^2 of the smallest enclosing
+    ball, and the maximizer is :func:`sphere_weights` on the atoms within
+    1e-7 R of its sphere (weight 1 on a single point).  Both are computed
+    on the cloud recentred on its mean, so the center keeps its precision
+    far from the origin.
     """
-    P = cloud.points
-    if len(cloud) == 1:
-        ball = min_enclosing_ball(cloud, seed=seed)
-        maximizer = AtomicMeasure(cloud, np.ones(1))
-        return DualityReport(0.0, 0.0, 0.0, ball.center, ball, maximizer)
-    shift = P.mean(axis=0)
-    Q = P - shift
+    shift = cloud.points.mean(axis=0)
+    Q = cloud.points - shift
     ball = min_enclosing_ball(Q, seed=seed)
-    idx = meb_support(Q, ball, tol=1e-7 * ball.radius)
-    w_bdry = hull_membership(Q[idx], ball.center)
-    if w_bdry is None:
-        # should not happen for a certified enclosing ball; retry looser
-        w_bdry = hull_membership(Q[idx], ball.center, feas_tol=1e-6)
-        if w_bdry is None:
-            raise NoConvergenceError("enclosing-ball center not in hull of its support")
-    w = np.zeros(P.shape[0])
-    w[idx] = w_bdry
-    maximizer = AtomicMeasure(cloud, w)
+    maximizer = AtomicMeasure(cloud, sphere_weights(Q, ball, 1e-7 * ball.radius))
     primal = variance(maximizer)
     dual = ball.radius ** 2
     center = ball.center + shift

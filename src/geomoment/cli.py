@@ -63,30 +63,40 @@ def _run_report(command, inputs, outputs, diagnostics):
     }
 
 
+# the flags (argparse dests) each shape takes, all but --dim required
+SHAPE_FLAGS = {"interval": {"k"}, "ball": {"R", "dim"}, "ellipse": {"a_scalar", "b"},
+               "box": {"a"}, "diamond": {"a"}, None: set()}
+
+
 def _shape_from_args(args):
+    if not (args.cloud or args.shape):
+        raise ParseError("either --shape or --cloud is required")
+    given = {d for d in ("k", "R", "dim", "a", "a_scalar", "b") if getattr(args, d) is not None}
+    takes = SHAPE_FLAGS[args.shape]
+    name = f"--shape {args.shape}" if args.shape else "--cloud"
+    for verb, dests in (("does not take", given - takes), ("requires", takes - given - {"dim"})):
+        if dests:
+            flags = ", ".join("--" + d.replace("_", "-") for d in sorted(dests))
+            raise ValueError(f"{name} {verb} {flags}")
     if args.cloud:
         return Shape.cloud(read_cloud_csv(args.cloud)), {"cloud": args.cloud}
-    if not args.shape:
-        raise ParseError("either --shape or --cloud is required")
     kind = args.shape
     try:
         if kind == "interval":
             k = _parse_vec(args.k, "k")
             return Shape.interval(k[0], k[1]), {"shape": "interval", "k": k}
         if kind == "ball":
-            return Shape.ball(args.R, dim=args.dim), {"shape": "ball", "R": args.R, "dim": args.dim}
+            dim = 2 if args.dim is None else args.dim
+            return Shape.ball(args.R, dim=dim), {"shape": "ball", "R": args.R, "dim": dim}
         if kind == "ellipse":
             return Shape.ellipse(args.a_scalar, args.b), \
                 {"shape": "ellipse", "a": args.a_scalar, "b": args.b}
+        a = _parse_vec(args.a, "a")
         if kind == "box":
-            a = _parse_vec(args.a, "a")
             return Shape.box(a), {"shape": "box", "a": a}
-        if kind == "diamond":
-            a = _parse_vec(args.a, "a")
-            return Shape.diamond(a[0], a[1]), {"shape": "diamond", "a": a}
+        return Shape.diamond(a[0], a[1]), {"shape": "diamond", "a": a}
     except (TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"bad shape parameters for {kind!r}: {exc}") from None
-    raise ParseError(f"unknown shape {kind!r}")
 
 
 def cmd_meb(args):
@@ -256,12 +266,13 @@ def build_parser():
     p.set_defaults(func=cmd_meb)
 
     p = sub.add_parser("bound", help="sharp variance bound at a given mean")
-    p.add_argument("--shape", choices=["interval", "ball", "ellipse", "box", "diamond"])
-    p.add_argument("--cloud")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--shape", choices=["interval", "ball", "ellipse", "box", "diamond"])
+    shape.add_argument("--cloud")
     p.add_argument("--xbar", required=True, help="mean, comma-separated")
     p.add_argument("--k", help="interval endpoints lo,hi")
     p.add_argument("--R", type=_finite_float, help="ball radius")
-    p.add_argument("--dim", type=int, default=2, help="ball dimension")
+    p.add_argument("--dim", type=int, help="ball dimension (default 2)")
     p.add_argument("--a", help="box/diamond half-widths, comma-separated")
     p.add_argument("--a-scalar", dest="a_scalar", type=_finite_float, help="ellipse semi-axis a")
     p.add_argument("--b", type=_finite_float, help="ellipse semi-axis b")

@@ -253,8 +253,8 @@ def chebyshev_level(cloud, cost, tol=None):
     """
     if tol is None:
         tol = DEFAULT_TOL_ITER
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     rep = max_variance(cloud)
     z = rep.dual_center
     lam = float(cost(np.linalg.norm(cloud.points - z, axis=1).max()))
@@ -312,8 +312,8 @@ def generalized_variance(measure, cost, tol=None):
     """
     if tol is None:
         tol = DEFAULT_TOL_CLOSED if (cost.kind == "power" and cost.p == 2) else DEFAULT_TOL_ITER
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     P, w = measure.support()
     n = P.shape[1]
     unique = cost.strictly_convex or P.shape[0] == 1

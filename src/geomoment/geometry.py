@@ -165,6 +165,8 @@ class Shape:
                 raise ValueError("cloud shape requires a PointCloud")
         else:
             raise ValueError(f"unknown shape kind {kind!r}")
+        if kind != self.CLOUD and not all(np.isfinite(v).all() for v in params.values()):
+            raise ValueError(f"{kind} parameters must be finite")
 
     @classmethod
     def interval(cls, k_lo, k_hi):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import AtomicMeasure
+from .bounds import AtomicMeasure, sphere_weights
 from .errors import DomainError, NoConvergenceError
 from .genvar import RadialCost
 from .geometry import (PointCloud, diameter, jung_radius, meb_support,
@@ -146,24 +146,12 @@ def _weights_at_atoms(atoms, ball, cost, d):
     moment above v(R), and weights on the ball's sphere whose barycenter
     is c attain it for every convex increasing radial cost v: their cost
     gradient at c, the sum of w_i v'(R) (c - x_i) / R, vanishes, so c is
-    their center.  The atoms within 1e-7 (d + R) of the sphere are
-    weighted by one hull-membership LP of their unit offsets (c - x_i) / R
-    around 0, which sees the same numbers whatever the scale, and the
-    value is sum w_i v(|x_i - c|).  Such weights always exist, since the
-    center lies in the hull of its support; if the LP finds none,
-    NoConvergenceError is raised.
+    their center.  The weights are :func:`bounds.sphere_weights` of the
+    atoms within 1e-7 (d + R) of the sphere, and the value is
+    sum w_i v(|x_i - c|).
     """
-    offs = ball.center - atoms
-    dist = np.sqrt((offs * offs).sum(axis=1))
-    idx = np.nonzero(np.abs(dist - ball.radius) <= 1e-7 * (d + ball.radius))[0]
-    w_lvl = hull_membership(offs[idx] / ball.radius, np.zeros(atoms.shape[1]))
-    if w_lvl is None:
-        raise NoConvergenceError(
-            "no weights on the enclosing sphere make the enclosing-ball center stationary"
-        )
-    w = np.zeros(atoms.shape[0])
-    w[idx] = w_lvl
-    return w, float(w @ cost(dist))
+    w = sphere_weights(atoms, ball, 1e-7 * (d + ball.radius))
+    return w, float(w @ cost(np.linalg.norm(atoms - ball.center, axis=1)))
 
 
 def _search_one(config, restart):

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernel
-from ._kernel import ITERATION_LIMIT, OPTIMAL, UNBOUNDED
+from ._kernel import ITERATION_LIMIT, UNBOUNDED
 from ._simplex_py import pivot as _pivot
 from .errors import NoConvergenceError
 
@@ -58,14 +58,6 @@ class LpProblem:
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", A)
         object.__setattr__(self, "rhs", b)
-
-    @property
-    def n_constraints(self):
-        return self.rhs.size
-
-    @property
-    def n_variables(self):
-        return self.objective.size
 
 
 @dataclass(frozen=True)
@@ -111,12 +103,11 @@ def _refresh_objective(T, basis, cost_full):
     T[k, -1] = -(cb @ T[:k, -1])
 
 
-def _run_phase(T, basis, cost_full, pivot_tol, max_iters, stall):
+def _run_phase(T, basis, cost_full, max_iters, stall):
     total = 0
-    status = OPTIMAL
     for _ in range(4):
         status, it = _kernel.simplex_iterate(
-            T, basis, pivot_tol, max(max_iters - total, 1), stall
+            T, basis, PIVOT_TOL, max(max_iters - total, 1), stall
         )
         total += it
         if status == ITERATION_LIMIT:
@@ -124,12 +115,12 @@ def _run_phase(T, basis, cost_full, pivot_tol, max_iters, stall):
         row = T[-1, :].copy()
         _refresh_objective(T, basis, cost_full)
         drift = np.max(np.abs(row - T[-1, :]))
-        if drift <= 0.5 * pivot_tol * (1.0 + np.max(np.abs(row))):
+        if drift <= 0.5 * PIVOT_TOL * (1.0 + np.max(np.abs(row))):
             return status, total
     return status, total
 
 
-def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
+def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None):
     """Two-phase dense simplex on a standard-form problem.
 
     Phase-1 optimum above ``feas_tol`` yields INFEASIBLE with a Farkas
@@ -160,7 +151,7 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
     basis = np.arange(m, m + k, dtype=np.int64)
     cost1 = np.concatenate([np.zeros(m), np.ones(k)])
 
-    status, it1 = _run_phase(T, basis, cost1, pivot_tol, max_iters, stall)
+    status, it1 = _run_phase(T, basis, cost1, max_iters, stall)
     if status == ITERATION_LIMIT:
         raise NoConvergenceError(
             f"simplex phase 1 exceeded the iteration cap of {max_iters}", cap=max_iters
@@ -178,7 +169,7 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
     for i in range(k):
         if basis[i] >= m:
             row = T[i, :m]
-            cand = np.nonzero(np.abs(row) > pivot_tol)[0]
+            cand = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
             if cand.size:
                 _pivot(T, i, int(cand[0]))
                 basis[i] = int(cand[0])
@@ -193,7 +184,7 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
     del T  # a wide program (a mesh of 1e4 points) holds one tableau less in phase 2
     _refresh_objective(T2, basis, c)
 
-    status, it2 = _run_phase(T2, basis, c, pivot_tol, max(max_iters - it1, 1), stall)
+    status, it2 = _run_phase(T2, basis, c, max(max_iters - it1, 1), stall)
     iters = it1 + it2
     if status == ITERATION_LIMIT:
         raise NoConvergenceError(
@@ -207,21 +198,25 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, pivot_tol=PIVOT_TOL):
     return LpSolution(LpStatus.OPTIMAL, float(c @ t), t, iters, _basis=(A, c, basis, keep))
 
 
-def hull_membership(points, target, feas_tol=FEAS_TOL):
+def hull_membership(points, target):
     """Convex-combination weights expressing ``target`` over ``points``.
 
-    Returns weights w >= 0 with sum 1 and ``w @ points = target`` within
-    ``feas_tol``, or None when target is outside the convex hull (phase-1
-    infeasibility).  ``points`` is an (N, n) array-like.
+    Returns weights w >= 0 with sum 1 and ``w @ points = target``, or None
+    when target is outside the convex hull of ``points``, an (N, n)
+    array-like (phase-1 infeasibility).  The program is posed on the offsets
+    ``target - x_i`` divided by the largest of their norms, so its
+    feasibility tolerance is relative to the points' spread around target.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     tgt = np.atleast_1d(np.asarray(target, dtype=float))
     if X.shape[1] != tgt.size:
         raise ValueError(f"target has dimension {tgt.size}, points have {X.shape[1]}")
     N = X.shape[0]
-    A = np.vstack([X.T, np.ones((1, N))])
-    b = np.concatenate([tgt, [1.0]])
-    sol = solve_lp(LpProblem(np.zeros(N), A, b), feas_tol=feas_tol)
+    D = tgt - X
+    scale = np.linalg.norm(D, axis=1).max() or 1.0  # 1 when every offset is 0
+    A = np.vstack([D.T / scale, np.ones((1, N))])
+    b = np.concatenate([np.zeros(tgt.size), [1.0]])
+    sol = solve_lp(LpProblem(np.zeros(N), A, b))
     if sol.status is not LpStatus.OPTIMAL:
         return None
     w = np.clip(sol.solution, 0.0, None)

@@ -9,6 +9,8 @@ from geomoment import (AtomicMeasure, DomainError, PointCloud, Shape,
                        popoviciu, primal_lp_value, read_measure_json,
                        regular_simplex, shape_sample, variance,
                        write_measure_json)
+from geomoment import (RadialCost, bounds, chebyshev_level, generalized_variance,
+                       hull_membership)
 from geomoment.bounds import in_hull_interior, zero_mean_dual_center
 
 
@@ -146,6 +148,48 @@ def test_max_variance_far_from_origin(spread, offset):
         assert abs(rep.dual_value - ref.dual_value * spread ** 2) <= 1e-9 * rep.dual_value
         R = rep.enclosing_ball.radius
         assert np.abs(mean(rep.maximizer) - rep.dual_center).max() <= 1e-8 * R
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e10, 1e12])
+def test_max_variance_one_weight_solve_at_any_scale(scale, monkeypatch):
+    # the sphere-weight LP is posed on offsets relative to the spread, so it
+    # needs no looser retry: an absolute tolerance failed from scale 1e8 on
+    rng = np.random.default_rng(5)
+    clouds = [rng.normal(size=(int(rng.integers(8, 31)), int(rng.integers(2, 5))))
+              for _ in range(40)]
+    ref = [max_variance(PointCloud(Q)).primal_value for Q in clouds]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return hull_membership(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "hull_membership", spy)
+    for Q, r in zip(clouds, ref):
+        rep = max_variance(PointCloud(Q * scale))
+        assert abs(rep.primal_value / scale ** 2 - r) <= 1e-9 * r
+    assert len(calls) == len(clouds)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Shape.ball(float("nan")),
+    lambda: Shape.box([float("nan"), 1.0]),
+    lambda: Shape.interval(0.0, float("inf")),
+    lambda: Shape.ellipse(float("inf"), 1.0),
+    lambda: bhatia_davis_bound(Shape.ball(1.0), [float("nan"), 0.0]),
+    lambda: bhatia_davis_bound(PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                               [float("inf"), 0.0]),
+    lambda: generalized_variance(AtomicMeasure([[0.0], [1.0], [3.0]], [0.2, 0.5, 0.3]),
+                                 RadialCost.power(3), tol=float("nan")),
+    lambda: chebyshev_level(PointCloud(regular_simplex(2, 1.0).vertices),
+                            RadialCost.power(2), tol=float("nan")),
+], ids=["ball-radius", "box-half-width", "interval-end", "ellipse-axis", "shape-mean",
+        "cloud-mean", "genvar-tol", "chebyshev-tol"])
+def test_non_finite_input_rejected(call):
+    # the CLI rejects these flag values; the library must not return nan,
+    # inf or an uncertified result for them either
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_primal_lp_value_examples():

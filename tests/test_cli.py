@@ -184,6 +184,9 @@ def test_chebyshev_uncertified_ball_exit_4(capsys, monkeypatch, simplex_csv):
     ["bound", "--shape", "ball", "--R", "1", "--xbar", "nan,0"],
     ["bound", "--shape", "ellipse", "--a-scalar", "inf", "--b", "1", "--xbar", "0,0"],
     ["bound", "--shape", "ellipse", "--a-scalar", "2", "--b", "nan", "--xbar", "0,0"],
+    # a shape without its required parameter
+    ["bound", "--shape", "interval", "--xbar", "0.5"],
+    ["bound", "--shape", "box", "--xbar", "0,0"],
 ])
 def test_invalid_flag_value_exit_2(capsys, tmp_path, simplex_csv, args):
     measure = tmp_path / "m.json"
@@ -276,11 +279,21 @@ def test_seed_reaches_every_enclosing_ball(capsys, monkeypatch, simplex_csv, com
     ["bound", "--shape", "ball", "--R", "1", "--xbar", "0,0", "--tol", "1e-3"],
     ["genvar", "measure.json", "--seed", "5"],
     ["chebyshev", "{simplex}", "--seed", "5"],
+    # a shape-parameter flag of a shape that is not being computed
+    ["bound", "--shape", "box", "--a", "1,1", "--R", "5", "--xbar", "0,0"],
+    ["bound", "--shape", "ball", "--R", "1", "--k", "0,1", "--xbar", "0,0"],
+    ["bound", "--shape", "interval", "--k", "0,1", "--dim", "5", "--xbar", "0.5"],
+    ["bound", "--cloud", "{simplex}", "--shape", "ball", "--xbar", "0,0"],
+    ["bound", "--cloud", "{simplex}", "--R", "1", "--xbar", "0,0"],
 ])
 def test_flag_without_effect_exit_2(capsys, tmp_path, simplex_csv, args):
     args = [a.format(simplex=simplex_csv, dir=tmp_path / "side") for a in args]
     code, out, err = run_cli(capsys, *args)
     assert code == 2
     assert out == ""
-    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert err.startswith("invalid input:") and "Traceback" not in err
+    # argparse names an unknown flag or one excluded by another; the bound
+    # command names the flag its shape does not take
+    assert ("unrecognized arguments" in err or "not allowed with argument" in err
+            or f"does not take {args[-4]}" in err)
     assert not (tmp_path / "side").exists()

@@ -7,7 +7,8 @@ from geomoment import (AtomicMeasure, ParseError, PointCloud, RadialCost,
                        chebyshev_level, generalized_variance, mean,
                        min_enclosing_ball, regular_simplex, sup_genvar,
                        variance, verify_saddle)
-from geomoment.genvar import MAX_CUTS, _cut_lp, read_cost_json
+from geomoment import genvar
+from geomoment.genvar import MAX_CUTS, _cut_lp, _minimize_convex, read_cost_json
 from geomoment.lp import LpProblem, LpStatus, solve_lp
 
 
@@ -279,3 +280,53 @@ def test_cut_master_dual_matches_primal_epigraph():
         assert abs(lower - h) <= 1e-9 * (1 + abs(h))
         assert (lo <= z).all() and (z <= hi).all()
         assert abs(float((cc + G @ z).max()) - lower) <= 1e-9 * (1 + abs(h))
+
+
+def test_weiszfeld_steps_off_a_colliding_start():
+    # Weiszfeld starts at the weighted mean, here the atom at the origin;
+    # that atom is not the median, so the collision step has to move off it
+    P = np.array([[0.0, 0.0], [-1.0, 0.0], [2.0, 2.0], [2.0, -2.0]])
+    w = np.array([0.25, 0.5, 0.125, 0.125])
+    assert np.array_equal(w @ P, P[0])
+    tol = 1e-8
+    res = generalized_variance(AtomicMeasure(P, w), RadialCost.power(1), tol=tol)
+    assert res.converged and res.inner_gap <= tol
+    assert np.linalg.norm(res.center - P[0]) > 1e-3
+
+    def oracle(z):
+        d = np.linalg.norm(P - z, axis=1)
+        # at an atom, 0 is a subgradient of its own term
+        coef = np.divide(w, d, out=np.zeros_like(d), where=d > 0)
+        return float(w @ d), (coef[:, None] * (z - P)).sum(axis=0)
+
+    val, _, _, ok = _minimize_convex(oracle, P.min(axis=0), P.max(axis=0), tol)
+    assert ok
+    assert abs(res.value - val) <= tol
+
+
+@pytest.mark.parametrize("cost", [RadialCost.power(3),
+                                  RadialCost.piecewise_linear([[0, 0], [0.5, 0.25], [2, 2.5]])],
+                         ids=["power3", "pwl"])
+def test_kelley_cut_eviction_keeps_results_certified(cost, monkeypatch):
+    # with room for only 12 cuts the oldest are dropped every round; the
+    # lower bound stays valid, so the result stays certified within tol
+    rng = np.random.default_rng(11)
+    measures = [AtomicMeasure(rng.normal(size=(10, 2)), rng.dirichlet(np.ones(10)))
+                for _ in range(4)]
+    tol = 1e-6
+    full = [generalized_variance(mu, cost, tol=tol) for mu in measures]
+    lengths = []
+
+    def spy(cuts_g, cuts_c, lo, hi):
+        lengths.append(len(cuts_c))
+        return _cut_lp(cuts_g, cuts_c, lo, hi)
+
+    monkeypatch.setattr(genvar, "MAX_CUTS", 12)
+    monkeypatch.setattr(genvar, "_cut_lp", spy)
+    for mu, ref in zip(measures, full):
+        res = generalized_variance(mu, cost, tol=tol)
+        assert res.converged and res.inner_gap <= tol
+        assert abs(res.value - ref.value) <= tol
+    assert max(lengths) <= 12
+    # without eviction every round's master has more cuts than the last
+    assert any(b <= a for a, b in zip(lengths, lengths[1:]))

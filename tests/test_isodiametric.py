@@ -8,7 +8,7 @@ from geomoment import (AtomicMeasure, DomainError, PointCloud, RadialCost,
                        isodiametric_bound, jung_radius, jung_verify,
                        regular_simplex, search_max, simplex_maximizer,
                        tension_check, variance, verify_simplex_optimality)
-from geomoment import NoConvergenceError, geometry, isodiametric
+from geomoment import NoConvergenceError, bounds, geometry, isodiametric
 from geomoment.isodiametric import SearchResult
 
 
@@ -334,7 +334,28 @@ def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
 def test_search_without_level_weights_raises(p, monkeypatch):
     # the level LP always has a solution (the center lies in the hull of its
     # support); should it find none, the search fails with the typed error
-    monkeypatch.setattr(isodiametric, "hull_membership", lambda *args, **kw: None)
+    monkeypatch.setattr(bounds, "hull_membership", lambda *args, **kw: None)
     cfg = SearchConfig(n=2, d=1.0, atom_count=4, restarts=2, seed=3, cost=RadialCost.power(p))
     with pytest.raises(NoConvergenceError, match="stationary"):
         search_max(cfg)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_vertices_cluster_into_simplex(n):
+    # each vertex becomes two atoms 1e-4 d apart, which single linkage has
+    # to merge back into one cluster per vertex
+    d = 2.0
+    V = regular_simplex(n, d).vertices
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=V.shape)
+    u -= (u * V).sum(axis=1, keepdims=True) * V / (V * V).sum(axis=1, keepdims=True)
+    u *= 0.5e-4 * d / np.linalg.norm(u, axis=1, keepdims=True)
+    P = np.vstack([V + u, V - u])
+    mu = AtomicMeasure(P, np.full(2 * (n + 1), 0.5 / (n + 1)))
+    res = SearchResult(mu, variance(mu), [variance(mu)], 0.0, 1, 0.0)
+    assert verify_simplex_optimality(res, n, d, tol=1e-3)
+    rep = jung_verify(PointCloud(P), tol=1e-3)
+    assert rep.tight and rep.extraction_ok
+    assert rep.simplex_points.shape == (n + 1, n)
+    centers = rep.simplex_points[np.argsort(rep.simplex_points @ V.T, axis=0)[-1]]
+    assert np.abs(centers - V).max() <= 1e-9 * d

@@ -3,6 +3,9 @@ import pytest
 
 from geomoment import (LpProblem, LpStatus, NoConvergenceError,
                        hull_membership, regular_simplex, solve_lp)
+from geomoment._simplex_py import ITERATION_LIMIT, OPTIMAL
+from geomoment._simplex_py import simplex_iterate as py_iterate
+from geomoment.lp import PIVOT_TOL
 
 
 def test_symmetric_equalities():
@@ -162,3 +165,54 @@ def test_hull_membership_round_trip():
 def test_hull_membership_dimension_mismatch():
     with pytest.raises(ValueError):
         hull_membership(np.array([[1.0, 0.0]]), [0.0])
+
+
+@pytest.mark.parametrize("spread", [1e-6, 1e-8])
+def test_hull_membership_relative_to_spread(spread):
+    # a target outside the triangle by 1e-3 of its spread is outside at any
+    # scale: an absolute feasibility tolerance took it for inside at 1e-6
+    V = spread * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + 3.0
+    inside = V.mean(axis=0)
+    outside = spread * (np.array([0.5, 0.5]) + 1e-3 / np.sqrt(2.0)) + 3.0
+    w = hull_membership(V, inside)
+    assert w is not None and np.allclose(w, 1.0 / 3.0)
+    assert hull_membership(V, outside) is None
+
+
+def _slack_tableau(A, b, c):
+    """Tableau of min c.x over A x <= b, x >= 0 (b >= 0) on its slack basis."""
+    k, m = A.shape
+    T = np.zeros((k + 1, m + k + 1))
+    T[:k, :m] = A
+    T[:k, m:m + k] = np.eye(k)
+    T[:k, -1] = b
+    T[k, :m] = c
+    return T, np.arange(m, m + k, dtype=np.int64)
+
+
+# Beale's example, which cycles under the most-negative-cost rule; its
+# optimum is -5/4 at x = (1, 0, 1, 0)
+BEALE = (np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+         np.array([0.0, 0.0, 1.0]), np.array([-0.75, 20.0, -0.5, 6.0]))
+
+
+def test_bland_rule_reaches_the_default_optimum():
+    # stall_threshold=0 runs Bland's rule from the first pivot
+    rng = np.random.default_rng(29)
+    lps = [BEALE] + [(rng.uniform(0.1, 2.0, size=(k, m)), rng.uniform(0.5, 2.0, size=k),
+                      rng.normal(size=m))
+                     for k, m in rng.integers(2, 8, size=(20, 2))]
+    optima = []
+    for A, b, c in lps:
+        values = []
+        for stall in (0, 10 * sum(A.shape)):
+            T, basis = _slack_tableau(A, b, c)
+            status, _ = py_iterate(T, basis, PIVOT_TOL, 1000, stall)
+            assert status == OPTIMAL
+            values.append(-T[-1, -1])
+        assert values[0] == pytest.approx(values[1], abs=1e-9)
+        optima.append(values[0])
+    assert optima[0] == pytest.approx(-1.25, abs=1e-12)
+    # without the switch to Bland's rule, the most-negative-cost rule cycles
+    T, basis = _slack_tableau(*BEALE)
+    assert py_iterate(T, basis, PIVOT_TOL, 1000, 10 ** 9)[0] == ITERATION_LIMIT
