@@ -44,6 +44,17 @@ def _finite_float(text):
     return value
 
 
+def _dimension(text):
+    """argparse type: a dimension, an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"dimension must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag or flag value on stderr as ``invalid input: ...``,
     the prefix of every other invalid-value message, then the usage line;
@@ -272,7 +283,7 @@ def build_parser():
     p.add_argument("--xbar", required=True, help="mean, comma-separated")
     p.add_argument("--k", help="interval endpoints lo,hi")
     p.add_argument("--R", type=_finite_float, help="ball radius")
-    p.add_argument("--dim", type=int, help="ball dimension (default 2)")
+    p.add_argument("--dim", type=_dimension, help="ball dimension (default 2)")
     p.add_argument("--a", help="box/diamond half-widths, comma-separated")
     p.add_argument("--a-scalar", dest="a_scalar", type=_finite_float, help="ellipse semi-axis a")
     p.add_argument("--b", type=_finite_float, help="ellipse semi-axis b")

@@ -174,6 +174,13 @@ def _cut_lp(cuts_g, cuts_c, lo, hi):
     LP dual vector of the last n rows clipped to [0, u].  Every feasible lam
     gives a lower bound on the master by weak duality, so the bound stays
     valid even if the simplex stops short of its optimum.
+
+    The simplex starts from a crash basis, so it runs no phase 1: lam_j = 1
+    on the single cut j with the largest minimum over the box,
+    b_j - u . max(0, -g_j), and per coordinate i the slack that balances
+    g_ji, mu_i = -g_ji if g_ji < 0 and nu_i = g_ji otherwise.  Its matrix
+    [[1, 0], [g_j, +-I]] has determinant +-1 and its values (1, |g_j|) are
+    nonnegative, so that basis is feasible for every cut set.
     """
     G = np.asarray(cuts_g)
     ncuts, n = G.shape
@@ -185,8 +192,11 @@ def _cut_lp(cuts_g, cuts_c, lo, hi):
     A[1:, ncuts + n:] = -np.eye(n)
     rhs = np.zeros(n + 1)
     rhs[0] = 1.0
-    c = np.concatenate([-(np.asarray(cuts_c) + G @ lo), u, np.zeros(n)])
-    sol = solve_lp(LpProblem(c, A, rhs))
+    b = np.asarray(cuts_c) + G @ lo
+    c = np.concatenate([-b, u, np.zeros(n)])
+    j = int(np.argmax(b + np.minimum(G, 0.0) @ u))
+    basis = np.concatenate([[j], ncuts + np.arange(n) + n * (G[j] >= 0)])
+    sol = solve_lp(LpProblem(c, A, rhs), basis=basis)
     if sol.status is not LpStatus.OPTIMAL:
         raise NoConvergenceError("cut relaxation must be feasible and bounded on a box")
     return lo + np.clip(sol.duals[1:], 0.0, u), -sol.value

@@ -148,7 +148,8 @@ class Shape:
         elif kind == self.BALL:
             if params["radius"] < 0:
                 raise ValueError("ball radius must be nonnegative")
-            params.setdefault("dim", 2)
+            if params.setdefault("dim", 2) < 1:
+                raise ValueError(f"ball dimension must be at least 1, got {params['dim']}")
         elif kind == self.ELLIPSE:
             if not params["a"] > params["b"] > 0:
                 raise ValueError("ellipse requires a > b > 0")

@@ -13,6 +13,12 @@ solving ``B^T y = c_B`` on the original rows (on first use, so callers
 that need only ``t`` pay nothing for it).  Rows that phase 1 drops as
 redundant get dual 0, so ``A^T y <= c`` and ``b.y = c.t`` hold up to
 rounding.
+
+A caller that already knows a feasible basis (k column indices whose
+basic solution ``B^-1 b`` is nonnegative) passes it as ``basis``: the
+phase-2 tableau ``B^-1 [A | b]`` is then built with one dense solve, and
+phase 1, with its k artificial columns, is skipped.  The Kelley master of
+:mod:`geomoment.genvar` reads such a basis off its own structure.
 """
 
 from dataclasses import dataclass, field
@@ -120,7 +126,39 @@ def _run_phase(T, basis, cost_full, max_iters, stall):
     return status, total
 
 
-def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None):
+def _basis_tableau(A, b, basis, feas_tol):
+    """Phase-2 tableau ``B^-1 [A | b]`` (reduced-cost row left to the
+    caller) and the int64 basis, for a given feasible basis."""
+    k, m = A.shape
+    basis = np.asarray(basis)
+    if basis.shape != (k,):
+        raise ValueError(f"basis must list {k} column indices, got shape {basis.shape}")
+    if k and basis.dtype.kind not in "iu":
+        raise ValueError(f"basis must hold integer column indices, got {basis.dtype}")
+    cols = basis.tolist()
+    if k and (min(cols) < 0 or max(cols) >= m):
+        raise ValueError(f"basis indices must lie in [0, {m})")
+    if len(set(cols)) != k:
+        raise ValueError("basis holds a repeated column index")
+    basis = basis.astype(np.int64)  # a copy: the pivots update it in place
+    T = np.zeros((k + 1, m + 1))
+    T[:k, :m] = A
+    T[:k, m] = b
+    try:
+        T[:k] = np.linalg.solve(A[:, basis], T[:k])
+    except np.linalg.LinAlgError:
+        raise ValueError("basis matrix is singular") from None
+    if not np.isfinite(T).all():
+        raise ValueError("basis matrix is singular")
+    T[:k, basis] = np.eye(k)  # basic columns exactly unit, as after a pivot
+    x = T[:k, m]
+    if k and x.min() < -feas_tol:
+        raise ValueError(f"basis is infeasible: basic value {x.min():.3g} < -feas_tol")
+    np.maximum(x, 0.0, out=x)
+    return T, basis
+
+
+def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, basis=None):
     """Two-phase dense simplex on a standard-form problem.
 
     Phase-1 optimum above ``feas_tol`` yields INFEASIBLE with a Farkas
@@ -128,6 +166,12 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None):
     comes with its dual vector (``B^T y = c_B`` on the final basis).  Bland's
     rule engages after 10*(k+m) pivots without improvement; exceeding the
     iteration cap (default 50*(k+m)) raises NoConvergenceError.
+
+    ``basis``, k column indices of a feasible basis, skips phase 1: phase 2
+    starts from it, ``iterations`` counts its pivots only and no row is
+    dropped.  A basis of the wrong length, with a repeated or out-of-range
+    index, with a singular matrix B or with an entry of ``B^-1 b`` below
+    ``-feas_tol`` raises ValueError (entries in [-feas_tol, 0) are set to 0).
     """
     if feas_tol <= 0:
         raise ValueError("feas_tol must be positive")
@@ -138,50 +182,54 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None):
     if max_iters is None:
         max_iters = 50 * (k + m)
     stall = 10 * (k + m)
-
-    # phase 1: nonnegative rhs, artificial basis
-    flip = b < 0
-    b1 = np.where(flip, -b, b)
-    T = np.zeros((k + 1, m + k + 1))
-    T[:k, :m] = np.where(flip[:, None], -A, A)  # no sign-flipped copy of A is kept
-    T[:k, m:m + k] = np.eye(k)
-    T[:k, -1] = b1
-    T[k, :m] = -T[:k, :m].sum(axis=0)
-    T[k, -1] = -b1.sum()
-    basis = np.arange(m, m + k, dtype=np.int64)
-    cost1 = np.concatenate([np.zeros(m), np.ones(k)])
-
-    status, it1 = _run_phase(T, basis, cost1, max_iters, stall)
-    if status == ITERATION_LIMIT:
-        raise NoConvergenceError(
-            f"simplex phase 1 exceeded the iteration cap of {max_iters}", cap=max_iters
-        )
-    if status == UNBOUNDED:  # sum of artificials is bounded below by 0
-        raise NoConvergenceError("phase 1 reported unbounded; tableau is corrupt")
-    phase1 = -T[k, -1]
-    if phase1 > feas_tol:
-        y = 1.0 - T[k, m:m + k]
-        y = np.where(flip, -y, y)
-        return LpSolution(LpStatus.INFEASIBLE, None, None, it1, certificate=y)
-
-    # drive leftover artificials out of the basis; drop redundant rows
     keep = np.ones(k, dtype=bool)
-    for i in range(k):
-        if basis[i] >= m:
-            row = T[i, :m]
-            cand = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-            if cand.size:
-                _pivot(T, i, int(cand[0]))
-                basis[i] = int(cand[0])
-            else:
-                keep[i] = False
-    if not keep.all():
-        T = np.vstack([T[:k][keep], T[k:]])
-        basis = basis[keep]
-        k = basis.size
+    it1 = 0
 
-    T2 = np.ascontiguousarray(np.concatenate([T[:, :m], T[:, -1:]], axis=1))
-    del T  # a wide program (a mesh of 1e4 points) holds one tableau less in phase 2
+    if basis is not None:
+        T2, basis = _basis_tableau(A, b, basis, feas_tol)
+    else:
+        # phase 1: nonnegative rhs, artificial basis
+        flip = b < 0
+        b1 = np.where(flip, -b, b)
+        T = np.zeros((k + 1, m + k + 1))
+        T[:k, :m] = np.where(flip[:, None], -A, A)  # no sign-flipped copy of A is kept
+        T[:k, m:m + k] = np.eye(k)
+        T[:k, -1] = b1
+        T[k, :m] = -T[:k, :m].sum(axis=0)
+        T[k, -1] = -b1.sum()
+        basis = np.arange(m, m + k, dtype=np.int64)
+        cost1 = np.concatenate([np.zeros(m), np.ones(k)])
+
+        status, it1 = _run_phase(T, basis, cost1, max_iters, stall)
+        if status == ITERATION_LIMIT:
+            raise NoConvergenceError(
+                f"simplex phase 1 exceeded the iteration cap of {max_iters}", cap=max_iters
+            )
+        if status == UNBOUNDED:  # sum of artificials is bounded below by 0
+            raise NoConvergenceError("phase 1 reported unbounded; tableau is corrupt")
+        phase1 = -T[k, -1]
+        if phase1 > feas_tol:
+            y = 1.0 - T[k, m:m + k]
+            y = np.where(flip, -y, y)
+            return LpSolution(LpStatus.INFEASIBLE, None, None, it1, certificate=y)
+
+        # drive leftover artificials out of the basis; drop redundant rows
+        for i in range(k):
+            if basis[i] >= m:
+                row = T[i, :m]
+                cand = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
+                if cand.size:
+                    _pivot(T, i, int(cand[0]))
+                    basis[i] = int(cand[0])
+                else:
+                    keep[i] = False
+        if not keep.all():
+            T = np.vstack([T[:k][keep], T[k:]])
+            basis = basis[keep]
+            k = basis.size
+
+        T2 = np.ascontiguousarray(np.concatenate([T[:, :m], T[:, -1:]], axis=1))
+        del T  # a wide program (a mesh of 1e4 points) holds one tableau less in phase 2
     _refresh_objective(T2, basis, c)
 
     status, it2 = _run_phase(T2, basis, c, max(max_iters - it1, 1), stall)

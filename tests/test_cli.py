@@ -184,6 +184,8 @@ def test_chebyshev_uncertified_ball_exit_4(capsys, monkeypatch, simplex_csv):
     ["bound", "--shape", "ball", "--R", "1", "--xbar", "nan,0"],
     ["bound", "--shape", "ellipse", "--a-scalar", "inf", "--b", "1", "--xbar", "0,0"],
     ["bound", "--shape", "ellipse", "--a-scalar", "2", "--b", "nan", "--xbar", "0,0"],
+    ["bound", "--shape", "ball", "--R", "1", "--dim", "0", "--xbar", "0,0"],
+    ["bound", "--shape", "ball", "--R", "1", "--dim", "-2", "--xbar", "0,0"],
     # a shape without its required parameter
     ["bound", "--shape", "interval", "--xbar", "0.5"],
     ["bound", "--shape", "box", "--xbar", "0,0"],
@@ -196,6 +198,17 @@ def test_invalid_flag_value_exit_2(capsys, tmp_path, simplex_csv, args):
     assert code == 2
     assert out == ""
     assert err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+def test_ball_dimension_below_one_is_named(capsys, dim):
+    # the mean's dimension was reported as the fault: "mean has dimension 2,
+    # shape has -2"
+    code, out, err = run_cli(capsys, "bound", "--shape", "ball", "--R", "1",
+                             "--dim", str(dim), "--xbar", "0,0")
+    assert code == 2 and out == ""
+    assert f"--dim: dimension must be at least 1, got {dim}" in err
+    assert "mean has dimension" not in err
 
 
 def test_jung(capsys, simplex_csv):

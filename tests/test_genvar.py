@@ -258,6 +258,18 @@ def _primal_cut_lp(cuts_g, cuts_c, lo, hi):
     return sol.value
 
 
+def _random_cuts(rng, ncuts, lo, hi, tangent):
+    """(G, c) of ncuts cuts over the box [lo, hi]: tangent planes of a
+    convex function, as the engine makes them, or random planes."""
+    n = lo.size
+    if tangent:
+        a = rng.normal(size=n)
+        Z = lo + (hi - lo) * rng.uniform(size=(ncuts, n))
+        G = 2.0 * (Z - a)
+        return G, ((Z - a) ** 2).sum(axis=1) - (G * Z).sum(axis=1)
+    return rng.normal(size=(ncuts, n)), rng.normal(size=ncuts)
+
+
 def test_cut_master_dual_matches_primal_epigraph():
     rng = np.random.default_rng(17)
     for trial in range(60):
@@ -265,21 +277,42 @@ def test_cut_master_dual_matches_primal_epigraph():
         ncuts = int(rng.integers(1, MAX_CUTS + 3))
         lo = rng.normal(size=n)
         hi = lo + rng.uniform(0.1, 3.0, size=n)
-        if trial % 2:
-            # tangent planes of a convex function, as the engine makes them
-            a = rng.normal(size=n)
-            Z = lo + (hi - lo) * rng.uniform(size=(ncuts, n))
-            G = 2.0 * (Z - a)
-            cc = ((Z - a) ** 2).sum(axis=1) - (G * Z).sum(axis=1)
-        else:
-            G = rng.normal(size=(ncuts, n))
-            cc = rng.normal(size=ncuts)
+        G, cc = _random_cuts(rng, ncuts, lo, hi, tangent=trial % 2)
         cuts_g, cuts_c = list(G), list(cc)
         z, lower = _cut_lp(cuts_g, cuts_c, lo, hi)
         h = _primal_cut_lp(cuts_g, cuts_c, lo, hi)
         assert abs(lower - h) <= 1e-9 * (1 + abs(h))
         assert (lo <= z).all() and (z <= hi).all()
         assert abs(float((cc + G @ z).max()) - lower) <= 1e-9 * (1 + abs(h))
+
+
+def test_cut_master_crash_basis_matches_cold_solve(monkeypatch):
+    # the master started from its crash basis against the same master solved
+    # with a phase 1, on full cut sets and after the engine's MAX_CUTS
+    # eviction of the two oldest cuts
+    def cold_solve_lp(problem, basis=None):
+        assert basis is not None
+        return solve_lp(problem)
+
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        n = trial % 5 + 1
+        lo = rng.normal(size=n)
+        hi = lo + rng.uniform(0.1, 3.0, size=n)
+        ncuts = MAX_CUTS + 1 if trial % 3 else int(rng.integers(1, 30))
+        G, cc = _random_cuts(rng, ncuts, lo, hi, tangent=trial % 2)
+        cuts_g, cuts_c = list(G), list(cc)
+        sets = [(cuts_g, cuts_c)]
+        if ncuts > MAX_CUTS:
+            sets.append((cuts_g[2:], cuts_c[2:]))
+        for cg, c in sets:
+            z, lower = _cut_lp(cg, c, lo, hi)
+            with monkeypatch.context() as m:
+                m.setattr(genvar, "solve_lp", cold_solve_lp)
+                _, cold = _cut_lp(cg, c, lo, hi)
+            assert abs(lower - cold) <= 1e-12 * abs(cold)
+            assert (lo <= z).all() and (z <= hi).all()
+            assert abs(float((np.asarray(c) + np.asarray(cg) @ z).max()) - lower) <= 1e-9
 
 
 def test_weiszfeld_steps_off_a_colliding_start():

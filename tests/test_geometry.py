@@ -237,6 +237,9 @@ def test_shape_validation():
         Shape.diamond(1.0, 2.0)
     with pytest.raises(ValueError):
         Shape.box([1.0, -1.0])
+    for dim in (0, -2):
+        with pytest.raises(ValueError, match=f"dimension must be at least 1, got {dim}"):
+            Shape.ball(1.0, dim=dim)
 
 
 def test_cloud_csv_round_trip(tmp_path):

@@ -269,6 +269,18 @@ def test_search_scale_invariant(p, d):
     assert np.abs(ratios(d) - ratios(1.0)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-6 * 1e18])
+def test_search_measure_genvar_at_large_scale(tol):
+    # the cut master's phase 1 declared this measure's master infeasible at
+    # d = 1e6, where its cut values reach 1e17; started from its crash basis
+    # it runs no phase 1, and the value is the search's
+    cost = RadialCost.power(3)
+    res = search_max(SearchConfig(n=2, d=1e6, atom_count=6, restarts=6, seed=41, cost=cost))
+    gv = generalized_variance(res.best_measure, cost, tol=tol)
+    assert gv.converged
+    assert gv.value == pytest.approx(res.best_value, rel=1e-9)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_search_warm_start_matches_cold_start(p, monkeypatch):
     # the enclosing ball is unique, so scanning the previous support first

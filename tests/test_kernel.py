@@ -50,12 +50,23 @@ def test_solve_lp_identical_across_kernels():
         A = rng.normal(size=(k, m))
         b = A @ np.abs(rng.normal(size=m))
         problems.append(LpProblem(np.abs(rng.normal(size=m)), A, b))
+    # each problem again from a feasible basis, the optimal one of another
+    # objective, so phase 2 also runs without a phase 1
+    starts = []
+    for p in problems:
+        other = solve_lp(LpProblem(np.abs(rng.normal(size=p.objective.size)),
+                                   p.constraint_matrix, p.rhs), 1e-8)
+        _, _, basis, keep = other._basis
+        if keep.all():
+            starts.append((p, basis))
+    assert len(starts) >= 10
 
     results = {}
     for name in ("python", "cython"):
         _kernel.set_kernel(name)
         try:
-            results[name] = [solve_lp(p, 1e-8) for p in problems]
+            results[name] = ([solve_lp(p, 1e-8) for p in problems]
+                             + [solve_lp(p, 1e-8, basis=basis) for p, basis in starts])
         finally:
             _kernel.set_kernel("cython")
     for sp, sc in zip(results["python"], results["cython"]):

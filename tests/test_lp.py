@@ -216,3 +216,86 @@ def test_bland_rule_reaches_the_default_optimum():
     # without the switch to Bland's rule, the most-negative-cost rule cycles
     T, basis = _slack_tableau(*BEALE)
     assert py_iterate(T, basis, PIVOT_TOL, 1000, 10 ** 9)[0] == ITERATION_LIMIT
+
+
+def _random_bounded_lp(rng):
+    """A feasible program, bounded below on the orthant (c >= 0), with
+    full row rank, so phase 1 drops no row."""
+    k = int(rng.integers(1, 8))
+    m = int(rng.integers(k + 1, 25))
+    A = rng.normal(size=(k, m))
+    return A, A @ np.abs(rng.normal(size=m)), np.abs(rng.normal(size=m))
+
+
+def _final_basis(sol):
+    _, _, basis, keep = sol._basis
+    assert keep.all()
+    return basis
+
+
+def test_warm_start_at_the_optimal_basis_takes_no_pivots():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        A, b, c = _random_bounded_lp(rng)
+        cold = solve_lp(LpProblem(c, A, b))
+        basis = _final_basis(cold).copy()
+        warm = solve_lp(LpProblem(c, A, b), basis=basis)
+        assert warm.status is LpStatus.OPTIMAL
+        assert warm.iterations == 0
+        assert np.array_equal(basis, _final_basis(cold))  # the caller's array is not pivoted
+        assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-12)
+        assert np.allclose(warm.solution, cold.solution, rtol=1e-12, atol=1e-12)
+        assert np.allclose(warm.duals, cold.duals, rtol=1e-9, atol=1e-9)
+
+
+def test_warm_start_from_another_feasible_basis():
+    # the optimal basis for one objective is a feasible start for another
+    rng = np.random.default_rng(43)
+    pivots = []
+    for _ in range(60):
+        A, b, c = _random_bounded_lp(rng)
+        cold = solve_lp(LpProblem(c, A, b))
+        start = _final_basis(solve_lp(LpProblem(np.abs(rng.normal(size=c.size)), A, b)))
+        warm = solve_lp(LpProblem(c, A, b), basis=start)
+        assert warm.status is LpStatus.OPTIMAL
+        assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+        assert np.abs(A @ warm.solution - b).max() <= 1e-9 and warm.solution.min() >= 0.0
+        y = warm.duals
+        assert (A.T @ y <= c + 1e-9).all()
+        assert abs(b @ y - warm.value) <= 1e-9
+        pivots.append((warm.iterations, cold.iterations))
+    assert sum(w for w, _ in pivots) < sum(c for _, c in pivots)
+
+
+def test_warm_start_reports_unbounded():
+    # min -t0 over t0 - t1 = 1: the basis {t0} is feasible and the ray t1 unbounded
+    p = LpProblem(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
+    assert solve_lp(p, basis=[0]).status is LpStatus.UNBOUNDED
+
+
+def test_warm_start_zeroes_values_within_feas_tol():
+    # basic values -1e-10 and 1 + 1e-10: inside feas_tol of feasible
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    p = LpProblem(np.array([1.0, 1.0, 1.0]), A, np.array([-1e-10, 1.0]))
+    s = solve_lp(p, basis=[0, 1])
+    assert s.status is LpStatus.OPTIMAL
+    assert s.solution.min() >= 0.0
+
+
+@pytest.mark.parametrize("basis, match", [
+    ([0], "must list 2 column indices"),
+    ([0, 1, 2], "must list 2 column indices"),
+    ([[0, 1]], "must list 2 column indices"),
+    ([0.0, 1.0], "integer"),
+    ([1, 1], "repeated"),
+    ([0, 4], r"lie in \[0, 4\)"),
+    ([-1, 0], r"lie in \[0, 4\)"),
+    ([0, 3], "singular"),  # column 3 is twice column 0
+    ([2, 1], "infeasible"),  # t2 = -1
+])
+def test_invalid_warm_start_basis_raises(basis, match):
+    A = np.array([[1.0, 0.0, -1.0, 2.0], [0.0, 1.0, 0.0, 0.0]])
+    p = LpProblem(np.ones(4), A, np.array([1.0, 1.0]))
+    assert solve_lp(p, basis=[0, 1]).status is LpStatus.OPTIMAL
+    with pytest.raises(ValueError, match=match):
+        solve_lp(p, basis=basis)

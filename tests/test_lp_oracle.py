@@ -52,6 +52,34 @@ def test_against_scipy_on_random_programs():
     assert agree >= 80  # plenty of optimal instances exercised
 
 
+def test_warm_starts_against_scipy():
+    # start from the optimal basis of another objective: a feasible basis,
+    # from which phase 2 alone must reach scipy's verdict and value
+    rng = np.random.default_rng(2025)
+    warm = 0
+    for _ in range(200):
+        k = int(rng.integers(1, 10))
+        m = int(rng.integers(k, 30))
+        A = rng.normal(size=(k, m))
+        b = A @ np.abs(rng.normal(size=m))
+        c = rng.normal(size=m)
+        if rng.random() < 0.5:
+            c = np.abs(c)
+        start = solve_lp(LpProblem(np.abs(rng.normal(size=m)), A, b))
+        assert start.status is LpStatus.OPTIMAL
+        _, _, basis, keep = start._basis
+        if not keep.all():
+            continue
+        ours = solve_lp(LpProblem(c, A, b), 1e-8, basis=basis)
+        ref = scipy_opt.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert ours.status is _scipy_status(ref)
+        if ours.status is LpStatus.OPTIMAL:
+            assert ours.value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+            _check_duals(A, b, c, ours)
+            warm += 1
+    assert warm >= 60
+
+
 def test_against_scipy_on_envelope_programs():
     rng = np.random.default_rng(7)
     for _ in range(60):
