@@ -13,7 +13,8 @@ import numpy as np
 from . import report
 from .conjugate import envelope_lp
 from .errors import DomainError, NoConvergenceError, ParseError
-from .geometry import Ball, PointCloud, Shape, min_enclosing_ball, meb_support, shape_sample
+from .geometry import (Ball, Shape, as_cloud, min_enclosing_ball, meb_support,
+                       shape_sample)
 from .lp import LpProblem, LpStatus, hull_membership, solve_lp
 
 INTERIOR_MARGIN = 1e-6
@@ -24,8 +25,7 @@ class AtomicMeasure:
     """Finitely supported probability measure: atoms plus weights."""
 
     def __init__(self, atoms, weights):
-        if not isinstance(atoms, PointCloud):
-            atoms = PointCloud(atoms)
+        atoms = as_cloud(atoms)
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.size != len(atoms):
             raise ValueError(f"{w.size} weights for {len(atoms)} atoms")
@@ -147,16 +147,17 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
     """Sharp bound on the variance of any measure on the given support
     with barycenter ``xbar``: -|xbar|^2 minus the envelope value there.
 
-    Closed forms for interval, ball, box and diamond supports; clouds (and
-    the ellipse, via a boundary mesh) go through the envelope LP.  Raises
+    Closed forms for interval, ball, box and diamond supports; clouds (a
+    PointCloud or a raw (N, n) array), and the ellipse via a boundary mesh,
+    go through the envelope LP.  Raises
     DomainError, carrying a separating certificate when one is available,
     if ``xbar`` lies outside the support's convex hull.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     if not np.isfinite(xbar).all():
         raise ValueError("mean must be finite")
-    if isinstance(shape_or_cloud, PointCloud):
-        return _bd_bound_cloud(shape_or_cloud, xbar)
+    if not isinstance(shape_or_cloud, Shape):
+        return _bd_bound_cloud(as_cloud(shape_or_cloud), xbar)
     shape = shape_or_cloud
     if xbar.size != shape.dim:
         raise ValueError(f"mean has dimension {xbar.size}, shape has {shape.dim}")
@@ -230,6 +231,7 @@ def max_variance(cloud, seed=0):
     on the cloud recentred on its mean, so the center keeps its precision
     far from the origin.
     """
+    cloud = as_cloud(cloud)
     shift = cloud.points.mean(axis=0)
     Q = cloud.points - shift
     ball = min_enclosing_ball(Q, seed=seed)
@@ -243,6 +245,7 @@ def max_variance(cloud, seed=0):
 
 def primal_lp_value(cloud):
     """Exact optimum of: maximize sum w_i |x_i|^2 over zero-mean weights."""
+    cloud = as_cloud(cloud)
     sol = envelope_lp(cloud, np.zeros(cloud.dim))
     if sol.status is LpStatus.INFEASIBLE:
         raise DomainError("origin not in the convex hull of the atoms",
@@ -263,6 +266,7 @@ def duality_gap(cloud, seed=0):
     surrogate: max-min-weight representation >= INTERIOR_MARGIN).
     ``seed`` fixes the enclosing-ball recursion's scan order.
     """
+    cloud = as_cloud(cloud)
     if not in_hull_interior(cloud.points, np.zeros(cloud.dim)):
         raise DomainError(
             "origin is not interior to the convex hull (attainment hypothesis fails)"
@@ -279,6 +283,7 @@ def zero_mean_dual_center(cloud):
 
     Returns (q, dual value R(q)^2 - |q|^2).
     """
+    cloud = as_cloud(cloud)
     ball = _dual_ball_for_mean(cloud, np.zeros(cloud.dim))
     if ball is None:
         raise DomainError("dual program unbounded: origin not interior to the hull")
@@ -323,7 +328,7 @@ def equality_case(measure, cloud, tol=1e-9):
     ``is_equality=None`` (indeterminate): the supporting-sphere criterion
     degenerates there and is out of scope.
     """
-    P = cloud.points
+    P = as_cloud(cloud).points
     atoms, w = measure.support()
     scale = 1.0 + float(np.abs(P).max())
     for a in atoms:

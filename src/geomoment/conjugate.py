@@ -13,14 +13,14 @@ import math
 import numpy as np
 
 from .errors import NoConvergenceError
-from .geometry import PointCloud, Shape
+from .geometry import Shape, as_cloud
 from .lp import LpProblem, LpStatus, solve_lp
 
 
 def phi(shape, x):
     """-|x|^2 on the shape (closed membership), +inf off it."""
-    if isinstance(shape, PointCloud):
-        shape = Shape.cloud(shape)
+    if not isinstance(shape, Shape):
+        shape = Shape.cloud(as_cloud(shape))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if shape.contains(x):
         return -float(x @ x)
@@ -29,6 +29,7 @@ def phi(shape, x):
 
 def conjugate_at(cloud, y):
     """sup over atoms of y.x + |x|^2 (the conjugate of phi at y)."""
+    cloud = as_cloud(cloud)
     P = cloud.points
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != cloud.dim:
@@ -43,7 +44,7 @@ def envelope_lp(cloud, x):
     Returns the :class:`LpSolution`: OPTIMAL, or INFEASIBLE with a
     separating certificate when x lies outside the convex hull of the atoms.
     """
-    P = cloud.points
+    P = as_cloud(cloud).points
     N = P.shape[0]
     A = np.vstack([P.T, np.ones((1, N))])
     b = np.concatenate([x, [1.0]])
@@ -59,6 +60,7 @@ def biconjugate_at(cloud, x):
     The value of :func:`envelope_lp` at x; +inf when x lies outside the
     convex hull of the atoms.
     """
+    cloud = as_cloud(cloud)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != cloud.dim:
         raise ValueError(f"point has dimension {x.size}, cloud has {cloud.dim}")
@@ -74,5 +76,6 @@ def translated_biconjugate_zero(cloud, w):
     Satisfies the translation identity: equals |w|^2 plus the envelope of
     the unshifted cloud at w (when w is in the hull; +inf otherwise).
     """
+    cloud = as_cloud(cloud)
     w = np.atleast_1d(np.asarray(w, dtype=float))
     return biconjugate_at(cloud.translated(-w), np.zeros(cloud.dim))

@@ -3,7 +3,9 @@ functional, its minimizing center, and the minimax level it never exceeds.
 
 The minimax (smallest sublevel set covering the cloud, after translation)
 is the cost profile at the smallest enclosing ball's radius, certified from
-below by the variance maximizer that is that ball's dual; the inner
+below by the measure the ball carries as its dual (weights on its support
+whose barycenter is its center, so their variance is R^2): one Welzl scan,
+farthest points first, and no LP; the inner
 minimization behind the generalized variance uses the closed form for the
 quadratic cost, a damped Weiszfeld iteration for the first-power cost, and
 a cutting-plane engine for everything else.  That engine is Kelley's: each
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import max_variance
 from .errors import NoConvergenceError, ParseError
+from .geometry import as_cloud, min_enclosing_ball
 from .lp import LpProblem, LpStatus, solve_lp
 
 DEFAULT_TOL_CLOSED = 1e-8
@@ -256,19 +258,30 @@ def chebyshev_level(cloud, cost, tol=None):
 
     Since v is nondecreasing, min_z max_i v(|x_i - z|) = v(R) for the
     smallest enclosing ball (radius R), attained at its center z: the
-    returned level is the cost that z actually attains.  The variance
-    maximizer w certifies it from below, because every center has
-    max_i |x_i - z|^2 >= sum w_i |x_i - z|^2 >= var(w); a certified bracket
-    [v(sqrt(var(w))), lambda] wider than ``tol`` raises NoConvergenceError.
+    returned level is the cost that z actually attains.  The ball is solved
+    once, on the cloud recentred on its mean, scanning first the 2(n + 1)
+    points farthest from the mean, which hold its support more often than
+    not.  The measure w that the ball carries as its dual certifies the
+    level from below, because every center has
+    max_i |x_i - z|^2 >= sum w_i |x_i - z|^2 >= var(w), and var(w) = R^2 up
+    to rounding; a certified bracket [v(sqrt(var(w))), lambda] wider than
+    ``tol`` raises NoConvergenceError.  No LP is solved.  The cloud may be
+    a PointCloud or a raw (N, n) array.
     """
     if tol is None:
         tol = DEFAULT_TOL_ITER
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    rep = max_variance(cloud)
-    z = rep.dual_center
-    lam = float(cost(np.linalg.norm(cloud.points - z, axis=1).max()))
-    lower = float(cost(math.sqrt(rep.primal_value)))
+    P = as_cloud(cloud).points
+    shift = P.mean(axis=0)
+    Q = P - shift
+    far = np.argsort(-(Q * Q).sum(axis=1), kind="stable")[:2 * (Q.shape[1] + 1)]
+    ball = min_enclosing_ball(Q, first=far.tolist())
+    z = ball.center + shift
+    lam = float(cost(np.linalg.norm(P - z, axis=1).max()))
+    X = Q[ball.support]
+    D = X - ball.weights @ X
+    lower = float(cost(math.sqrt(ball.weights @ (D * D).sum(axis=1))))
     if lam - lower > tol:
         raise NoConvergenceError(
             f"minimax level bracket [{lower}, {lam}] is wider than tol={tol}",

@@ -66,6 +66,13 @@ def _check_points(P):
         raise ValueError("point cloud has non-finite coordinates")
 
 
+def as_cloud(cloud):
+    """``cloud`` if it is a PointCloud, else the PointCloud of the raw
+    points, which applies its checks: empty, ragged or non-finite input
+    raises ValueError."""
+    return cloud if isinstance(cloud, PointCloud) else PointCloud(cloud)
+
+
 def _as_points(cloud):
     """The (N, n) coordinates of a PointCloud, or of a raw array (a 1-D one
     is a single point) that passes the same checks."""
@@ -78,10 +85,22 @@ def _as_points(cloud):
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed ball with center q and radius R >= 0."""
+    """Closed ball with center q and radius R >= 0.
+
+    A ball that :func:`min_enclosing_ball` returns also carries its dual
+    measure: ``support``, a list of the indices of cloud points on its
+    sphere, and ``weights``, a list of barycentric weights on them
+    (nonnegative, summing to 1) whose barycenter is q.  Their variance is
+    R^2, the value that certifies the radius from below.  Other balls carry
+    None for both.  Plain lists cost the search, which builds thousands of
+    balls a second, no array conversions; ``P[support]`` and
+    ``weights @ X`` work on them as they are.
+    """
 
     center: np.ndarray
     radius: float
+    support: list | None = None
+    weights: list | None = None
 
     def __post_init__(self):
         q = np.atleast_1d(np.asarray(self.center, dtype=float))
@@ -89,6 +108,9 @@ class Ball:
             raise ValueError("radius must be nonnegative")
         object.__setattr__(self, "center", q)
         object.__setattr__(self, "radius", float(self.radius))
+        if (self.support is None) != (self.weights is None) or (
+                self.support is not None and len(self.support) != len(self.weights)):
+            raise ValueError("support and weights come together, one weight per index")
 
     def contains(self, points, tol=0.0):
         d = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
@@ -301,17 +323,28 @@ def _welzl(P, order, guess=0):
     The radius returned is the distance from the center to the farthest
     point, so the ball contains the cloud.
 
+    The ball also carries its dual: the points of levels 0..top (I[k] is
+    the index of level k's point) and the center's barycentric weights on
+    them.  The k-th pushed offset is p_k - C[0] = V[k] +
+    sum_{j<k} A[k][j-1] V[j], with A[k] the push's Gram-Schmidt
+    coefficients, and the center is C[0] + sum_k F[k] V[k], so the weights
+    follow from F by back-substitution, once, on return.  Levels below the
+    latest push are never overwritten while it is the latest, so levels
+    0..top stay one consistent chain.  The center of the smallest ball lies
+    in the hull of its support, so the chain's weights are nonnegative but
+    for rounding; a negative one is set to 0 and the rest are rescaled to
+    sum to 1, so that the weights always form a probability vector, whose
+    variance bounds R^2 from below.
+
     With 1 <= ``guess`` <= dim + 1, the first ``guess`` points of ``order``
     are a guess at the support, certified before any scan: they are
-    pushed, and the top ball is returned if it covers every point and its
-    center has nonnegative barycentric weights on them, for a ball through
-    points with its center in their hull that contains the cloud is the
-    smallest one (its optimality condition).  The k-th pushed offset is
-    p_k - C[0] = V[k] + sum_{j<k} A[k][j-1] V[j], with A[k] the push's
-    Gram-Schmidt coefficients, and the center is C[0] + sum_k F[k] V[k],
-    so the weights follow from F by back-substitution.  A dependent push,
-    a negative weight or an uncovered point (NaN fails every test) pops
-    the stack back to empty, and the recursion runs as without a guess.
+    pushed, and the top ball is returned with the weights already computed
+    if it covers every point and its center has nonnegative barycentric
+    weights on them, for a ball through points with its center in their
+    hull that contains the cloud is the smallest one (its optimality
+    condition).  A dependent push, a negative weight or an uncovered point
+    (NaN fails every test) pops the stack back to empty, and the recursion
+    runs as without a guess.
     """
     N, n = P.shape
     mean = P.sum(axis=0) / N  # P.mean's arithmetic, without its dispatch
@@ -323,10 +356,11 @@ def _welzl(P, order, guess=0):
     Z = [0.0] * (n + 1)
     A = [None] * (n + 1)  # A[k]: the k-th push's Gram-Schmidt coefficients
     F = [0.0] * (n + 1)  # F[k]: the k-th push's center step along V[k]
+    I = [0] * (n + 1)  # I[k]: the index of the k-th pushed point
     m = 0  # support points on the stack
     top = -1  # level of the latest push, whose ball is the current one
 
-    def push(p):
+    def push(i, p):
         nonlocal m, top
         if m:
             v = p - C[0]
@@ -351,25 +385,32 @@ def _welzl(P, order, guess=0):
         else:
             C[0] = p
             R2[0] = 0.0
+        I[m] = i
         top = m
         m += 1
         return True
 
-    def ball():
+    def weights():
+        """The current center's barycentric weights on levels 0..top."""
+        lam = [0.0] * (top + 1)
+        for k in range(top, 0, -1):
+            lam[k] = F[k] - sum(lam[i] * A[i][k - 1] for i in range(k + 1, top + 1))
+        lam[0] = 1.0 - sum(lam)
+        return lam
+
+    def ball(lam):
         center = C[top] + mean
-        return Ball(center, math.sqrt(((P - center) ** 2).sum(axis=1).max()))
+        return Ball(center, math.sqrt(((P - center) ** 2).sum(axis=1).max()),
+                    I[:top + 1], lam)
 
     if 0 < guess <= n + 1:
-        if all(push(Q[i]) for i in order[:guess]):
-            lam = [0.0] * m
-            for k in range(m - 1, 0, -1):
-                lam[k] = F[k] - sum(lam[i] * A[i][k - 1] for i in range(k + 1, m))
-            lam[0] = 1.0 - sum(lam)
+        if all(push(i, Q[i]) for i in order[:guess]):
+            lam = weights()
             D = Q - C[top]
             r2 = R2[top]
             if all(w >= 0.0 for w in lam) and (
                     (D * D).sum(axis=1) <= r2 + CONTAIN_TOL * max(r2, spread2)).all():
-                return ball()
+                return ball(lam)
         m, top = 0, -1
 
     if len(order) < N:
@@ -397,7 +438,7 @@ def _welzl(P, order, guess=0):
         while v != end and v != -1:
             after = nxt[v]
             p = rows[v]
-            if (top < 0 or not covers(p)) and push(p):
+            if (top < 0 or not covers(p)) and push(v, p):
                 solve(v)
                 m -= 1
                 # move v to the front; v stays ahead of every active marker
@@ -413,7 +454,12 @@ def _welzl(P, order, guess=0):
             v = after
 
     solve(-1)
-    return ball()
+    lam = weights()
+    if min(lam) < 0.0:
+        lam = [max(w, 0.0) for w in lam]
+        total = sum(lam)
+        lam = [w / total for w in lam]
+    return ball(lam)
 
 
 def _meb_refine(P, tol=1e-12):
@@ -433,14 +479,15 @@ def _meb_refine(P, tol=1e-12):
         ball = _welzl(sub, rng.permutation(len(core)).tolist())
         d = np.linalg.norm(P - ball.center, axis=1)
         far = int(np.argmax(d))
+        support = [core[i] for i in ball.support]
         if d[far] <= ball.radius * (1 + tol) + tol:
-            return Ball(ball.center, max(ball.radius, float(d[far])))
+            return Ball(ball.center, max(ball.radius, float(d[far])), support, ball.weights)
         core.append(far)
-    return Ball(ball.center, float(d[far]))
+    return Ball(ball.center, float(d[far]), support, ball.weights)
 
 
 def min_enclosing_ball(cloud, seed=0, first=None):
-    """Smallest closed ball containing the cloud.
+    """Smallest closed ball containing the cloud, with its dual measure.
 
     Welzl's move-to-front recursion for desk-scale input, scanning the
     points in an order drawn from ``seed``; its support balls are updated
@@ -448,13 +495,21 @@ def min_enclosing_ball(cloud, seed=0, first=None):
     solve.  Beyond 12 dimensions or 1e5 points, a certified farthest-point
     refinement takes over and ignores ``first`` once it is validated.
 
+    The ball carries ``support``, the indices of the points that determine
+    it, and ``weights``, the center's barycentric weights on them
+    (nonnegative, summing to 1), back-substituted from the recursion's own
+    stack: a measure on the sphere with the center as barycenter, whose
+    variance R^2 certifies the radius from below.  A singleton gives
+    support [0] with weight 1.
+
     ``first`` is a guess at the support, typically that of a nearby ball: a
     sequence of distinct integer point indices in 0..N-1.  Before any scan,
     a guess of 1 to dim + 1 points is certified: if the ball through them
     with its center in their hull contains the cloud, it is returned.
     Otherwise the recursion scans the points of ``first`` first and the
     other points in index order; no order is drawn and ``seed`` has no
-    effect.  A repeated index, one outside 0..N-1 (negative ones included)
+    effect.  Scanning the points farthest from the mean first finds the
+    support early: the recursion then pushes few points.  A repeated index, one outside 0..N-1 (negative ones included)
     or a value that is not an integer raises ValueError.  The ball is
     unique, so the guess changes only its rounding, but a good guess
     leaves few points uncovered and so saves most of the pushes.  Empty,
@@ -464,7 +519,7 @@ def min_enclosing_ball(cloud, seed=0, first=None):
     N, n = P.shape
     head = None if first is None else _check_first(first, N)
     if N == 1:
-        return Ball(P[0], 0.0)
+        return Ball(P[0], 0.0, [0], [1.0])
     if n > WELZL_MAX_DIM or N > WELZL_MAX_POINTS:
         return _meb_refine(P)
     if head is None:

@@ -13,7 +13,7 @@ import numpy as np
 from .bounds import AtomicMeasure, sphere_weights
 from .errors import DomainError, NoConvergenceError
 from .genvar import RadialCost
-from .geometry import (PointCloud, diameter, jung_radius, meb_support,
+from .geometry import (as_cloud, diameter, jung_radius, meb_support,
                        min_enclosing_ball, regular_simplex)
 from .lp import hull_membership
 
@@ -310,7 +310,7 @@ def tension_check(points, r, tol=1e-9):
     violation; at the threshold the points must form unit-simplex
     vertices; below it no claim is made.
     """
-    cloud = points if isinstance(points, PointCloud) else PointCloud(points)
+    cloud = as_cloud(points)
     P = cloud.points
     n = cloud.dim
     radii = np.linalg.norm(P, axis=1)
@@ -346,6 +346,7 @@ def jung_verify(cloud, tol=1e-7, seed=0):
     scale of the cloud.  ``seed`` fixes the enclosing-ball recursion's scan
     order.
     """
+    cloud = as_cloud(cloud)
     ball = min_enclosing_ball(cloud, seed=seed)
     dia = diameter(cloud)
     n = cloud.dim

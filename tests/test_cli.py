@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from geomoment import (AtomicMeasure, NoConvergenceError, PointCloud, RadialCost,
-                       bounds, chebyshev_level, cli, geometry, isodiametric,
-                       write_cloud_csv, write_measure_json)
+                       bounds, chebyshev_level, cli, genvar, geometry,
+                       isodiametric, write_cloud_csv, write_measure_json)
 from geomoment.cli import main
 from geomoment.geometry import regular_simplex
 
@@ -154,8 +154,15 @@ def test_chebyshev(capsys, simplex_csv):
 
 
 def test_chebyshev_uncertified_ball_exit_4(capsys, monkeypatch, simplex_csv):
-    # an enclosing-ball center outside the hull of its support atoms
-    monkeypatch.setattr(bounds, "hull_membership", lambda *args, **kwargs: None)
+    # a ball whose dual puts all its weight on one support point: the
+    # certificate v(sqrt(var(w))) = v(0) leaves a bracket wider than tol
+    solve = genvar.min_enclosing_ball
+
+    def one_point_dual(*args, **kwargs):
+        ball = solve(*args, **kwargs)
+        return geometry.Ball(ball.center, ball.radius, ball.support[:1], [1.0])
+
+    monkeypatch.setattr(genvar, "min_enclosing_ball", one_point_dual)
     with pytest.raises(NoConvergenceError):
         chebyshev_level(PointCloud(regular_simplex(2, 1.0).vertices), RadialCost.power(2))
     code, out, err = run_cli(capsys, "chebyshev", simplex_csv)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -6,11 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from geomoment import (Ball, DegenerateSupportError, ParseError, PointCloud,
-                       Shape, circumball, diameter, hull_membership,
-                       jung_radius, meb_support, min_enclosing_ball,
+from geomoment import (AtomicMeasure, Ball, DegenerateSupportError, ParseError,
+                       PointCloud, RadialCost, Shape, biconjugate_at,
+                       bhatia_davis_bound, bounds, chebyshev_level, circumball,
+                       conjugate, conjugate_at, diameter, duality_gap,
+                       equality_case, genvar, hull_membership, jung_radius,
+                       jung_verify, lp, max_variance, meb_support,
+                       min_enclosing_ball, phi, primal_lp_value,
                        read_cloud_csv, regular_simplex, shape_sample,
-                       write_cloud_csv)
+                       sup_genvar, translated_biconjugate_zero,
+                       verify_saddle, write_cloud_csv, zero_mean_dual_center)
 from geomoment.geometry import _meb_refine
 
 
@@ -407,3 +413,125 @@ def test_meb_first_rejects_indices_outside_the_cloud(first):
     # the refinement path (beyond 12 dimensions) ignores first, but checks it
     with pytest.raises(ValueError, match="first must hold"):
         min_enclosing_ball(np.eye(3, 13), first=first)
+
+
+def _assert_dual(P, ball):
+    # the ball's dual: a probability vector on points of its sphere whose
+    # barycenter is its center
+    R = ball.radius
+    w = np.asarray(ball.weights)
+    X = P[ball.support]
+    assert len(set(ball.support)) == len(ball.support) == w.size >= 1
+    assert (w >= 0.0).all()
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert np.linalg.norm(w @ X - ball.center) <= 1e-9 * R
+    assert np.abs(np.linalg.norm(X - ball.center, axis=1) - R).max() <= 1e-9 * R
+
+
+def _dual_clouds(rng):
+    """Random clouds in R^1..R^5, regular polygons with interior points,
+    cube corners and duplicated simplex vertices, each in random order."""
+    clouds = [rng.normal(size=(int(rng.integers(2, 40)), n))
+              for n in range(1, 6) for _ in range(12)]
+    for k in range(3, 10):
+        th = 2.0 * np.pi * np.arange(k) / k
+        inner = rng.uniform(-0.5, 0.5, size=(4, 2))
+        clouds.append(np.vstack([np.column_stack([np.cos(th), np.sin(th)]), inner]))
+    for n in range(1, 5):
+        clouds.append(np.array(list(itertools.product([-1.0, 1.0], repeat=n))))
+        S = regular_simplex(n, 1.0).vertices
+        clouds.append(np.vstack([S, S, S[:1]]))
+    return [P[rng.permutation(len(P))] for P in clouds]
+
+
+def test_min_enclosing_ball_carries_its_dual():
+    rng = np.random.default_rng(71)
+    for P in _dual_clouds(rng):
+        for seed in range(3):
+            # the recursion
+            ball = min_enclosing_ball(P, seed=seed)
+            _assert_dual(P, ball)
+        # a guess at the support, certified before any scan, hands over
+        # the weights it certified with
+        guessed = min_enclosing_ball(P, first=ball.support)
+        assert guessed.support == ball.support
+        _assert_dual(P, guessed)
+        # the refinement path maps its core's indices back to the cloud
+        _assert_dual(P, _meb_refine(P))
+
+
+def test_min_enclosing_ball_dual_on_refinement_and_singleton():
+    rng = np.random.default_rng(72)
+    for n in (13, 15):
+        P = rng.normal(size=(60, n))
+        _assert_dual(P, min_enclosing_ball(P))
+    ball = min_enclosing_ball([[2.0, -1.0]])
+    assert ball.support == [0] and ball.weights == [1.0]
+    _assert_dual(np.array([[2.0, -1.0]]), ball)
+    # a ball not solved as an enclosing ball carries no dual
+    assert Ball(np.zeros(2), 1.0).support is None
+    with pytest.raises(ValueError):
+        Ball(np.zeros(2), 1.0, [0, 1], [1.0])
+
+
+def test_chebyshev_level_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("chebyshev_level solved an LP")
+
+    for mod in (lp, bounds, genvar, conjugate):
+        if hasattr(mod, "solve_lp"):
+            monkeypatch.setattr(mod, "solve_lp", no_lp)
+    rng = np.random.default_rng(73)
+    for P in _dual_clouds(rng)[::3]:
+        for cost in (RadialCost.power(1), RadialCost.power(3)):
+            lam, z = chebyshev_level(PointCloud(P), cost)
+            R = min_enclosing_ball(P).radius
+            assert abs(lam - cost(R)) <= 1e-12 * (1.0 + cost(R))
+            assert np.linalg.norm(P - z, axis=1).max() <= R * (1.0 + 1e-12)
+
+
+def _numbers(x):
+    """A result's numbers, in a form that == compares exactly."""
+    if isinstance(x, (PointCloud, AtomicMeasure)):
+        return _numbers(x.points if isinstance(x, PointCloud) else (x.atoms, x.weights))
+    if dataclasses.is_dataclass(x):
+        return [_numbers(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, (tuple, list)):
+        return [_numbers(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    return x
+
+
+_RAW = np.array([[1.0, 0.1], [-0.2, 1.0], [-1.0, -0.1], [0.1, -1.0],
+                 [0.3, 0.2], [-0.4, 0.1]])
+_MEASURE = AtomicMeasure(_RAW[:4], [0.25, 0.25, 0.25, 0.25])
+_COST = RadialCost.power(3)
+
+CLOUD_ENTRIES = {
+    "max_variance": lambda c: max_variance(c),
+    "chebyshev_level": lambda c: chebyshev_level(c, _COST),
+    "sup_genvar": lambda c: sup_genvar(c, _COST),
+    "verify_saddle": lambda c: verify_saddle(_MEASURE, c, _COST),
+    "jung_verify": lambda c: jung_verify(c),
+    "duality_gap": lambda c: duality_gap(c),
+    "primal_lp_value": lambda c: primal_lp_value(c),
+    "zero_mean_dual_center": lambda c: zero_mean_dual_center(c),
+    "equality_case": lambda c: equality_case(_MEASURE, c),
+    "bhatia_davis_bound": lambda c: bhatia_davis_bound(c, [0.1, 0.0]),
+    "conjugate_at": lambda c: conjugate_at(c, [0.5, -0.5]),
+    "biconjugate_at": lambda c: biconjugate_at(c, [0.1, 0.0]),
+    "translated_biconjugate_zero": lambda c: translated_biconjugate_zero(c, [0.1, 0.0]),
+    "phi": lambda c: phi(c, _RAW[0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CLOUD_ENTRIES))
+def test_cloud_entries_accept_raw_arrays(entry):
+    # each raised AttributeError on an (N, n) array
+    call = CLOUD_ENTRIES[entry]
+    assert _numbers(call(_RAW)) == _numbers(call(PointCloud(_RAW)))
+    with pytest.raises(ValueError):
+        call([[0.0, 1.0], [2.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        call([[np.nan, 0.0], [1.0, 1.0]])

@@ -8,7 +8,8 @@ eps |t|, so the diameter, the radius and the center are compared with a
 slack of 1e-12 s D plus a few eps |t|.  The support set and the duality
 gap are exact statements only while that rounding is small against the
 spread, so their offsets are also held to 1e8 times the spread, where it
-is 2e-8 of it.
+is 2e-8 of it.  The minimax level v(R) of a power cost t^p moves by at
+most p (s R + slack)^(p-1) times the radius's slack.
 """
 
 import math
@@ -19,8 +20,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from geomoment import (PointCloud, diameter, max_variance, meb_support,  # noqa: E402
-                       min_enclosing_ball, regular_simplex)
+from geomoment import (PointCloud, RadialCost, chebyshev_level, diameter,  # noqa: E402
+                       max_variance, meb_support, min_enclosing_ball,
+                       regular_simplex)
 
 EPS = np.finfo(float).eps
 MAX_RATIO = 1e8  # offset over spread, for the support and the gap
@@ -102,3 +104,21 @@ def test_max_variance_gap_invariant(placed):
     assert rep1.gap <= 1e-9 * rep1.dual_value
     r0, r1 = math.sqrt(rep0.dual_value), math.sqrt(rep1.dual_value)
     assert abs(r1 - s * r0) <= _slack(s, r0, t)
+
+
+@SETTINGS
+@given(placements(), st.sampled_from([1, 2, 3]))
+def test_chebyshev_level_invariant(placed, p):
+    rng, n, s, t = placed
+    P = _random_cloud(rng, n)
+    cost = RadialCost.power(p)
+    r0 = min_enclosing_ball(PointCloud(P)).radius
+    slack = _slack(s, r0, t)
+    # the level's own slack: the rounding of a center near t widens the
+    # certified bracket by as much as it moves the level
+    level_slack = p * (s * r0 + slack) ** (p - 1) * slack
+    lam0, z0 = chebyshev_level(PointCloud(P), cost)
+    lam1, z1 = chebyshev_level(PointCloud(s * P + t), cost,
+                               tol=1e-6 * (s * r0) ** p + level_slack)
+    assert abs(lam1 - s ** p * lam0) <= level_slack
+    assert np.linalg.norm(z1 - (s * z0 + t)) <= 1e3 * slack
