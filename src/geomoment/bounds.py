@@ -12,10 +12,9 @@ import numpy as np
 
 from . import report
 from .conjugate import envelope_lp
-from .errors import DomainError, NoConvergenceError, ParseError
-from .geometry import (Ball, Shape, as_cloud, min_enclosing_ball, meb_support,
-                       shape_sample)
-from .lp import LpProblem, LpStatus, hull_membership, solve_lp
+from .errors import DomainError, ParseError
+from .geometry import Ball, Shape, as_cloud, min_enclosing_ball, shape_sample
+from .lp import LpProblem, LpStatus, solve_lp
 
 INTERIOR_MARGIN = 1e-6
 ELLIPSE_RESOLUTION = 256
@@ -206,36 +205,22 @@ def _bd_bound_cloud(cloud, xbar):
     return -float(xbar @ xbar) - sol.value
 
 
-def sphere_weights(points, ball, tol):
-    """Weights on the points within ``tol`` of the ball's sphere whose
-    barycenter is the ball's center (one :func:`hull_membership` LP), zero
-    elsewhere.  The center of a smallest enclosing ball lies in the hull
-    of its support; if the LP finds no weights, NoConvergenceError is
-    raised."""
-    idx = meb_support(points, ball, tol=tol)
-    w_sphere = hull_membership(points[idx], ball.center) if idx.size else None
-    if w_sphere is None:
-        raise NoConvergenceError("no weights on the enclosing sphere make the "
-                                 "enclosing-ball center stationary")
-    w = np.zeros(len(points))
-    w[idx] = w_sphere
-    return w
-
-
-def max_variance(cloud, seed=0):
+def max_variance(cloud):
     """Variance maximizer over all measures on the cloud.
 
     The dual optimum is the squared radius R^2 of the smallest enclosing
-    ball, and the maximizer is :func:`sphere_weights` on the atoms within
-    1e-7 R of its sphere (weight 1 on a single point).  Both are computed
-    on the cloud recentred on its mean, so the center keeps its precision
-    far from the origin.
+    ball, and the maximizer is the measure that ball carries as its dual:
+    weights on its support, nonnegative and summing to 1, whose barycenter
+    is its center, so that their variance is R^2 (weight 1 on a single
+    point).  No LP is solved.  Both are computed on the cloud recentred on
+    its mean, so the center keeps its precision far from the origin.
     """
     cloud = as_cloud(cloud)
     shift = cloud.points.mean(axis=0)
-    Q = cloud.points - shift
-    ball = min_enclosing_ball(Q, seed=seed)
-    maximizer = AtomicMeasure(cloud, sphere_weights(Q, ball, 1e-7 * ball.radius))
+    ball = min_enclosing_ball(cloud.points - shift)
+    w = np.zeros(len(cloud))
+    w[ball.support] = ball.weights
+    maximizer = AtomicMeasure(cloud, w)
     primal = variance(maximizer)
     dual = ball.radius ** 2
     center = ball.center + shift
@@ -253,25 +238,24 @@ def primal_lp_value(cloud):
     return -sol.value
 
 
-def duality_gap(cloud, seed=0):
+def duality_gap(cloud):
     """Strong-duality residual: moment program vs enclosing ball.
 
     The zero-mean moment program over the cloud recentered on the
     enclosing-ball center must equal the squared ball radius (for the
     recentered cloud the ball center is the dual optimizer, so the dual
     value R^2 - |q'|^2 reduces to R^2).  The two sides come from
-    independent code paths (simplex LP vs the randomized ball recursion).
+    independent code paths (simplex LP vs the ball recursion).
 
     Requires the origin in the interior of the hull (quantitative
     surrogate: max-min-weight representation >= INTERIOR_MARGIN).
-    ``seed`` fixes the enclosing-ball recursion's scan order.
     """
     cloud = as_cloud(cloud)
     if not in_hull_interior(cloud.points, np.zeros(cloud.dim)):
         raise DomainError(
             "origin is not interior to the convex hull (attainment hypothesis fails)"
         )
-    ball = min_enclosing_ball(cloud, seed=seed)
+    ball = min_enclosing_ball(cloud)
     primal = primal_lp_value(cloud.translated(-ball.center))
     return abs(primal - ball.radius ** 2)
 

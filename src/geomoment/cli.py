@@ -112,7 +112,7 @@ def _shape_from_args(args):
 
 def cmd_meb(args):
     cloud = read_cloud_csv(args.cloud)
-    ball = min_enclosing_ball(cloud, seed=args.seed)
+    ball = min_enclosing_ball(cloud)
     support = meb_support(cloud, ball)
     return _run_report(
         "meb",
@@ -123,7 +123,7 @@ def cmd_meb(args):
             "support_indices": [int(i) for i in support],
             "support_atoms": cloud.points[support],
         },
-        {"seed": args.seed},
+        {},
     )
 
 
@@ -142,7 +142,7 @@ def cmd_bound(args):
 
 def cmd_maxvar(args):
     cloud = read_cloud_csv(args.cloud)
-    rep = max_variance(cloud, seed=args.seed)
+    rep = max_variance(cloud)
     return _run_report(
         "maxvar",
         {"cloud": args.cloud, "points": len(cloud), "dim": cloud.dim},
@@ -157,7 +157,7 @@ def cmd_maxvar(args):
                 "weights": rep.maximizer.weights,
             },
         },
-        {"seed": args.seed},
+        {},
     )
 
 
@@ -228,7 +228,7 @@ def cmd_isodiametric(args):
 
 def cmd_jung(args):
     cloud = read_cloud_csv(args.cloud)
-    rep = jung_verify(cloud, seed=args.seed)
+    rep = jung_verify(cloud)
     return _run_report(
         "jung",
         {"cloud": args.cloud, "points": len(cloud), "dim": cloud.dim},
@@ -240,14 +240,14 @@ def cmd_jung(args):
             "simplex_points": rep.simplex_points,
             "extraction_ok": rep.extraction_ok,
         },
-        {"seed": args.seed},
+        {},
     )
 
 
 def cmd_duality(args):
     cloud = read_cloud_csv(args.cloud)
-    gap = duality_gap(cloud, seed=args.seed)
-    ball = min_enclosing_ball(cloud, seed=args.seed)
+    gap = duality_gap(cloud)
+    ball = min_enclosing_ball(cloud)
     return _run_report(
         "duality",
         {"cloud": args.cloud, "points": len(cloud), "dim": cloud.dim},
@@ -256,7 +256,7 @@ def cmd_duality(args):
             "dual_center": ball.center,
             "radius": ball.radius,
         },
-        {"seed": args.seed},
+        {},
     )
 
 
@@ -268,12 +268,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-
     p = sub.add_parser("meb", help="smallest enclosing ball of a cloud")
     p.add_argument("cloud")
-    common(p)
     p.set_defaults(func=cmd_meb)
 
     p = sub.add_parser("bound", help="sharp variance bound at a given mean")
@@ -288,12 +284,11 @@ def build_parser():
     p.add_argument("--a-scalar", dest="a_scalar", type=_finite_float, help="ellipse semi-axis a")
     p.add_argument("--b", type=_finite_float, help="ellipse semi-axis b")
     p.add_argument("--resolution", type=int, default=256)
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("maxvar", help="variance maximizer over a cloud")
     p.add_argument("cloud")
-    common(p)
     p.set_defaults(func=cmd_maxvar)
 
     p = sub.add_parser("genvar", help="generalized variance of a measure")
@@ -318,17 +313,15 @@ def build_parser():
     p.add_argument("--iters", type=int, default=400)
     p.add_argument("--emit-csv", metavar="DIR", default=None,
                    help="directory for CSV side files")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.set_defaults(func=cmd_isodiametric)
 
     p = sub.add_parser("jung", help="enclosing-ball vs diameter ratio check")
     p.add_argument("cloud")
-    common(p)
     p.set_defaults(func=cmd_jung)
 
     p = sub.add_parser("duality", help="moment program vs enclosing ball gap")
     p.add_argument("cloud")
-    common(p)
     p.set_defaults(func=cmd_duality)
     return parser
 

@@ -4,8 +4,8 @@ functional, its minimizing center, and the minimax level it never exceeds.
 The minimax (smallest sublevel set covering the cloud, after translation)
 is the cost profile at the smallest enclosing ball's radius, certified from
 below by the measure the ball carries as its dual (weights on its support
-whose barycenter is its center, so their variance is R^2): one Welzl scan,
-farthest points first, and no LP; the inner
+whose barycenter is its center, so their variance is R^2): one
+deterministic Welzl scan, farthest points first, and no LP; the inner
 minimization behind the generalized variance uses the closed form for the
 quadratic cost, a damped Weiszfeld iteration for the first-power cost, and
 a cutting-plane engine for everything else.  That engine is Kelley's: each
@@ -27,6 +27,7 @@ from .lp import LpProblem, LpStatus, solve_lp
 DEFAULT_TOL_CLOSED = 1e-8
 DEFAULT_TOL_ITER = 1e-6
 MAX_CUTS = 120
+EPS = np.finfo(float).eps
 
 
 class RadialCost:
@@ -259,14 +260,14 @@ def chebyshev_level(cloud, cost, tol=None):
     Since v is nondecreasing, min_z max_i v(|x_i - z|) = v(R) for the
     smallest enclosing ball (radius R), attained at its center z: the
     returned level is the cost that z actually attains.  The ball is solved
-    once, on the cloud recentred on its mean, scanning first the 2(n + 1)
-    points farthest from the mean, which hold its support more often than
-    not.  The measure w that the ball carries as its dual certifies the
-    level from below, because every center has
+    once, on the cloud recentred on its mean, by one far-first scan
+    (:func:`min_enclosing_ball`).  The measure w that the ball carries as
+    its dual certifies the level from below, because every center has
     max_i |x_i - z|^2 >= sum w_i |x_i - z|^2 >= var(w), and var(w) = R^2 up
-    to rounding; a certified bracket [v(sqrt(var(w))), lambda] wider than
-    ``tol`` raises NoConvergenceError.  No LP is solved.  The cloud may be
-    a PointCloud or a raw (N, n) array.
+    to rounding; a certified bracket [v(sqrt(var(w))), lambda = v(r)] wider
+    than ``tol`` plus the rounding of lambda, v(r + 8 eps (r + max|x_i|)) -
+    v(r), raises NoConvergenceError.  No LP is solved.  The cloud may be a
+    PointCloud or a raw (N, n) array.
     """
     if tol is None:
         tol = DEFAULT_TOL_ITER
@@ -275,14 +276,16 @@ def chebyshev_level(cloud, cost, tol=None):
     P = as_cloud(cloud).points
     shift = P.mean(axis=0)
     Q = P - shift
-    far = np.argsort(-(Q * Q).sum(axis=1), kind="stable")[:2 * (Q.shape[1] + 1)]
-    ball = min_enclosing_ball(Q, first=far.tolist())
+    ball = min_enclosing_ball(Q)
     z = ball.center + shift
-    lam = float(cost(np.linalg.norm(P - z, axis=1).max()))
+    r = float(np.linalg.norm(P - z, axis=1).max())
+    lam = float(cost(r))
     X = Q[ball.support]
     D = X - ball.weights @ X
     lower = float(cost(math.sqrt(ball.weights @ (D * D).sum(axis=1))))
-    if lam - lower > tol:
+    # a few ulps of r and of the coordinates, through v
+    rounding = float(cost(r + 8.0 * EPS * (r + float(np.abs(P).max())))) - lam
+    if lam - lower > tol + rounding:
         raise NoConvergenceError(
             f"minimax level bracket [{lower}, {lam}] is wider than tol={tol}",
             best=(lam, z),

@@ -300,7 +300,7 @@ def circumball(points):
     return Ball(center, float(np.linalg.norm(center - P[0])))
 
 
-def _welzl(P, order, guess=0):
+def _welzl(P, order=None, guess=0):
     """Welzl's move-to-front recursion on Gärtner's push/pop support stack
     (Welzl 1991; Gärtner, "Fast and Robust Smallest Enclosing Balls", 1999).
 
@@ -317,9 +317,11 @@ def _welzl(P, order, guess=0):
     is covered when its squared distance from the center exceeds R2 by at
     most CONTAIN_TOL times max(R2, max_i |x_i - mean|^2).  Recursion
     depth <= dim + 1.  ``order``, a list of distinct indices in 0..N-1,
-    is scanned first and the other points follow in index order; they
-    live in a linked list (Python lists of node indices) so that
-    move-to-front never changes which points precede a recursion marker.
+    is scanned first and the other points follow in index order; without
+    one, the 2(n + 1) points farthest from the mean go first (a stable
+    sort).  The points live in a linked list (Python lists of node
+    indices) so that move-to-front never changes which points precede a
+    recursion marker.
     The radius returned is the distance from the center to the farthest
     point, so the ball contains the cloud.
 
@@ -349,7 +351,10 @@ def _welzl(P, order, guess=0):
     N, n = P.shape
     mean = P.sum(axis=0) / N  # P.mean's arithmetic, without its dispatch
     Q = P - mean
-    spread2 = float((Q * Q).sum(axis=1).max())
+    sq = (Q * Q).sum(axis=1)
+    spread2 = float(sq.max())
+    if order is None:
+        order = np.argsort(-sq, kind="stable")[:2 * (n + 1)].tolist()
     C = [None] * (n + 1)
     R2 = [0.0] * (n + 1)
     V = [None] * (n + 1)
@@ -462,58 +467,59 @@ def _welzl(P, order, guess=0):
     return ball(lam)
 
 
-def _meb_refine(P, tol=1e-12):
+def _meb_refine(P):
     """Farthest-point refinement for large or high-dimensional clouds.
 
-    Grows a candidate support set, solves it exactly with the recursion,
-    and stops once the candidate ball covers everything; the subset radius
-    certifies optimality from below.
+    Grows a core of points, solves it exactly with the recursion, and
+    stops once the core's ball covers every point by the recursion's own
+    relative test; the core's radius certifies optimality from below.
     """
     N = P.shape[0]
+    spread2 = float(((P - P.sum(axis=0) / N) ** 2).sum(axis=1).max())
     far0 = int(np.argmax(((P - P[0]) ** 2).sum(axis=1)))
     far1 = int(np.argmax(((P - P[far0]) ** 2).sum(axis=1)))
     core = [far0, far1]
-    rng = np.random.default_rng(0)
     for _ in range(N):
-        sub = P[core]
-        ball = _welzl(sub, rng.permutation(len(core)).tolist())
-        d = np.linalg.norm(P - ball.center, axis=1)
-        far = int(np.argmax(d))
+        ball = _welzl(P[core])
+        d2 = ((P - ball.center) ** 2).sum(axis=1)
+        far = int(np.argmax(d2))
         support = [core[i] for i in ball.support]
-        if d[far] <= ball.radius * (1 + tol) + tol:
-            return Ball(ball.center, max(ball.radius, float(d[far])), support, ball.weights)
+        r2 = ball.radius ** 2
+        if d2[far] <= r2 + CONTAIN_TOL * max(r2, spread2):
+            break
         core.append(far)
-    return Ball(ball.center, float(d[far]), support, ball.weights)
+    return Ball(ball.center, max(ball.radius, math.sqrt(d2[far])), support, ball.weights)
 
 
-def min_enclosing_ball(cloud, seed=0, first=None):
+def min_enclosing_ball(cloud, first=None):
     """Smallest closed ball containing the cloud, with its dual measure.
 
-    Welzl's move-to-front recursion for desk-scale input, scanning the
-    points in an order drawn from ``seed``; its support balls are updated
-    incrementally by pushes and pops on Gärtner's stack, with no linear
-    solve.  Beyond 12 dimensions or 1e5 points, a certified farthest-point
-    refinement takes over and ignores ``first`` once it is validated.
+    Welzl's move-to-front recursion for desk-scale input, scanning first
+    the 2(n + 1) points farthest from the mean, which hold the support more
+    often than not; its support balls are updated incrementally by pushes
+    and pops on Gärtner's stack, with no linear solve.  Beyond 12
+    dimensions or 1e5 points, a certified farthest-point refinement takes
+    over and ignores ``first`` once it is validated.  Nothing is random.
 
     The ball carries ``support``, the indices of the points that determine
     it, and ``weights``, the center's barycentric weights on them
     (nonnegative, summing to 1), back-substituted from the recursion's own
     stack: a measure on the sphere with the center as barycenter, whose
-    variance R^2 certifies the radius from below.  A singleton gives
-    support [0] with weight 1.
+    variance R^2 certifies the radius from below.  It is the variance
+    maximizer over measures on the cloud.  A singleton gives support [0]
+    with weight 1.
 
     ``first`` is a guess at the support, typically that of a nearby ball: a
     sequence of distinct integer point indices in 0..N-1.  Before any scan,
     a guess of 1 to dim + 1 points is certified: if the ball through them
     with its center in their hull contains the cloud, it is returned.
     Otherwise the recursion scans the points of ``first`` first and the
-    other points in index order; no order is drawn and ``seed`` has no
-    effect.  Scanning the points farthest from the mean first finds the
-    support early: the recursion then pushes few points.  A repeated index, one outside 0..N-1 (negative ones included)
-    or a value that is not an integer raises ValueError.  The ball is
-    unique, so the guess changes only its rounding, but a good guess
-    leaves few points uncovered and so saves most of the pushes.  Empty,
-    ragged or non-finite input raises ValueError, as PointCloud does.
+    other points in index order.  A repeated index, one outside 0..N-1
+    (negative ones included) or a value that is not an integer raises
+    ValueError.  The ball is unique, so the guess changes only its
+    rounding, but a good guess leaves few points uncovered and so saves
+    most of the pushes.  Empty, ragged or non-finite input raises
+    ValueError, as PointCloud does.
     """
     P = _as_points(cloud)
     N, n = P.shape
@@ -523,7 +529,7 @@ def min_enclosing_ball(cloud, seed=0, first=None):
     if n > WELZL_MAX_DIM or N > WELZL_MAX_POINTS:
         return _meb_refine(P)
     if head is None:
-        return _welzl(P, np.random.default_rng(seed).permutation(N).tolist())
+        return _welzl(P)
     return _welzl(P, head, len(head))
 
 

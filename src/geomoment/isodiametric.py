@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import AtomicMeasure, sphere_weights
+from .bounds import AtomicMeasure
 from .errors import DomainError, NoConvergenceError
 from .genvar import RadialCost
 from .geometry import (as_cloud, diameter, jung_radius, meb_support,
@@ -138,7 +138,7 @@ def _project_diameter(atoms, w, d):
     return atoms - (w @ atoms)
 
 
-def _weights_at_atoms(atoms, ball, cost, d):
+def _weights_at_atoms(atoms, ball, cost):
     """Best weights at fixed atoms, with the value they attain, read off
     the atoms' smallest enclosing ball (center c, radius R).
 
@@ -146,11 +146,12 @@ def _weights_at_atoms(atoms, ball, cost, d):
     moment above v(R), and weights on the ball's sphere whose barycenter
     is c attain it for every convex increasing radial cost v: their cost
     gradient at c, the sum of w_i v'(R) (c - x_i) / R, vanishes, so c is
-    their center.  The weights are :func:`bounds.sphere_weights` of the
-    atoms within 1e-7 (d + R) of the sphere, and the value is
+    their center.  The weights are the ball's own dual (its ``weights`` on
+    its ``support``, zero elsewhere), and the value is
     sum w_i v(|x_i - c|).
     """
-    w = sphere_weights(atoms, ball, 1e-7 * (d + ball.radius))
+    w = np.zeros(len(atoms))
+    w[ball.support] = ball.weights
     return w, float(w @ cost(np.linalg.norm(atoms - ball.center, axis=1)))
 
 
@@ -203,7 +204,7 @@ def _search_one(config, restart):
         if step < step_floor:
             converged = True
             break
-    w, val = _weights_at_atoms(atoms, ball, cost, d)
+    w, val = _weights_at_atoms(atoms, ball, cost)
     return atoms, w, val, converged
 
 
@@ -334,7 +335,7 @@ def tension_check(points, r, tol=1e-9):
     return TensionReport("OriginInHull", True, False, False, r, rn)
 
 
-def jung_verify(cloud, tol=1e-7, seed=0):
+def jung_verify(cloud, tol=1e-7):
     """Check the enclosing-ball radius against r_n times the diameter.
 
     ``tight`` means the ratio is attained within ``tol``, relative: the
@@ -343,11 +344,10 @@ def jung_verify(cloud, tol=1e-7, seed=0):
     allows the radius 1e-9 of the bound above it, the extraction takes the
     points within ``tol`` times the radius of the sphere and clusters them
     at max(1e-3, 10 tol) times the diameter, so no answer depends on the
-    scale of the cloud.  ``seed`` fixes the enclosing-ball recursion's scan
-    order.
+    scale of the cloud.
     """
     cloud = as_cloud(cloud)
-    ball = min_enclosing_ball(cloud, seed=seed)
+    ball = min_enclosing_ball(cloud)
     dia = diameter(cloud)
     n = cloud.dim
     bound = jung_radius(n) * dia

@@ -9,8 +9,7 @@ from geomoment import (AtomicMeasure, DomainError, PointCloud, Shape,
                        popoviciu, primal_lp_value, read_measure_json,
                        regular_simplex, shape_sample, variance,
                        write_measure_json)
-from geomoment import (RadialCost, bounds, chebyshev_level, generalized_variance,
-                       hull_membership)
+from geomoment import RadialCost, bounds, chebyshev_level, generalized_variance, lp
 from geomoment.bounds import in_hull_interior, zero_mean_dual_center
 
 
@@ -152,23 +151,20 @@ def test_max_variance_far_from_origin(spread, offset):
 
 @pytest.mark.parametrize("scale", [1e8, 1e10, 1e12])
 def test_max_variance_one_weight_solve_at_any_scale(scale, monkeypatch):
-    # the sphere-weight LP is posed on offsets relative to the spread, so it
-    # needs no looser retry: an absolute tolerance failed from scale 1e8 on
+    # the maximizer is the enclosing ball's own dual: no LP at any scale
     rng = np.random.default_rng(5)
     clouds = [rng.normal(size=(int(rng.integers(8, 31)), int(rng.integers(2, 5))))
               for _ in range(40)]
     ref = [max_variance(PointCloud(Q)).primal_value for Q in clouds]
-    calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(None)
-        return hull_membership(*args, **kwargs)
+    def no_lp(*args, **kwargs):
+        raise AssertionError("max_variance solved an LP")
 
-    monkeypatch.setattr(bounds, "hull_membership", spy)
+    for mod in (lp, bounds):
+        monkeypatch.setattr(mod, "solve_lp", no_lp)
     for Q, r in zip(clouds, ref):
         rep = max_variance(PointCloud(Q * scale))
         assert abs(rep.primal_value / scale ** 2 - r) <= 1e-9 * r
-    assert len(calls) == len(clouds)
 
 
 @pytest.mark.parametrize("call", [

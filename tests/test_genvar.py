@@ -136,6 +136,20 @@ def test_chebyshev_quadratic_matches_enclosing_ball():
             assert abs(lam - reach) <= 1e-12 * lam
 
 
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("scale", [1e2, 1e4, 1e6])
+def test_chebyshev_default_tol_certifies_at_any_scale(p, scale):
+    # the default tol is absolute; the bracket is allowed the rounding of
+    # the level on top of it, without which power(3) raised on 57 of these
+    # 100 clouds at scale 1e4 and 44 at 1e6
+    rng = np.random.default_rng(9)
+    cost = RadialCost.power(p)
+    for _ in range(100):
+        P = rng.normal(size=(int(rng.integers(5, 31)), int(rng.integers(2, 6))))
+        lam, _ = chebyshev_level(P * scale, cost)
+        assert abs(lam - cost(min_enclosing_ball(P).radius * scale)) <= 1e-12 * lam
+
+
 def test_chebyshev_power1_simplex():
     V = regular_simplex(2, 1.0).vertices
     lam, z = chebyshev_level(PointCloud(V), RadialCost.power(1), tol=1e-8)

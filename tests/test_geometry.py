@@ -123,7 +123,7 @@ def test_meb_contains_and_radius_window():
         n = int(rng.integers(1, 6))
         P = rng.normal(size=(int(rng.integers(2, 60)), n))
         cloud = PointCloud(P)
-        b = min_enclosing_ball(cloud, seed=trial)
+        b = min_enclosing_ball(cloud, first=np.random.default_rng(trial).permutation(len(P)))
         d = np.linalg.norm(P - b.center, axis=1)
         assert d.max() <= b.radius + 1e-9 * (1 + b.radius)
         dia = diameter(cloud)
@@ -172,6 +172,17 @@ def test_meb_high_dim_uses_refinement():
     b = min_enclosing_ball(cloud)
     d = np.linalg.norm(P - b.center, axis=1)
     assert d.max() <= b.radius + 1e-9 * (1 + b.radius)
+
+
+def test_meb_refinement_cover_test_is_relative():
+    # the refinement's cover test had an absolute floor of 1e-12: at scale
+    # 1e-11 it accepted a core ball up to 2e-2 of the radius too small, and
+    # the radius came from whichever point the floor let through
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        P = rng.normal(size=(30, 14))
+        R = min_enclosing_ball(P).radius
+        assert abs(min_enclosing_ball(P * 1e-11).radius / 1e-11 - R) <= 1e-14 * R
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -343,7 +354,7 @@ def test_meb_clustered_simplex_support(n, d):
         cloud = PointCloud(P)
         radii = []
         for seed in range(5):
-            b = min_enclosing_ball(cloud, seed=seed)
+            b = min_enclosing_ball(cloud, first=np.random.default_rng(seed).permutation(len(P)))
             assert np.linalg.norm(P - b.center, axis=1).max() <= b.radius * (1 + 1e-12)
             assert hull_membership(P[meb_support(cloud, b)], b.center) is not None
             radii.append(b.radius)
@@ -357,7 +368,8 @@ def _first_index_sets(rng, P, support):
 
 
 def test_meb_first_matches_seeded_ball():
-    # the warm-started scan finds the same (unique) ball as the seeded one
+    # the warm-started scan finds the same (unique) ball as a scan in a
+    # random order, and so does the default far-first scan
     rng = np.random.default_rng(61)
     clouds = [rng.normal(size=(int(rng.integers(2, 41)), int(rng.integers(1, 6))))
               for _ in range(40)]
@@ -365,8 +377,8 @@ def test_meb_first_matches_seeded_ball():
                for n in (1, 2, 3) for d in (1e-3, 1.0, 1e3) for rho in (1e-12, 1e-9, 1e-6)]
     for P in clouds:
         cloud = PointCloud(P)
-        ref = min_enclosing_ball(cloud, seed=3)
-        for first in _first_index_sets(rng, P, meb_support(cloud, ref)):
+        ref = min_enclosing_ball(cloud, first=np.random.default_rng(3).permutation(len(P)))
+        for first in _first_index_sets(rng, P, meb_support(cloud, ref)) + [None]:
             b = min_enclosing_ball(cloud, first=first)
             assert abs(b.radius - ref.radius) <= 1e-12 * ref.radius
             assert np.linalg.norm(b.center - ref.center) <= 1e-12 * ref.radius
@@ -379,7 +391,7 @@ def test_meb_first_matches_seeded_ball():
               (np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]), [0, 1, 2]),
               (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [9.0, 7.0]]), [0, 1, 2])]
     for P, first in misses:
-        ref = min_enclosing_ball(PointCloud(P), seed=3)
+        ref = min_enclosing_ball(PointCloud(P), first=np.random.default_rng(3).permutation(len(P)))
         b = min_enclosing_ball(PointCloud(P), first=first)
         assert abs(b.radius - ref.radius) <= 1e-12 * ref.radius
         assert np.linalg.norm(b.center - ref.center) <= 1e-12 * ref.radius
@@ -447,9 +459,10 @@ def _dual_clouds(rng):
 def test_min_enclosing_ball_carries_its_dual():
     rng = np.random.default_rng(71)
     for P in _dual_clouds(rng):
-        for seed in range(3):
-            # the recursion
-            ball = min_enclosing_ball(P, seed=seed)
+        # the recursion: the far-first scan and scans in random orders
+        for order in [None] + [np.random.default_rng(seed).permutation(len(P))
+                               for seed in range(3)]:
+            ball = min_enclosing_ball(P, first=order)
             _assert_dual(P, ball)
         # a guess at the support, certified before any scan, hands over
         # the weights it certified with
@@ -472,6 +485,18 @@ def test_min_enclosing_ball_dual_on_refinement_and_singleton():
     assert Ball(np.zeros(2), 1.0).support is None
     with pytest.raises(ValueError):
         Ball(np.zeros(2), 1.0, [0, 1], [1.0])
+
+
+def test_max_variance_maximizer_is_the_ball_dual():
+    # on the recursion path, the refinement path and a singleton
+    rng = np.random.default_rng(74)
+    clouds = _dual_clouds(rng)[::3] + [rng.normal(size=(60, n)) for n in (13, 14, 15)]
+    for P in clouds + [np.array([[3.0, 4.0]])]:
+        rep = max_variance(P)
+        w = rep.maximizer.weights
+        on = np.nonzero(w)[0].tolist()
+        _assert_dual(P, Ball(rep.dual_center, rep.enclosing_ball.radius, on, w[on].tolist()))
+        assert rep.gap <= 1e-12 * rep.dual_value
 
 
 def test_chebyshev_level_solves_no_lp(monkeypatch):

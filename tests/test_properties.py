@@ -104,6 +104,9 @@ def test_max_variance_gap_invariant(placed):
     assert rep1.gap <= 1e-9 * rep1.dual_value
     r0, r1 = math.sqrt(rep0.dual_value), math.sqrt(rep1.dual_value)
     assert abs(r1 - s * r0) <= _slack(s, r0, t)
+    # the maximizer, the ball's own dual, has variance R^2 up to the same
+    # slack on its standard deviation
+    assert abs(math.sqrt(rep1.primal_value) - s * r0) <= _slack(s, r0, t)
 
 
 @SETTINGS
