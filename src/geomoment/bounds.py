@@ -250,6 +250,11 @@ def duality_gap(cloud):
     Requires the origin in the interior of the hull (quantitative
     surrogate: max-min-weight representation >= INTERIOR_MARGIN).
     """
+    return _duality(cloud)[0]
+
+
+def _duality(cloud):
+    """:func:`duality_gap` and the enclosing ball it solved."""
     cloud = as_cloud(cloud)
     if not in_hull_interior(cloud.points, np.zeros(cloud.dim)):
         raise DomainError(
@@ -257,7 +262,7 @@ def duality_gap(cloud):
         )
     ball = min_enclosing_ball(cloud)
     primal = primal_lp_value(cloud.translated(-ball.center))
-    return abs(primal - ball.radius ** 2)
+    return abs(primal - ball.radius ** 2), ball
 
 
 def zero_mean_dual_center(cloud):

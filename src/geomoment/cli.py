@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__, report
-from .bounds import (bhatia_davis_bound, duality_gap, max_variance, mean,
-                     read_measure_json, variance)
+from .bounds import (ELLIPSE_RESOLUTION, _duality, bhatia_davis_bound, max_variance,
+                     mean, read_measure_json, variance)
 from .errors import DomainError, NoConvergenceError, ParseError
 from .genvar import chebyshev_level, generalized_variance, read_cost_json
 from .geometry import Shape, min_enclosing_ball, meb_support, read_cloud_csv
@@ -74,18 +74,22 @@ def _run_report(command, inputs, outputs, diagnostics):
     }
 
 
-# the flags (argparse dests) each shape takes, all but --dim required
-SHAPE_FLAGS = {"interval": {"k"}, "ball": {"R", "dim"}, "ellipse": {"a_scalar", "b"},
+# the flags (argparse dests) each shape takes, all but OPTIONAL required;
+# only the ellipse is meshed, so only it takes the mesh's resolution and seed
+SHAPE_FLAGS = {"interval": {"k"}, "ball": {"R", "dim"},
+               "ellipse": {"a_scalar", "b", "resolution", "seed"},
                "box": {"a"}, "diamond": {"a"}, None: set()}
+OPTIONAL = {"dim", "resolution", "seed"}
 
 
 def _shape_from_args(args):
     if not (args.cloud or args.shape):
         raise ParseError("either --shape or --cloud is required")
-    given = {d for d in ("k", "R", "dim", "a", "a_scalar", "b") if getattr(args, d) is not None}
+    given = {d for d in ("k", "R", "dim", "a", "a_scalar", "b", "resolution", "seed")
+             if getattr(args, d) is not None}
     takes = SHAPE_FLAGS[args.shape]
     name = f"--shape {args.shape}" if args.shape else "--cloud"
-    for verb, dests in (("does not take", given - takes), ("requires", takes - given - {"dim"})):
+    for verb, dests in (("does not take", given - takes), ("requires", takes - given - OPTIONAL)):
         if dests:
             flags = ", ".join("--" + d.replace("_", "-") for d in sorted(dests))
             raise ValueError(f"{name} {verb} {flags}")
@@ -130,13 +134,17 @@ def cmd_meb(args):
 def cmd_bound(args):
     shape, echo = _shape_from_args(args)
     xbar = _parse_vec(args.xbar, "xbar")
-    value = bhatia_davis_bound(shape, xbar, resolution=args.resolution, seed=args.seed)
+    mesh = {}
+    if shape.kind == Shape.ELLIPSE:
+        mesh = {"resolution": ELLIPSE_RESOLUTION if args.resolution is None else args.resolution,
+                "seed": 0 if args.seed is None else args.seed}
+    value = bhatia_davis_bound(shape, xbar, **mesh)
     closed = shape.kind in (Shape.INTERVAL, Shape.BALL, Shape.BOX, Shape.DIAMOND)
     return _run_report(
         "bound",
         {**echo, "xbar": xbar},
         {"bound": value, "route": "closed-form" if closed else "envelope-lp"},
-        {"resolution": args.resolution, "seed": args.seed},
+        mesh,
     )
 
 
@@ -246,8 +254,7 @@ def cmd_jung(args):
 
 def cmd_duality(args):
     cloud = read_cloud_csv(args.cloud)
-    gap = duality_gap(cloud)
-    ball = min_enclosing_ball(cloud)
+    gap, ball = _duality(cloud)
     return _run_report(
         "duality",
         {"cloud": args.cloud, "points": len(cloud), "dim": cloud.dim},
@@ -283,8 +290,9 @@ def build_parser():
     p.add_argument("--a", help="box/diamond half-widths, comma-separated")
     p.add_argument("--a-scalar", dest="a_scalar", type=_finite_float, help="ellipse semi-axis a")
     p.add_argument("--b", type=_finite_float, help="ellipse semi-axis b")
-    p.add_argument("--resolution", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    p.add_argument("--resolution", type=int,
+                   help=f"ellipse mesh points (default {ELLIPSE_RESOLUTION})")
+    p.add_argument("--seed", type=int, help="ellipse mesh seed (default 0)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("maxvar", help="variance maximizer over a cloud")

@@ -10,15 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSupportError, ParseError
+from .errors import DegenerateSupportError, NoConvergenceError, ParseError
 
 RANK_TOL = 1e-10
 CONTAIN_TOL = 1e-12
-
-# thresholds beyond which the exact recursion gives way to the
-# farthest-point refinement scheme
-WELZL_MAX_DIM = 12
-WELZL_MAX_POINTS = 100_000
 
 
 class PointCloud:
@@ -300,68 +295,61 @@ def circumball(points):
     return Ball(center, float(np.linalg.norm(center - P[0])))
 
 
-def _welzl(P, order=None, guess=0):
-    """Welzl's move-to-front recursion on Gärtner's push/pop support stack
-    (Welzl 1991; Gärtner, "Fast and Robust Smallest Enclosing Balls", 1999).
+def _welzl(Q, spread2, order, guess=0, pivot=False):
+    """Smallest ball around a core of a few points: the rows ``order`` (a
+    list of distinct indices) of Q, a cloud recentred on its mean.  Welzl's
+    move-to-front recursion on Gärtner's push/pop support stack (Welzl
+    1991; Gärtner, "Fast and Robust Smallest Enclosing Balls", 1999),
+    scanning the core in the order given.
 
-    The cloud is recentred on its mean.  With m support points pushed,
-    level k < m of the stack holds the smallest ball C[k], R2[k] (center,
-    squared radius) with the first k + 1 of them on its boundary, and for
-    k >= 1 the k-th point's offset from the first, orthogonalized against
-    the earlier directions, as V[k] with squared length Z[k].  A push
-    orthogonalizes p - C[0] against V[1..m-1] and moves the center along
-    the new direction until p is on the sphere, in O(n m); a pop only
-    lowers m.  A point whose orthogonal part has |v|^2 at most
-    RANK_TOL^2 |p - C[0]|^2 is affinely dependent on the support and is
-    not pushed.  The current ball is the one of the latest push; a point
-    is covered when its squared distance from the center exceeds R2 by at
-    most CONTAIN_TOL times max(R2, max_i |x_i - mean|^2).  Recursion
-    depth <= dim + 1.  ``order``, a list of distinct indices in 0..N-1,
-    is scanned first and the other points follow in index order; without
-    one, the 2(n + 1) points farthest from the mean go first (a stable
-    sort).  The points live in a linked list (Python lists of node
-    indices) so that move-to-front never changes which points precede a
-    recursion marker.
-    The radius returned is the distance from the center to the farthest
-    point, so the ball contains the cloud.
+    With m support points pushed, level k < m of the stack holds the
+    smallest ball C[k], R2[k] (center, squared radius) with the first k + 1
+    of them on its boundary, and for k >= 1 the k-th point's offset from
+    the first, orthogonalized against the earlier directions, as V[k] with
+    squared length Z[k].  A push orthogonalizes p - C[0] against V[1..m-1]
+    and moves the center along the new direction until p is on the sphere,
+    in O(n m); a pop only lowers m.  A point whose orthogonal part has
+    |v|^2 at most RANK_TOL^2 |p - C[0]|^2 is affinely dependent on the
+    support and is not pushed.  The current ball is the one of the latest
+    push; a point is covered when its squared distance from the center
+    exceeds R2 by at most CONTAIN_TOL times max(R2, spread2), where
+    spread2 is the cloud's largest squared distance from its mean.
+    Recursion depth <= dim + 1.  The core lives in a linked list (Python
+    lists of node indices) so that move-to-front never changes which points
+    precede a recursion marker.
 
-    The ball also carries its dual: the points of levels 0..top (I[k] is
-    the index of level k's point) and the center's barycentric weights on
-    them.  The k-th pushed offset is p_k - C[0] = V[k] +
-    sum_{j<k} A[k][j-1] V[j], with A[k] the push's Gram-Schmidt
-    coefficients, and the center is C[0] + sum_k F[k] V[k], so the weights
-    follow from F by back-substitution, once, on return.  Levels below the
-    latest push are never overwritten while it is the latest, so levels
-    0..top stay one consistent chain.  The center of the smallest ball lies
-    in the hull of its support, so the chain's weights are nonnegative but
-    for rounding; a negative one is set to 0 and the rest are rescaled to
-    sum to 1, so that the weights always form a probability vector, whose
-    variance bounds R^2 from below.
+    Returns the center, the squared radius, the rows of levels 0..top and
+    the center's barycentric weights on them: the ball's dual.  The k-th
+    pushed offset is p_k - C[0] = V[k] + sum_{j<k} A[k][j-1] V[j], with
+    A[k] the push's Gram-Schmidt coefficients, and the center is C[0] +
+    sum_k F[k] V[k], so the weights follow from F by back-substitution,
+    once, on return.  Levels below the latest push are never overwritten
+    while it is the latest, so levels 0..top stay one consistent chain.
+    The center of the smallest ball lies in the hull of its support, so the
+    weights are nonnegative but for rounding; a negative one is set to 0
+    and the rest are rescaled to sum to 1, so that they always form a
+    probability vector, whose variance bounds R^2 from below.
 
-    With 1 <= ``guess`` <= dim + 1, the first ``guess`` points of ``order``
-    are a guess at the support, certified before any scan: they are
-    pushed, and the top ball is returned with the weights already computed
-    if it covers every point and its center has nonnegative barycentric
-    weights on them, for a ball through points with its center in their
-    hull that contains the cloud is the smallest one (its optimality
-    condition).  A dependent push, a negative weight or an uncovered point
-    (NaN fails every test) pops the stack back to empty, and the recursion
-    runs as without a guess.
+    Before any scan, a guess at the support is certified: with 1 <=
+    ``guess`` <= dim + 1 the first ``guess`` points of the core, with
+    ``pivot`` all of them (the first is the pivot, a point outside the ball
+    of the others, which they support).  It is pushed, and its ball is
+    returned if it covers the core and its center has nonnegative weights,
+    for then it is the smallest ball around the core (its optimality
+    condition).  A pivot's guess skips dependent pushes and drops its most
+    negative weight (never the pivot's) until none is left, Gärtner's
+    pivot step; otherwise a dependent push, a negative weight or an
+    uncovered point (NaN fails every test) pops the stack back to empty
+    and the recursion runs.
     """
-    N, n = P.shape
-    mean = P.sum(axis=0) / N  # P.mean's arithmetic, without its dispatch
-    Q = P - mean
-    sq = (Q * Q).sum(axis=1)
-    spread2 = float(sq.max())
-    if order is None:
-        order = np.argsort(-sq, kind="stable")[:2 * (n + 1)].tolist()
+    K, n = len(order), Q.shape[1]
     C = [None] * (n + 1)
     R2 = [0.0] * (n + 1)
     V = [None] * (n + 1)
     Z = [0.0] * (n + 1)
     A = [None] * (n + 1)  # A[k]: the k-th push's Gram-Schmidt coefficients
     F = [0.0] * (n + 1)  # F[k]: the k-th push's center step along V[k]
-    I = [0] * (n + 1)  # I[k]: the index of the k-th pushed point
+    I = [0] * (n + 1)  # I[k]: the row of Q of the k-th pushed point
     m = 0  # support points on the stack
     top = -1  # level of the latest push, whose ball is the current one
 
@@ -403,32 +391,30 @@ def _welzl(P, order=None, guess=0):
         lam[0] = 1.0 - sum(lam)
         return lam
 
-    def ball(lam):
-        center = C[top] + mean
-        return Ball(center, math.sqrt(((P - center) ** 2).sum(axis=1).max()),
-                    I[:top + 1], lam)
-
-    if 0 < guess <= n + 1:
-        if all(push(i, Q[i]) for i in order[:guess]):
-            lam = weights()
-            D = Q - C[top]
+    keep = order[:guess or (K if pivot else 0)]
+    while keep:
+        pushed = [i for i in keep if push(i, Q[i])]
+        lam = weights()
+        low = min(lam)
+        if low >= 0.0 and (pivot or pushed == keep):
+            D = (Q if K == len(Q) else Q[order]) - C[top]
             r2 = R2[top]
-            if all(w >= 0.0 for w in lam) and (
-                    (D * D).sum(axis=1) <= r2 + CONTAIN_TOL * max(r2, spread2)).all():
-                return ball(lam)
+            if ((D * D).sum(axis=1) <= r2 + CONTAIN_TOL * max(r2, spread2)).all():
+                return C[top], r2, I[:top + 1], lam
+            keep = []
+        elif pivot and lam[0] > low:
+            keep.remove(pushed[lam.index(low)])
+        else:
+            keep = []
         m, top = 0, -1
-
-    if len(order) < N:
-        seen = set(order)
-        order = order + [i for i in range(N) if i not in seen]
-    nxt = [0] * (N + 1)  # node N is the list head sentinel
-    prv = [0] * (N + 1)
-    seq = [N] + order
+    seq = [K] + list(range(K))  # node K is the list head sentinel
+    nxt = [0] * (K + 1)
+    prv = [0] * (K + 1)
     for a, b in zip(seq, seq[1:]):
         nxt[a] = b
         prv[b] = a
     nxt[seq[-1]] = -1
-    rows = list(Q)
+    rows = [Q[i] for i in order]
 
     def covers(p):
         d = p - C[top]
@@ -439,21 +425,21 @@ def _welzl(P, order=None, guess=0):
         nonlocal m
         if m == n + 1:
             return
-        v = nxt[N]
+        v = nxt[K]
         while v != end and v != -1:
             after = nxt[v]
             p = rows[v]
-            if (top < 0 or not covers(p)) and push(v, p):
+            if (top < 0 or not covers(p)) and push(order[v], p):
                 solve(v)
                 m -= 1
                 # move v to the front; v stays ahead of every active marker
                 nxt[prv[v]] = nxt[v]
                 if nxt[v] != -1:
                     prv[nxt[v]] = prv[v]
-                first = nxt[N]
+                first = nxt[K]
                 nxt[v] = first
-                prv[v] = N
-                nxt[N] = v
+                prv[v] = K
+                nxt[K] = v
                 if first != -1:
                     prv[first] = v
             v = after
@@ -464,42 +450,25 @@ def _welzl(P, order=None, guess=0):
         lam = [max(w, 0.0) for w in lam]
         total = sum(lam)
         lam = [w / total for w in lam]
-    return ball(lam)
-
-
-def _meb_refine(P):
-    """Farthest-point refinement for large or high-dimensional clouds.
-
-    Grows a core of points, solves it exactly with the recursion, and
-    stops once the core's ball covers every point by the recursion's own
-    relative test; the core's radius certifies optimality from below.
-    """
-    N = P.shape[0]
-    spread2 = float(((P - P.sum(axis=0) / N) ** 2).sum(axis=1).max())
-    far0 = int(np.argmax(((P - P[0]) ** 2).sum(axis=1)))
-    far1 = int(np.argmax(((P - P[far0]) ** 2).sum(axis=1)))
-    core = [far0, far1]
-    for _ in range(N):
-        ball = _welzl(P[core])
-        d2 = ((P - ball.center) ** 2).sum(axis=1)
-        far = int(np.argmax(d2))
-        support = [core[i] for i in ball.support]
-        r2 = ball.radius ** 2
-        if d2[far] <= r2 + CONTAIN_TOL * max(r2, spread2):
-            break
-        core.append(far)
-    return Ball(ball.center, max(ball.radius, math.sqrt(d2[far])), support, ball.weights)
+    return C[top], R2[top], I[:top + 1], lam
 
 
 def min_enclosing_ball(cloud, first=None):
     """Smallest closed ball containing the cloud, with its dual measure.
 
-    Welzl's move-to-front recursion for desk-scale input, scanning first
-    the 2(n + 1) points farthest from the mean, which hold the support more
-    often than not; its support balls are updated incrementally by pushes
-    and pops on Gärtner's stack, with no linear solve.  Beyond 12
-    dimensions or 1e5 points, a certified farthest-point refinement takes
-    over and ignores ``first`` once it is validated.  Nothing is random.
+    Gärtner's pivoting; nothing is random.  The cloud is recentred on its
+    mean and :func:`_welzl` solves a core: the 2(n + 1) points farthest
+    from the mean (a stable sort), which hold the support more often than
+    not, or a guess ``first``.  One vectorized pass tests every point
+    against the core's ball by the recursion's own relative cover test.  While the farthest point lies
+    outside, it becomes the pivot: the ball is solved again on the pivot
+    and the ball's support, at most dim + 2 points.  The radius rises
+    strictly at each pivot, so a support that comes back (a cycle of
+    rounding) raises NoConvergenceError; the radius is not compared, as a
+    pivot can raise R^2 by the square of its excess, below the rounding of
+    R^2.  The radius returned is the largest distance from the center to a
+    point of the cloud, measured on the original points, so the ball
+    contains the cloud.
 
     The ball carries ``support``, the indices of the points that determine
     it, and ``weights``, the center's barycentric weights on them
@@ -510,27 +479,49 @@ def min_enclosing_ball(cloud, first=None):
     with weight 1.
 
     ``first`` is a guess at the support, typically that of a nearby ball: a
-    sequence of distinct integer point indices in 0..N-1.  Before any scan,
-    a guess of 1 to dim + 1 points is certified: if the ball through them
-    with its center in their hull contains the cloud, it is returned.
-    Otherwise the recursion scans the points of ``first`` first and the
-    other points in index order.  A repeated index, one outside 0..N-1
-    (negative ones included) or a value that is not an integer raises
-    ValueError.  The ball is unique, so the guess changes only its
-    rounding, but a good guess leaves few points uncovered and so saves
-    most of the pushes.  Empty, ragged or non-finite input raises
-    ValueError, as PointCloud does.
+    sequence of distinct integer point indices in 0..N-1.  A guess of 1 to
+    dim + 1 points is certified before any scan: if the ball through the
+    guessed points has its center in their hull and contains the cloud, it
+    is the smallest one (its optimality condition) and is returned.
+    Otherwise the recursion scans the core, the guess first, and a small
+    cloud's other points in index order.  A longer or empty guess is only
+    checked.  A repeated index, one outside 0..N-1 (negative ones
+    included) or a value that is not an integer raises ValueError.  The
+    ball is unique, so the guess changes only its rounding, but a good
+    guess is certified with no recursion at all.  Empty, ragged or
+    non-finite input raises ValueError, as PointCloud does.
     """
     P = _as_points(cloud)
     N, n = P.shape
     head = None if first is None else _check_first(first, N)
     if N == 1:
         return Ball(P[0], 0.0, [0], [1.0])
-    if n > WELZL_MAX_DIM or N > WELZL_MAX_POINTS:
-        return _meb_refine(P)
-    if head is None:
-        return _welzl(P)
-    return _welzl(P, head, len(head))
+    mean = P.sum(axis=0) / N  # P.mean's arithmetic, without its dispatch
+    Q = P - mean
+    sq = (Q * Q).sum(axis=1)
+    spread2 = float(sq.max())
+    size = 2 * (n + 1)
+    guess = len(head) if head and len(head) <= n + 1 else 0
+    if guess:
+        # a small cloud is scanned whole, the other points in index order
+        core = head + [i for i in range(N) if i not in head] if N <= size else head
+    else:
+        core = np.argsort(-sq, kind="stable")[:size].tolist()
+    c, r2, support, lam = _welzl(Q, spread2, core, guess)
+    seen = set()  # the supports of the balls pivoted from
+    while len(core) < N:  # else the ball is the whole cloud's
+        D = Q - c
+        d2 = (D * D).sum(axis=1)
+        far = int(d2.argmax())
+        if d2[far] <= r2 + CONTAIN_TOL * max(r2, spread2):
+            break
+        if frozenset(support) in seen:
+            raise NoConvergenceError(f"enclosing-ball pivoting came back to {sorted(support)}")
+        seen.add(frozenset(support))
+        core = [far] + support
+        c, r2, support, lam = _welzl(Q, spread2, core, pivot=True)
+    center = c + mean
+    return Ball(center, math.sqrt(((P - center) ** 2).sum(axis=1).max()), support, lam)
 
 
 def _check_first(first, N):

@@ -253,7 +253,11 @@ def hull_membership(points, target):
     when target is outside the convex hull of ``points``, an (N, n)
     array-like (phase-1 infeasibility).  The program is posed on the offsets
     ``target - x_i`` divided by the largest of their norms, so its
-    feasibility tolerance is relative to the points' spread around target.
+    feasibility tolerance is relative to the points' spread around target,
+    and in an orthonormal basis of their span: one row per direction whose
+    singular value exceeds FEAS_TOL times the largest, so that points
+    spanning fewer dimensions than they have coordinates pose no rows that
+    are dependent up to rounding, which phase 1 could not clear.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     tgt = np.atleast_1d(np.asarray(target, dtype=float))
@@ -261,9 +265,11 @@ def hull_membership(points, target):
         raise ValueError(f"target has dimension {tgt.size}, points have {X.shape[1]}")
     N = X.shape[0]
     D = tgt - X
-    scale = np.linalg.norm(D, axis=1).max() or 1.0  # 1 when every offset is 0
-    A = np.vstack([D.T / scale, np.ones((1, N))])
-    b = np.concatenate([np.zeros(tgt.size), [1.0]])
+    D = D / (np.linalg.norm(D, axis=1).max() or 1.0)  # 1 when every offset is 0
+    U, s, _ = np.linalg.svd(D, full_matrices=False)
+    span = s > FEAS_TOL * s[0]  # none when every offset is 0
+    A = np.vstack([(U[:, span] * s[span]).T, np.ones((1, N))])
+    b = np.concatenate([np.zeros(int(span.sum())), [1.0]])
     sol = solve_lp(LpProblem(np.zeros(N), A, b))
     if sol.status is not LpStatus.OPTIMAL:
         return None

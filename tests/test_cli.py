@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from geomoment import (AtomicMeasure, NoConvergenceError, PointCloud, RadialCost,
-                       chebyshev_level, genvar, geometry, write_cloud_csv,
-                       write_measure_json)
+                       bounds, chebyshev_level, cli, duality_gap, genvar, geometry,
+                       read_cloud_csv, report, write_cloud_csv, write_measure_json)
 from geomoment.cli import main
 from geomoment.geometry import regular_simplex
 
@@ -88,6 +88,16 @@ def test_bound_diamond_and_ellipse(capsys):
     assert code == 0
     assert json.loads(out)["outputs"]["route"] == "envelope-lp"
     assert json.loads(out)["outputs"]["bound"] == pytest.approx(4.0, abs=1e-2)
+
+
+def test_bound_echoes_mesh_flags_only_for_the_ellipse(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--shape", "ellipse", "--a-scalar", "2",
+                           "--b", "1", "--xbar", "0,0", "--resolution", "64")
+    assert code == 0
+    assert json.loads(out)["diagnostics"] == {"resolution": 64, "seed": 0}
+    code, out, _ = run_cli(capsys, "bound", "--shape", "ball", "--R", "1", "--xbar", "0,0")
+    assert code == 0
+    assert json.loads(out)["diagnostics"] == {}
 
 
 def test_bound_outside_hull_exit_3(capsys):
@@ -231,6 +241,29 @@ def test_duality(capsys, simplex_csv):
     assert rep["outputs"]["gap"] <= 1e-7
 
 
+def test_duality_solves_its_ball_once(capsys, tmp_path, monkeypatch):
+    # the command solved the ball once inside duality_gap and again for its
+    # center and radius; the report is what those two calls gave
+    P = np.random.default_rng(3).normal(size=(40, 3))
+    path = tmp_path / "cloud.csv"
+    write_cloud_csv(PointCloud(P - P.mean(axis=0)), path)
+    cloud = read_cloud_csv(path)
+    gap, ball = duality_gap(cloud), geometry.min_enclosing_ball(cloud)
+    expected = {"gap": gap, "dual_center": ball.center, "radius": ball.radius}
+    calls = []
+
+    def counted(cloud, first=None):
+        calls.append(len(cloud))
+        return ball_solver(cloud, first)
+
+    ball_solver = geometry.min_enclosing_ball
+    for mod in (bounds, cli, geometry):
+        monkeypatch.setattr(mod, "min_enclosing_ball", counted, raising=False)
+    code, out, _ = run_cli(capsys, "duality", str(path))
+    assert code == 0 and calls == [40]
+    assert json.loads(out)["outputs"] == json.loads(report.dumps(expected))
+
+
 def test_duality_domain_error_exit_3(capsys, tmp_path):
     path = tmp_path / "offset.csv"
     path.write_text("x1,x2\n1,0\n2,0\n1,1\n")
@@ -293,6 +326,11 @@ def test_unknown_command_exit_2(capsys):
     ["maxvar", "{simplex}", "--seed", "5"],
     ["jung", "{simplex}", "--seed", "5"],
     ["duality", "{simplex}", "--seed", "5"],
+    # only the ellipse is meshed, so only it takes the mesh's flags
+    ["bound", "--shape", "ball", "--R", "1", "--seed", "5", "--xbar", "0,0"],
+    ["bound", "--shape", "ball", "--R", "1", "--resolution", "3", "--xbar", "0,0"],
+    ["bound", "--cloud", "{simplex}", "--seed", "5", "--xbar", "0,0"],
+    ["bound", "--cloud", "{simplex}", "--resolution", "3", "--xbar", "0,0"],
 ])
 def test_flag_without_effect_exit_2(capsys, tmp_path, simplex_csv, args):
     args = [a.format(simplex=simplex_csv, dir=tmp_path / "side") for a in args]

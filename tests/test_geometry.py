@@ -17,7 +17,8 @@ from geomoment import (AtomicMeasure, Ball, DegenerateSupportError, ParseError,
                        read_cloud_csv, regular_simplex, shape_sample,
                        sup_genvar, translated_biconjugate_zero,
                        verify_saddle, write_cloud_csv, zero_mean_dual_center)
-from geomoment.geometry import _meb_refine
+from geomoment import NoConvergenceError, geometry
+from geomoment.geometry import _welzl
 
 
 def test_pointcloud_validation():
@@ -154,18 +155,65 @@ def test_meb_support_certifies_center():
         assert w is not None  # center in hull of boundary support
 
 
-def test_meb_refinement_path_agrees_with_recursion():
+def _whole_cloud_ball(P):
+    """The move-to-front recursion run on every point of the cloud at once,
+    in index order: the reference the pivoting is compared with."""
+    Q = P - P.mean(axis=0)
+    c, _, rows, lam = _welzl(Q, float((Q * Q).sum(axis=1).max()), list(range(len(P))))
+    center = c + P.mean(axis=0)
+    return Ball(center, np.linalg.norm(P - center, axis=1).max(), rows, lam)
+
+
+def test_meb_pivoting_agrees_with_whole_cloud_recursion():
     rng = np.random.default_rng(8)
     for _ in range(10):
         n = int(rng.integers(2, 5))
         P = rng.normal(size=(50, n))
-        exact = min_enclosing_ball(PointCloud(P))
-        refined = _meb_refine(P)
-        assert abs(refined.radius - exact.radius) <= 1e-9 * (1 + exact.radius)
-        assert np.linalg.norm(refined.center - exact.center) <= 1e-5
+        exact = _whole_cloud_ball(P)
+        pivoted = min_enclosing_ball(PointCloud(P))
+        assert abs(pivoted.radius - exact.radius) <= 1e-9 * (1 + exact.radius)
+        assert np.linalg.norm(pivoted.center - exact.center) <= 1e-5
 
 
-def test_meb_high_dim_uses_refinement():
+def _pivoted_cloud(excess):
+    """+-e1, (1 + excess) e2 and e3, six points inside the unit ball near
+    -(e2 + e3) and forty near 0.6 (e2 + e3): the far-first core holds +-e1
+    and the six, so its ball is the unit ball, which misses the other two."""
+    rng = np.random.default_rng(5)
+    low = rng.normal(size=(6, 3)) * 0.05 + [0.0, -1.0, -1.0]
+    low *= 0.95 / np.linalg.norm(low, axis=1, keepdims=True)
+    mid = rng.normal(size=(40, 3)) * 0.01 + [0.0, 0.6, 0.6]
+    e = 1.0 + excess
+    return np.vstack([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, e, 0.0], [0.0, 0.0, e], low, mid])
+
+
+@pytest.mark.parametrize("excess", [1e-8, 1e-9, 1e-10])
+def test_meb_pivot_below_the_rounding_of_the_radius(excess):
+    # pivoting on (1 + excess) e2 and e3 raises R^2 by about excess^2, below
+    # its rounding: a loop that required the radius to rise raised
+    # NoConvergenceError here
+    P = _pivoted_cloud(excess)
+    b = min_enclosing_ball(P)
+    e = 1.0 + excess
+    y = (e * e - 1.0) / (2.0 * e)  # the center (0, y, y) of the ball through all four
+    assert sorted(b.support) == [0, 1, 2, 3]
+    assert np.linalg.norm(b.center - [0.0, y, y]) <= 1e-12
+    assert abs(b.radius - math.sqrt(1.0 + 2.0 * y * y)) <= 1e-12
+    _assert_dual(P, b)
+
+
+def test_meb_pivoting_that_comes_back_raises(monkeypatch):
+    # a pivot step that ignored its pivot would give back the ball it
+    # started from, forever
+    def stuck(Q, spread2, order, guess=0, pivot=False):
+        return _welzl(Q, spread2, order[1:] if pivot else order, guess)
+
+    monkeypatch.setattr(geometry, "_welzl", stuck)
+    with pytest.raises(NoConvergenceError, match="came back"):
+        min_enclosing_ball(_pivoted_cloud(1e-3))
+
+
+def test_meb_high_dim_covers_the_cloud():
     rng = np.random.default_rng(2)
     P = rng.normal(size=(80, 15))
     cloud = PointCloud(P)
@@ -175,9 +223,9 @@ def test_meb_high_dim_uses_refinement():
 
 
 def test_meb_refinement_cover_test_is_relative():
-    # the refinement's cover test had an absolute floor of 1e-12: at scale
-    # 1e-11 it accepted a core ball up to 2e-2 of the radius too small, and
-    # the radius came from whichever point the floor let through
+    # a core's cover test with an absolute floor of 1e-12 accepted, at
+    # scale 1e-11, a core ball up to 2e-2 of the radius too small, and the
+    # radius came from whichever point the floor let through
     rng = np.random.default_rng(0)
     for _ in range(20):
         P = rng.normal(size=(30, 14))
@@ -422,7 +470,7 @@ def test_meb_first_rejects_indices_outside_the_cloud(first):
         min_enclosing_ball(P, first=first)
     for ok in ([5], np.array([5, 0]), range(6), []):
         assert min_enclosing_ball(P, first=ok).radius == pytest.approx(math.sqrt(12.5), rel=1e-12)
-    # the refinement path (beyond 12 dimensions) ignores first, but checks it
+    # a cloud in R^13 checks first the same way
     with pytest.raises(ValueError, match="first must hold"):
         min_enclosing_ball(np.eye(3, 13), first=first)
 
@@ -469,8 +517,8 @@ def test_min_enclosing_ball_carries_its_dual():
         guessed = min_enclosing_ball(P, first=ball.support)
         assert guessed.support == ball.support
         _assert_dual(P, guessed)
-        # the refinement path maps its core's indices back to the cloud
-        _assert_dual(P, _meb_refine(P))
+        # the recursion run on the whole cloud carries its dual too
+        _assert_dual(P, _whole_cloud_ball(P))
 
 
 def test_min_enclosing_ball_dual_on_refinement_and_singleton():
@@ -488,7 +536,7 @@ def test_min_enclosing_ball_dual_on_refinement_and_singleton():
 
 
 def test_max_variance_maximizer_is_the_ball_dual():
-    # on the recursion path, the refinement path and a singleton
+    # in low and high dimensions and on a singleton
     rng = np.random.default_rng(74)
     clouds = _dual_clouds(rng)[::3] + [rng.normal(size=(60, n)) for n in (13, 14, 15)]
     for P in clouds + [np.array([[3.0, 4.0]])]:

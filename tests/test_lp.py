@@ -179,6 +179,62 @@ def test_hull_membership_relative_to_spread(spread):
     assert hull_membership(V, outside) is None
 
 
+# the support of the smallest ball around 20 points in R^14: 6 points that
+# span 5 dimensions, and the ball's center, on which their weights (the
+# smallest 9.9e-6) reproduce it to 1.3e-16 R; the LP's 9 rows that are
+# dependent up to rounding made phase 1 report the center outside the hull
+_SPAN5_SUPPORT = np.array([
+    [0.002869428984922706, -0.0022823959591278253, 0.000822594782221131,
+     0.004074387605214724, -0.002408312657280476, 0.005707941250875592,
+     0.0014002197958689067, 0.004683806416323932, -0.0008743933831283357,
+     -0.001207381171752786, 0.0024539942351111677, 0.0017510856532680918,
+     0.00339650793466717, -0.0028549375747388694],
+    [0.003328975837575854, 0.004888958048013592, 0.002596213160586558,
+     -0.0028370511481625726, 0.002307692988324561, 0.003991168745415052,
+     -0.0001688221818767488, -0.007015137531197979, 0.0007690378552069888,
+     0.001255338163559827, -0.003059758000745205, 0.0034020259154203814,
+     0.0024377816371270455, -0.0032666022416378837],
+    [-0.004115304593142355, 0.0012918779750634712, -0.006709278416337838,
+     0.00451116390649986, -3.135167389700655e-05, 0.001301155407418264,
+     -0.0016648742193865473, -0.0036398453435140254, 0.00074149894862785,
+     -0.0026878780446395467, -0.002809658863043296, 0.00029656388051080285,
+     0.0032852410131454235, -0.003232408664189279],
+    [0.0019591725522332126, 0.0022386591242593568, -0.002850019548986893,
+     -0.0022366105567925842, 0.004020957996544894, 0.0005543791012314614,
+     -0.003481070802990871, 0.0014893401380504656, 0.00013917065734858625,
+     0.004026610832738697, 0.005725579760110122, -0.0032785338453322765,
+     -0.009976929155527614, 0.002329229875613237],
+    [-0.0007471778753824765, 0.0038494657605951943, 0.0037981973036949057,
+     0.0047578376907040365, -0.0017484884847362991, -0.004749385838294984,
+     -0.0013104528834446683, -0.0003948789012611087, 0.0020355344204290304,
+     -0.0010083427027893777, -0.0008244992968684528, 0.006974221368182043,
+     -0.004682099937781459, 0.004359840640972834],
+    [-0.001813289985875599, 0.002364021836910979, -0.002501636771739868,
+     -0.001552993337099906, -0.0016586159199505346, -0.005082770492663258,
+     0.00014760766771360068, 0.0030755033844798163, 0.0028771912184311077,
+     -0.005425468581961468, -0.0016278144594252808, -0.004592358041008993,
+     0.006497606900666142, -0.0016511732937942725],
+])
+_SPAN5_CENTER = np.array(
+    [0.0009019188883547162, 0.002498838960356463, -0.0004136173007572932,
+     -0.00045415924650219337, 0.0006742245017111701, -0.0005594606063320254,
+     -0.001089937185321261, 0.00045831051031999153, 0.0011476560409860405,
+     -0.00026983077396036453, 0.0008997552514323901, -0.00038404521334906624,
+     -0.0012002929657549703, 2.792488953878457e-05])
+
+
+def test_hull_membership_rank_deficient_points():
+    X, c = _SPAN5_SUPPORT, _SPAN5_CENTER
+    assert np.linalg.matrix_rank(X[1:] - X[0]) == 5
+    spread = np.linalg.norm(X - c, axis=1).max()
+    w = hull_membership(X, c)
+    assert w is not None
+    assert np.linalg.norm(w @ X - c) <= 1e-7 * spread
+    # off the points' affine hull by 1e-3 of their spread, it is outside
+    normal = np.linalg.svd(X - X.mean(axis=0))[2][-1]
+    assert hull_membership(X, c + 1e-3 * spread * normal) is None
+
+
 def _slack_tableau(A, b, c):
     """Tableau of min c.x over A x <= b, x >= 0 (b >= 0) on its slack basis."""
     k, m = A.shape

@@ -36,10 +36,10 @@ def _rotation(rng, n):
 
 
 @st.composite
-def placements(draw, max_ratio=math.inf):
+def placements(draw, max_ratio=math.inf, dims=(1, 4)):
     """(rng, n, s, t): a generator for a base cloud in R^n, a scale and an
     offset."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(*dims))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     s = 10.0 ** draw(st.floats(-6.0, 6.0))
     offset = min(10.0 ** draw(st.floats(-1.0, 7.0)), max_ratio * s)
@@ -47,8 +47,8 @@ def placements(draw, max_ratio=math.inf):
     return rng, n, s, offset * u / np.linalg.norm(u)
 
 
-def _random_cloud(rng, n):
-    return rng.normal(size=(int(rng.integers(2, 25)), n))
+def _random_cloud(rng, n, max_points=24):
+    return rng.normal(size=(int(rng.integers(2, max_points + 1)), n))
 
 
 def _slack(s, spread, t):
@@ -65,16 +65,31 @@ def test_diameter_invariant(placed):
     assert abs(d1 - s * d0) <= _slack(s, d0, t)
 
 
+def _assert_meb_invariant(placed, max_points):
+    # with no guess, and with a guess of the point nearest the mean, whose
+    # ball (radius 0) fails its certificate
+    rng, n, s, t = placed
+    P = _random_cloud(rng, n, max_points)
+    b0 = min_enclosing_ball(PointCloud(P))
+    slack = _slack(s, b0.radius, t)
+    near = int(np.argmin(np.linalg.norm(P - P.mean(axis=0), axis=1)))
+    for first in (None, [near]):
+        b1 = min_enclosing_ball(PointCloud(s * P + t), first=first)
+        assert abs(b1.radius - s * b0.radius) <= slack
+        assert np.linalg.norm(b1.center - (s * b0.center + t)) <= 1e3 * slack
+
+
 @SETTINGS
 @given(placements())
 def test_min_enclosing_ball_invariant(placed):
-    rng, n, s, t = placed
-    P = _random_cloud(rng, n)
-    b0 = min_enclosing_ball(PointCloud(P))
-    b1 = min_enclosing_ball(PointCloud(s * P + t))
-    slack = _slack(s, b0.radius, t)
-    assert abs(b1.radius - s * b0.radius) <= slack
-    assert np.linalg.norm(b1.center - (s * b0.center + t)) <= 1e3 * slack
+    _assert_meb_invariant(placed, 24)
+
+
+@SETTINGS
+@given(placements(dims=(13, 16)))
+def test_min_enclosing_ball_invariant_high_dim(placed):
+    # up to 60 points, so that clouds beyond 2(n + 1) points pivot
+    _assert_meb_invariant(placed, 60)
 
 
 @SETTINGS
