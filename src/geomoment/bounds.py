@@ -245,7 +245,7 @@ def duality_gap(cloud):
     enclosing-ball center must equal the squared ball radius (for the
     recentered cloud the ball center is the dual optimizer, so the dual
     value R^2 - |q'|^2 reduces to R^2).  The two sides come from
-    independent code paths (simplex LP vs the ball recursion).
+    independent code paths (simplex LP vs the enclosing-ball loop).
 
     Requires the origin in the interior of the hull (quantitative
     surrogate: max-min-weight representation >= INTERIOR_MARGIN).

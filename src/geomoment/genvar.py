@@ -5,7 +5,7 @@ The minimax (smallest sublevel set covering the cloud, after translation)
 is the cost profile at the smallest enclosing ball's radius, certified from
 below by the measure the ball carries as its dual (weights on its support
 whose barycenter is its center, so their variance is R^2): one
-deterministic Welzl scan, farthest points first, and no LP; the inner
+deterministic enclosing-ball loop and no LP; the inner
 minimization behind the generalized variance uses the closed form for the
 quadratic cost, a damped Weiszfeld iteration for the first-power cost, and
 a cutting-plane engine for everything else.  That engine is Kelley's: each
@@ -260,14 +260,15 @@ def chebyshev_level(cloud, cost, tol=None):
     Since v is nondecreasing, min_z max_i v(|x_i - z|) = v(R) for the
     smallest enclosing ball (radius R), attained at its center z: the
     returned level is the cost that z actually attains.  The ball is solved
-    once, on the cloud recentred on its mean, by one far-first scan
-    (:func:`min_enclosing_ball`).  The measure w that the ball carries as
-    its dual certifies the level from below, because every center has
-    max_i |x_i - z|^2 >= sum w_i |x_i - z|^2 >= var(w), and var(w) = R^2 up
-    to rounding; a certified bracket [v(sqrt(var(w))), lambda = v(r)] wider
-    than ``tol`` plus the rounding of lambda, v(r + 8 eps (r + max|x_i|)) -
-    v(r), raises NoConvergenceError.  No LP is solved.  The cloud may be a
-    PointCloud or a raw (N, n) array.
+    once, on the cloud recentred on its mean (:func:`min_enclosing_ball`),
+    and its loop stops on the ball's optimality condition: the center's
+    affine weights w on points of the sphere are nonnegative.  That
+    measure, the ball's dual, certifies the level from below, because every
+    center has max_i |x_i - z|^2 >= sum w_i |x_i - z|^2 >= var(w), and
+    var(w) = R^2 up to rounding; a certified bracket [v(sqrt(var(w))),
+    lambda = v(r)] wider than ``tol`` plus the rounding of lambda,
+    v(r + 8 eps (r + max|x_i|)) - v(r), raises NoConvergenceError.  No LP
+    is solved.  The cloud may be a PointCloud or a raw (N, n) array.
     """
     if tol is None:
         tol = DEFAULT_TOL_ITER

@@ -83,13 +83,12 @@ class Ball:
     """Closed ball with center q and radius R >= 0.
 
     A ball that :func:`min_enclosing_ball` returns also carries its dual
-    measure: ``support``, a list of the indices of cloud points on its
-    sphere, and ``weights``, a list of barycentric weights on them
-    (nonnegative, summing to 1) whose barycenter is q.  Their variance is
-    R^2, the value that certifies the radius from below.  Other balls carry
-    None for both.  Plain lists cost the search, which builds thousands of
-    balls a second, no array conversions; ``P[support]`` and
-    ``weights @ X`` work on them as they are.
+    measure: ``support``, the indices of cloud points on its sphere, and
+    ``weights``, q's affine weights on them, nonnegative where its loop
+    stops: their barycenter is q and their variance R^2 certifies the
+    radius from below.  Other balls carry None for both.  Plain lists cost
+    the search, which builds thousands of balls a second, no array
+    conversions; ``P[support]`` and ``weights @ X`` work on them as they are.
     """
 
     center: np.ndarray
@@ -276,220 +275,141 @@ def jung_radius(n):
 def circumball(points):
     """Smallest ball with all the given points on its boundary.
 
-    Requires the points to be affinely independent (rank tolerance 1e-10);
-    raises DegenerateSupportError otherwise.
+    Requires the points to be affinely independent (each one's distance
+    from the affine hull of those before it above RANK_TOL times its
+    distance from the first); raises DegenerateSupportError otherwise.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    M = P.shape[0]
-    if M == 1:
-        return Ball(P[0], 0.0)
-    U = P[1:] - P[0]
-    s = np.linalg.svd(U, compute_uv=False)
-    if s.size < M - 1 or s[-1] <= RANK_TOL * max(1.0, s[0]):
-        raise DegenerateSupportError(
-            f"{M} support points are affinely dependent (rank tolerance {RANK_TOL})"
-        )
-    G = U @ U.T
-    alpha = np.linalg.solve(G, 0.5 * (U * U).sum(axis=1))
-    center = P[0] + alpha @ U
+    span = _Span(P)
+    for i in range(len(P)):
+        if not span.push(i):
+            raise DegenerateSupportError(
+                f"{len(P)} support points are affinely dependent (rank tolerance {RANK_TOL})")
+    center = span.circumcenter()
     return Ball(center, float(np.linalg.norm(center - P[0])))
 
 
-def _welzl(Q, spread2, order, guess=0, pivot=False):
-    """Smallest ball around a core of a few points: the rows ``order`` (a
-    list of distinct indices) of Q, a cloud recentred on its mean.  Welzl's
-    move-to-front recursion on Gärtner's push/pop support stack (Welzl
-    1991; Gärtner, "Fast and Robust Smallest Enclosing Balls", 1999),
-    scanning the core in the order given.
-
-    With m support points pushed, level k < m of the stack holds the
-    smallest ball C[k], R2[k] (center, squared radius) with the first k + 1
-    of them on its boundary, and for k >= 1 the k-th point's offset from
-    the first, orthogonalized against the earlier directions, as V[k] with
-    squared length Z[k].  A push orthogonalizes p - C[0] against V[1..m-1]
-    and moves the center along the new direction until p is on the sphere,
-    in O(n m); a pop only lowers m.  A point whose orthogonal part has
-    |v|^2 at most RANK_TOL^2 |p - C[0]|^2 is affinely dependent on the
-    support and is not pushed.  The current ball is the one of the latest
-    push; a point is covered when its squared distance from the center
-    exceeds R2 by at most CONTAIN_TOL times max(R2, spread2), where
-    spread2 is the cloud's largest squared distance from its mean.
-    Recursion depth <= dim + 1.  The core lives in a linked list (Python
-    lists of node indices) so that move-to-front never changes which points
-    precede a recursion marker.
-
-    Returns the center, the squared radius, the rows of levels 0..top and
-    the center's barycentric weights on them: the ball's dual.  The k-th
-    pushed offset is p_k - C[0] = V[k] + sum_{j<k} A[k][j-1] V[j], with
-    A[k] the push's Gram-Schmidt coefficients, and the center is C[0] +
-    sum_k F[k] V[k], so the weights follow from F by back-substitution,
-    once, on return.  Levels below the latest push are never overwritten
-    while it is the latest, so levels 0..top stay one consistent chain.
-    The center of the smallest ball lies in the hull of its support, so the
-    weights are nonnegative but for rounding; a negative one is set to 0
-    and the rest are rescaled to sum to 1, so that they always form a
-    probability vector, whose variance bounds R^2 from below.
-
-    Before any scan, a guess at the support is certified: with 1 <=
-    ``guess`` <= dim + 1 the first ``guess`` points of the core, with
-    ``pivot`` all of them (the first is the pivot, a point outside the ball
-    of the others, which they support).  It is pushed, and its ball is
-    returned if it covers the core and its center has nonnegative weights,
-    for then it is the smallest ball around the core (its optimality
-    condition).  A pivot's guess skips dependent pushes and drops its most
-    negative weight (never the pivot's) until none is left, Gärtner's
-    pivot step; otherwise a dependent push, a negative weight or an
-    uncovered point (NaN fails every test) pops the stack back to empty
-    and the recursion runs.
+class _Span:
+    """Affinely independent rows of a point array Q, pushed one at a time
+    (Gärtner's push arithmetic, "Fast and Robust Smallest Enclosing Balls",
+    1999).  With m rows pushed, the offsets u_k = p_k - p_0 (k = 1..m-1)
+    are held orthogonalized, each against those before it, as V[k-1] with
+    squared length Z[k-1], and with u_k = V[k-1] + sum_j L[k-1][j] V[j].
+    Gram-Schmidt runs a second pass when the first cancels over half of
+    |u|^2, so the rows stay orthogonal to rounding however thin the
+    simplex.  A row whose orthogonal part v has |v|^2 at most RANK_TOL^2
+    |u|^2 is dependent and is not pushed.  F holds the circumcenter's steps
+    along V: the point of the hull equidistant from every pushed row is
+    p_0 + sum_k F[k] V[k].
     """
-    K, n = len(order), Q.shape[1]
-    C = [None] * (n + 1)
-    R2 = [0.0] * (n + 1)
-    V = [None] * (n + 1)
-    Z = [0.0] * (n + 1)
-    A = [None] * (n + 1)  # A[k]: the k-th push's Gram-Schmidt coefficients
-    F = [0.0] * (n + 1)  # F[k]: the k-th push's center step along V[k]
-    I = [0] * (n + 1)  # I[k]: the row of Q of the k-th pushed point
-    m = 0  # support points on the stack
-    top = -1  # level of the latest push, whose ball is the current one
 
-    def push(i, p):
-        nonlocal m, top
-        if m:
-            v = p - C[0]
-            u2 = v @ v
-            a = []
-            for k in range(1, m):
-                c = (v @ V[k]) / Z[k]
-                v -= c * V[k]
-                a.append(float(c))
-            z = float(v @ v)
-            if z <= RANK_TOL * RANK_TOL * u2:
+    def __init__(self, Q):
+        k = min(Q.shape[0] - 1, Q.shape[1])  # the most offsets that can be pushed
+        self.Q = Q
+        self.rows = []
+        self.V = np.empty((k, Q.shape[1]))
+        self.Z = np.empty(k)
+        self.L = [None] * k
+        self.F = [0.0] * k
+
+    def push(self, i):
+        """Push row i unless it is dependent on the pushed rows; True if pushed."""
+        k = len(self.rows) - 1
+        if k >= 0:
+            u = self.Q[i] - self.Q[self.rows[0]]
+            u2 = float(u @ u)
+            v, a = u, []
+            if k:
+                W, z = self.V[:k], self.Z[:k]
+                b = (W @ u) / z
+                v = u - b @ W
+                if v @ v < 0.5 * u2:  # a second pass after a cancellation
+                    e = (W @ v) / z
+                    v -= e @ W
+                    b += e
+                a = b.tolist()
+            zk = float(v @ v)
+            if not zk > RANK_TOL * RANK_TOL * u2:  # NaN is dependent too
                 return False
-            d = p - C[m - 1]
-            e = float(d @ d) - R2[m - 1]  # p's excess over ball m - 1
-            f = 0.5 * e / z
-            C[m] = C[m - 1] + f * v
-            R2[m] = R2[m - 1] + 0.5 * e * f
-            V[m] = v
-            Z[m] = z
-            A[m] = a
-            F[m] = f
-        else:
-            C[0] = p
-            R2[0] = 0.0
-        I[m] = i
-        top = m
-        m += 1
+            # the circumcenter y = sum_j F[j] V[j] solves 2 y . u_k = |u_k|^2
+            F, Z = self.F, self.Z
+            F[k] = (0.5 * u2 - sum(a[j] * F[j] * Z[j] for j in range(k))) / zk
+            self.V[k], Z[k], self.L[k] = v, zk, a
+        self.rows.append(i)
         return True
 
-    def weights():
-        """The current center's barycentric weights on levels 0..top."""
-        lam = [0.0] * (top + 1)
-        for k in range(top, 0, -1):
-            lam[k] = F[k] - sum(lam[i] * A[i][k - 1] for i in range(k + 1, top + 1))
+    def drop(self, k):
+        """Remove the k-th pushed row and push the later ones again."""
+        later = self.rows[k + 1:]
+        del self.rows[k:]
+        for i in later:
+            self.push(i)
+
+    def circumcenter(self):
+        k = len(self.rows) - 1
+        return self.Q[self.rows[0]] + np.asarray(self.F[:k]) @ self.V[:k]
+
+    def project(self, x):
+        """x's steps f along V to its projection onto the affine hull, and
+        the residual from that projection to x."""
+        k = len(self.rows) - 1
+        W = self.V[:k]
+        y = x - self.Q[self.rows[0]]
+        f = (W @ y) / self.Z[:k]
+        return f.tolist(), y - f @ W
+
+    def weights(self, f):
+        """The affine weights, one per pushed row in push order, of the point
+        p_0 + sum_k f[k] V[k] of the hull (back-substitution on L)."""
+        k = len(self.rows) - 1
+        L = self.L
+        lam = [0.0] * (k + 1)
+        for j in range(k, 0, -1):
+            lam[j] = f[j - 1] - sum(L[i - 1][j - 1] * lam[i] for i in range(j + 1, k + 1))
         lam[0] = 1.0 - sum(lam)
         return lam
-
-    keep = order[:guess or (K if pivot else 0)]
-    while keep:
-        pushed = [i for i in keep if push(i, Q[i])]
-        lam = weights()
-        low = min(lam)
-        if low >= 0.0 and (pivot or pushed == keep):
-            D = (Q if K == len(Q) else Q[order]) - C[top]
-            r2 = R2[top]
-            if ((D * D).sum(axis=1) <= r2 + CONTAIN_TOL * max(r2, spread2)).all():
-                return C[top], r2, I[:top + 1], lam
-            keep = []
-        elif pivot and lam[0] > low:
-            keep.remove(pushed[lam.index(low)])
-        else:
-            keep = []
-        m, top = 0, -1
-    seq = [K] + list(range(K))  # node K is the list head sentinel
-    nxt = [0] * (K + 1)
-    prv = [0] * (K + 1)
-    for a, b in zip(seq, seq[1:]):
-        nxt[a] = b
-        prv[b] = a
-    nxt[seq[-1]] = -1
-    rows = [Q[i] for i in order]
-
-    def covers(p):
-        d = p - C[top]
-        r2 = R2[top]
-        return d @ d <= r2 + CONTAIN_TOL * max(r2, spread2)
-
-    def solve(end):
-        nonlocal m
-        if m == n + 1:
-            return
-        v = nxt[K]
-        while v != end and v != -1:
-            after = nxt[v]
-            p = rows[v]
-            if (top < 0 or not covers(p)) and push(order[v], p):
-                solve(v)
-                m -= 1
-                # move v to the front; v stays ahead of every active marker
-                nxt[prv[v]] = nxt[v]
-                if nxt[v] != -1:
-                    prv[nxt[v]] = prv[v]
-                first = nxt[K]
-                nxt[v] = first
-                prv[v] = K
-                nxt[K] = v
-                if first != -1:
-                    prv[first] = v
-            v = after
-
-    solve(-1)
-    lam = weights()
-    if min(lam) < 0.0:
-        lam = [max(w, 0.0) for w in lam]
-        total = sum(lam)
-        lam = [w / total for w in lam]
-    return C[top], R2[top], I[:top + 1], lam
 
 
 def min_enclosing_ball(cloud, first=None):
     """Smallest closed ball containing the cloud, with its dual measure.
 
-    Gärtner's pivoting; nothing is random.  The cloud is recentred on its
-    mean and :func:`_welzl` solves a core: the 2(n + 1) points farthest
-    from the mean (a stable sort), which hold the support more often than
-    not, or a guess ``first``.  One vectorized pass tests every point
-    against the core's ball by the recursion's own relative cover test.  While the farthest point lies
-    outside, it becomes the pivot: the ball is solved again on the pivot
-    and the ball's support, at most dim + 2 points.  The radius rises
-    strictly at each pivot, so a support that comes back (a cycle of
-    rounding) raises NoConvergenceError; the radius is not compared, as a
-    pivot can raise R^2 by the square of its excess, below the rounding of
-    R^2.  The radius returned is the largest distance from the center to a
-    point of the cloud, measured on the original points, so the ball
-    contains the cloud.
+    The loop of Fischer, Gärtner and Kutz ("Fast Smallest-Enclosing-Ball
+    Computation in High Dimensions", ESA 2003); nothing is random.  On the
+    cloud recentred on its mean, it keeps a center c and a support T of
+    affinely independent points at one distance r from c, such that B(c, r)
+    contains the cloud; it starts at the mean with T the farthest point.
+    While |T| <= dim and c lies off the affine hull of T by more than
+    RANK_TOL r, c walks toward its projection onto the hull, which keeps T
+    on the shrinking sphere, until a vectorized ratio test finds the first
+    point to reach the sphere, which joins T (ties within 1e-12 of the walk
+    go to the point approaching fastest).  Otherwise the point of T with
+    the most negative affine weight of c leaves T; with none negative, c is
+    in the hull of T, the optimality condition, and the ball is returned.
+    Each round first checks that B(c, r) contains the cloud, up to
+    CONTAIN_TOL times the larger of r^2 and the cloud's largest squared
+    distance from its mean: a point that rounding let out (one too near the
+    hull of T to stop a walk) starts T afresh.  A loop still running after
+    64 (dim + 1) rounds raises NoConvergenceError.  The radius returned is
+    the largest distance from the center to a point of the cloud, measured
+    on the original points, so the ball contains the cloud.
 
-    The ball carries ``support``, the indices of the points that determine
-    it, and ``weights``, the center's barycentric weights on them
-    (nonnegative, summing to 1), back-substituted from the recursion's own
-    stack: a measure on the sphere with the center as barycenter, whose
-    variance R^2 certifies the radius from below.  It is the variance
+    The ball carries ``support``, the indices of T, and ``weights``, the
+    center's affine weights on them, nonnegative where the loop stops and
+    never clipped: a measure on the sphere with the center as barycenter,
+    whose variance R^2 certifies the radius from below, the variance
     maximizer over measures on the cloud.  A singleton gives support [0]
     with weight 1.
 
     ``first`` is a guess at the support, typically that of a nearby ball: a
     sequence of distinct integer point indices in 0..N-1.  A guess of 1 to
-    dim + 1 points is certified before any scan: if the ball through the
-    guessed points has its center in their hull and contains the cloud, it
-    is the smallest one (its optimality condition) and is returned.
-    Otherwise the recursion scans the core, the guess first, and a small
-    cloud's other points in index order.  A longer or empty guess is only
-    checked.  A repeated index, one outside 0..N-1 (negative ones
-    included) or a value that is not an integer raises ValueError.  The
-    ball is unique, so the guess changes only its rounding, but a good
-    guess is certified with no recursion at all.  Empty, ragged or
-    non-finite input raises ValueError, as PointCloud does.
+    dim + 1 points starts the loop with T its independent points and c
+    their circumcenter, so a guess whose ball contains the cloud and whose
+    center has nonnegative weights is returned at once.  A circumcenter
+    farther from the mean than the farthest point, or a longer or empty
+    guess, starts at the mean.  A repeated index, one outside 0..N-1 or a
+    value that is not an integer raises ValueError.  The ball is unique, so
+    the guess changes only its rounding.  Empty, ragged or non-finite input
+    raises ValueError, as PointCloud does.
     """
     P = _as_points(cloud)
     N, n = P.shape
@@ -498,30 +418,52 @@ def min_enclosing_ball(cloud, first=None):
         return Ball(P[0], 0.0, [0], [1.0])
     mean = P.sum(axis=0) / N  # P.mean's arithmetic, without its dispatch
     Q = P - mean
-    sq = (Q * Q).sum(axis=1)
-    spread2 = float(sq.max())
-    size = 2 * (n + 1)
-    guess = len(head) if head and len(head) <= n + 1 else 0
-    if guess:
-        # a small cloud is scanned whole, the other points in index order
-        core = head + [i for i in range(N) if i not in head] if N <= size else head
-    else:
-        core = np.argsort(-sq, kind="stable")[:size].tolist()
-    c, r2, support, lam = _welzl(Q, spread2, core, guess)
-    seen = set()  # the supports of the balls pivoted from
-    while len(core) < N:  # else the ball is the whole cloud's
+    spread2 = float((Q * Q).sum(axis=1).max())
+    span, c, f = _Span(Q), np.zeros(n), None  # f: c's steps along V once c is on the hull
+    for i in head if head and len(head) <= n + 1 else ():
+        span.push(i)
+    if span.rows:
+        c, f = span.circumcenter(), span.F
+    if c @ c > spread2:
+        # no smallest ball is centered farther from the mean than its farthest point
+        span, c, f = _Span(Q), np.zeros(n), None
+    for _ in range(64 * (n + 1)):
         D = Q - c
         d2 = (D * D).sum(axis=1)
         far = int(d2.argmax())
-        if d2[far] <= r2 + CONTAIN_TOL * max(r2, spread2):
-            break
-        if frozenset(support) in seen:
-            raise NoConvergenceError(f"enclosing-ball pivoting came back to {sorted(support)}")
-        seen.add(frozenset(support))
-        core = [far] + support
-        c, r2, support, lam = _welzl(Q, spread2, core, pivot=True)
-    center = c + mean
-    return Ball(center, math.sqrt(((P - center) ** 2).sum(axis=1).max()), support, lam)
+        r2 = float(d2[span.rows[0]]) if span.rows else -1.0
+        if d2[far] > r2 + CONTAIN_TOL * max(r2, spread2):
+            # the start, a guess too small, or a point that rounding let out
+            span, f = _Span(Q), None
+            span.push(far)
+            r2 = float(d2[far])
+        if f is None:
+            f, res = span.project(c)
+            res2 = float(res @ res)
+            if len(span.rows) <= n and res2 > RANK_TOL * RANK_TOL * r2:
+                # walking to c - t res, p's slack r^2 - |p - c|^2 falls by 2 t
+                # rate; a point with rate <= 4 RANK_TOL |res| r is that near the
+                # hull of T and is not taken, so every point taken can be pushed
+                rate = D @ res + res2
+                rate[span.rows] = 0.0
+                near = np.flatnonzero(rate > 4.0 * RANK_TOL * math.sqrt(res2 * r2))
+                # a point outside by rounding stops the walk at once
+                ts = np.maximum(r2 - d2[near], 0.0) / (2.0 * rate[near])
+                t = float(ts.min()) if near.size else 1.0
+                if t < 1.0:
+                    ties = near[ts <= t + 1e-12]
+                    span.push(int(ties[rate[ties].argmax()]))
+                    f = None
+                c = c - min(t, 1.0) * res  # on the hull unless a point stopped it
+                continue
+        lam, f = span.weights(f), None
+        low = min(lam)
+        if low >= 0.0:
+            c = c + mean
+            return Ball(c, math.sqrt(((P - c) ** 2).sum(axis=1).max()), span.rows, lam)
+        span.drop(lam.index(low))
+    raise NoConvergenceError(
+        f"enclosing-ball loop did not stop within {64 * (n + 1)} rounds")
 
 
 def _check_first(first, N):
@@ -532,10 +474,8 @@ def _check_first(first, N):
     except TypeError:
         raise ValueError("first must hold integer point indices") from None
     if not all(0 <= i < N for i in head):
-        # a negative index would alias the recursion's list sentinel
         raise ValueError(f"first must hold point indices in 0..{N - 1}")
     if len(set(head)) != len(head):
-        # a repeated point would close a cycle in the recursion's list
         raise ValueError("first must hold distinct point indices")
     return head
 

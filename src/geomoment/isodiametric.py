@@ -42,6 +42,8 @@ class SearchConfig:
             raise ValueError("step must be positive and finite")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
+        if self.max_iters < 1:
+            raise ValueError("need at least one iteration")
 
 
 @dataclass(frozen=True)
@@ -168,8 +170,8 @@ def _search_one(config, restart):
     Each step's enclosing ball is warm-started from the atoms the step
     pushed outward, the support of the previous ball: they are almost
     always the new support too, and the ball through them is certified
-    without a scan; when it is not, the recursion scans them first and
-    makes few pushes.  A step whose moved atoms all lie in the current
+    and returned at once; when it is not, the enclosing-ball loop starts
+    at its center.  A step whose moved atoms all lie in the current
     ball is rejected without solving its ball: the smallest ball
     containing them is no larger than the current one, so the radius
     cannot grow beyond rounding, which stays below the 1e-15 d an accepted

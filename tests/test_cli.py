@@ -206,6 +206,8 @@ def test_chebyshev_uncertified_ball_exit_4(capsys, monkeypatch, simplex_csv):
     # a shape without its required parameter
     ["bound", "--shape", "interval", "--xbar", "0.5"],
     ["bound", "--shape", "box", "--xbar", "0,0"],
+    ["isodiametric", "--n", "2", "--atoms", "3", "--restarts", "1", "--iters", "-5"],
+    ["isodiametric", "--n", "2", "--atoms", "3", "--restarts", "1", "--iters", "0"],
 ])
 def test_invalid_flag_value_exit_2(capsys, tmp_path, simplex_csv, args):
     measure = tmp_path / "m.json"

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -18,7 +19,6 @@ from geomoment import (AtomicMeasure, Ball, DegenerateSupportError, ParseError,
                        sup_genvar, translated_biconjugate_zero,
                        verify_saddle, write_cloud_csv, zero_mean_dual_center)
 from geomoment import NoConvergenceError, geometry
-from geomoment.geometry import _welzl
 
 
 def test_pointcloud_validation():
@@ -65,13 +65,16 @@ def test_circumball_pair():
 
 
 def test_circumball_right_triangle():
-    # oracle: the equidistant point solves a 2x2 linear system by hand
-    b = circumball([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(b.center, [0.5, 0.5])
-    assert b.radius == pytest.approx(math.sqrt(2) / 2)
-    # boundary residual
-    for p in [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]:
-        assert abs(np.linalg.norm(b.center - p) - b.radius) <= 1e-10
+    # oracle: the equidistant point solves a 2x2 linear system by hand; the
+    # rank test is relative, so a triangle of side 1e-12 is not degenerate
+    for s in (1.0, 1e-12, 1e6):
+        T = s * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        b = circumball(T)
+        assert np.allclose(b.center, [0.5 * s, 0.5 * s], rtol=1e-12, atol=0.0)
+        assert b.radius == pytest.approx(s * math.sqrt(2) / 2, rel=1e-12)
+        # boundary residual
+        for p in T:
+            assert abs(np.linalg.norm(b.center - p) - b.radius) <= 1e-10 * b.radius
 
 
 def test_circumball_collinear_degenerate():
@@ -91,23 +94,20 @@ def test_meb_simplex_jung_radius():
     assert b.radius == pytest.approx(1.0 / math.sqrt(3), abs=1e-9)
 
 
-def _brute_meb_2d(P):
-    """Exhaustive oracle: best containing ball over all <= 3-point circumballs."""
-    best = math.inf
-    idx = np.arange(len(P))
-    for i, j in itertools.combinations(idx, 2):
-        c = 0.5 * (P[i] + P[j])
-        r = np.linalg.norm(P[i] - c)
-        if r < best and (np.linalg.norm(P - c, axis=1) <= r + 1e-10).all():
-            best = r
-    for i, j, k in itertools.combinations(idx, 3):
-        try:
-            b = circumball(P[[i, j, k]])
-        except DegenerateSupportError:
-            continue
-        if b.radius < best and (np.linalg.norm(P - b.center, axis=1)
-                                <= b.radius + 1e-10).all():
-            best = b.radius
+def _brute_meb(P):
+    """Exhaustive oracle: the smallest ball covering the cloud among the
+    circumballs of every 1 to n + 1 of its points; the smallest enclosing
+    ball is one of them."""
+    best = None
+    for k in range(1, P.shape[1] + 2):
+        for rows in itertools.combinations(range(len(P)), k):
+            try:
+                b = circumball(P[list(rows)])
+            except DegenerateSupportError:
+                continue
+            if (best is None or b.radius < best.radius) and (
+                    np.linalg.norm(P - b.center, axis=1) <= b.radius * (1 + 1e-10)).all():
+                best = b
     return best
 
 
@@ -115,7 +115,7 @@ def test_meb_matches_brute_force_oracle():
     rng = np.random.default_rng(42)
     P = rng.uniform(size=(100, 2))
     b = min_enclosing_ball(PointCloud(P))
-    assert abs(b.radius - _brute_meb_2d(P)) <= 1e-9
+    assert abs(b.radius - _brute_meb(P).radius) <= 1e-9
 
 
 def test_meb_contains_and_radius_window():
@@ -155,30 +155,34 @@ def test_meb_support_certifies_center():
         assert w is not None  # center in hull of boundary support
 
 
-def _whole_cloud_ball(P):
-    """The move-to-front recursion run on every point of the cloud at once,
-    in index order: the reference the pivoting is compared with."""
-    Q = P - P.mean(axis=0)
-    c, _, rows, lam = _welzl(Q, float((Q * Q).sum(axis=1).max()), list(range(len(P))))
-    center = c + P.mean(axis=0)
-    return Ball(center, np.linalg.norm(P - center, axis=1).max(), rows, lam)
-
-
-def test_meb_pivoting_agrees_with_whole_cloud_recursion():
+def test_meb_matches_exhaustive_oracle():
     rng = np.random.default_rng(8)
+    for _ in range(12):
+        n = int(rng.integers(2, 5))
+        P = rng.normal(size=(int(rng.integers(n + 2, 13)), n))
+        exact = _brute_meb(P)
+        b = min_enclosing_ball(PointCloud(P))
+        assert abs(b.radius - exact.radius) <= 1e-12 * exact.radius
+        assert np.linalg.norm(b.center - exact.center) <= 1e-9 * exact.radius
+
+
+def test_meb_is_certified_optimal():
+    # a ball that contains the cloud and carries a probability measure on
+    # its sphere with barycenter at its center is the smallest one: any
+    # other center is farther from some point of the measure's support
+    rng = np.random.default_rng(9)
     for _ in range(10):
         n = int(rng.integers(2, 5))
         P = rng.normal(size=(50, n))
-        exact = _whole_cloud_ball(P)
-        pivoted = min_enclosing_ball(PointCloud(P))
-        assert abs(pivoted.radius - exact.radius) <= 1e-9 * (1 + exact.radius)
-        assert np.linalg.norm(pivoted.center - exact.center) <= 1e-5
+        b = min_enclosing_ball(PointCloud(P))
+        assert np.linalg.norm(P - b.center, axis=1).max() <= b.radius
+        _assert_dual(P, b)
 
 
 def _pivoted_cloud(excess):
     """+-e1, (1 + excess) e2 and e3, six points inside the unit ball near
-    -(e2 + e3) and forty near 0.6 (e2 + e3): the far-first core holds +-e1
-    and the six, so its ball is the unit ball, which misses the other two."""
+    -(e2 + e3) and forty near 0.6 (e2 + e3): the ball through the four axis
+    points is the smallest, and its R^2 exceeds 1 by about excess^2."""
     rng = np.random.default_rng(5)
     low = rng.normal(size=(6, 3)) * 0.05 + [0.0, -1.0, -1.0]
     low *= 0.95 / np.linalg.norm(low, axis=1, keepdims=True)
@@ -202,15 +206,51 @@ def test_meb_pivot_below_the_rounding_of_the_radius(excess):
     _assert_dual(P, b)
 
 
-def test_meb_pivoting_that_comes_back_raises(monkeypatch):
-    # a pivot step that ignored its pivot would give back the ball it
-    # started from, forever
-    def stuck(Q, spread2, order, guess=0, pivot=False):
-        return _welzl(Q, spread2, order[1:] if pivot else order, guess)
+def test_meb_loop_that_cannot_finish_raises(monkeypatch):
+    # a walk that forgot the point that stopped it would be stopped by that
+    # point again at once, forever: the cap on rounds ends the loop
+    push = geometry._Span.push
 
-    monkeypatch.setattr(geometry, "_welzl", stuck)
-    with pytest.raises(NoConvergenceError, match="came back"):
+    def forgetful(span, i):
+        return push(span, i) if not span.rows else False
+
+    monkeypatch.setattr(geometry._Span, "push", forgetful)
+    with pytest.raises(NoConvergenceError, match="did not stop within"):
         min_enclosing_ball(_pivoted_cloud(1e-3))
+
+
+def test_meb_near_sphere_high_dim_is_fast():
+    # 40 points within 1e-3 of the unit sphere in R^12 hold a support of up
+    # to 13 points; a move-to-front recursion on them took 1.2 s a cloud
+    rng = np.random.default_rng(12)
+    clouds = []
+    for _ in range(3):
+        g = rng.normal(size=(40, 12))
+        clouds.append(g / np.linalg.norm(g, axis=1, keepdims=True)
+                      * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=(40, 1))))
+    start = time.perf_counter()
+    balls = [min_enclosing_ball(P) for P in clouds]
+    assert time.perf_counter() - start < 0.5
+    for P, b in zip(clouds, balls):
+        _assert_dual(P, b)
+
+
+def test_meb_dual_on_cospherical_clouds():
+    # every point on the sphere: the center is in the hull of a support
+    # found among many points that tie, with weights taken as computed
+    th = 2.0 * np.pi * np.arange(240) / 240
+    circle = np.column_stack([np.cos(th), np.sin(th)])
+    ball = min_enclosing_ball(circle)
+    assert abs(ball.radius - 1.0) <= 1e-12 and np.linalg.norm(ball.center) <= 1e-12
+    _assert_dual(circle, ball)
+    rng = np.random.default_rng(88)
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        g = rng.normal(size=(60, 8))
+        shift = scale * rng.uniform(-1e3, 1e3, size=8)
+        P = scale * g / np.linalg.norm(g, axis=1, keepdims=True) + shift
+        ball = min_enclosing_ball(P)
+        assert np.linalg.norm(P - ball.center, axis=1).max() <= ball.radius
+        _assert_dual(P, ball)
 
 
 def test_meb_high_dim_covers_the_cloud():
@@ -416,8 +456,8 @@ def _first_index_sets(rng, P, support):
 
 
 def test_meb_first_matches_seeded_ball():
-    # the warm-started scan finds the same (unique) ball as a scan in a
-    # random order, and so does the default far-first scan
+    # a warm start finds the same (unique) ball as a guess too long to be
+    # used, and so does the default start at the mean
     rng = np.random.default_rng(61)
     clouds = [rng.normal(size=(int(rng.integers(2, 41)), int(rng.integers(1, 6))))
               for _ in range(40)]
@@ -507,18 +547,16 @@ def _dual_clouds(rng):
 def test_min_enclosing_ball_carries_its_dual():
     rng = np.random.default_rng(71)
     for P in _dual_clouds(rng):
-        # the recursion: the far-first scan and scans in random orders
+        # the start at the mean, and guesses of every point in random orders
         for order in [None] + [np.random.default_rng(seed).permutation(len(P))
                                for seed in range(3)]:
             ball = min_enclosing_ball(P, first=order)
             _assert_dual(P, ball)
-        # a guess at the support, certified before any scan, hands over
-        # the weights it certified with
+        # a guess at the support, certified at once, hands over the weights
+        # it certified with
         guessed = min_enclosing_ball(P, first=ball.support)
         assert guessed.support == ball.support
         _assert_dual(P, guessed)
-        # the recursion run on the whole cloud carries its dual too
-        _assert_dual(P, _whole_cloud_ball(P))
 
 
 def test_min_enclosing_ball_dual_on_refinement_and_singleton():

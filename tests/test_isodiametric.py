@@ -50,6 +50,11 @@ def test_search_config_validation():
     for step in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             SearchConfig(n=1, d=1.0, atom_count=3, step=step)
+    # no iteration at all used to fail every restart: "no restart converged
+    # within -5 iterations", exit 4
+    for max_iters in (0, -5):
+        with pytest.raises(ValueError):
+            SearchConfig(n=1, d=1.0, atom_count=3, max_iters=max_iters)
 
 
 def test_search_n1_recovers_popoviciu_pair():
@@ -283,9 +288,9 @@ def test_search_measure_genvar_at_large_scale(tol):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_search_warm_start_matches_cold_start(p, monkeypatch):
-    # the enclosing ball is unique, so scanning the previous support first
-    # changes only its rounding: the search ends where a scan in a random
-    # order does
+    # the enclosing ball is unique, so starting from the previous support
+    # changes only its rounding: the search ends where a guess too long to
+    # be used, which starts at the mean, does
     warm = []
     orders = np.random.default_rng(0)
 

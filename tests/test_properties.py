@@ -88,7 +88,7 @@ def test_min_enclosing_ball_invariant(placed):
 @SETTINGS
 @given(placements(dims=(13, 16)))
 def test_min_enclosing_ball_invariant_high_dim(placed):
-    # up to 60 points, so that clouds beyond 2(n + 1) points pivot
+    # up to 60 points, several times the n + 1 that a support can hold
     _assert_meb_invariant(placed, 60)
 
 
