@@ -7,19 +7,22 @@ try:
 except ImportError:
     cythonize = None
 
+# -ffp-contract=off keeps the compiled kernel bit-identical to the numpy
+# fallback (no fused multiply-adds).
+FLAGS = ["-O3", "-ffp-contract=off"]
+
 ext_modules = []
-if cythonize is not None and not os.environ.get("GEOMOMENT_SKIP_EXT"):
-    ext_modules = cythonize(
-        [
-            Extension(
-                "geomoment._simplex_core",
-                ["src/geomoment/_simplex_core.pyx"],
-                # -ffp-contract=off keeps the compiled kernel bit-identical
-                # to the numpy fallback (no fused multiply-adds).
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-            )
-        ],
-        language_level=3,
-    )
+if not os.environ.get("GEOMOMENT_SKIP_EXT"):
+    if cythonize is not None:
+        ext_modules = cythonize(
+            [Extension("geomoment._simplex_core", ["src/geomoment/_simplex_core.pyx"],
+                       extra_compile_args=FLAGS)],
+            language_level=3,
+        )
+    else:
+        # without Cython, the C source it generated, which is committed;
+        # it needs only Python.h
+        ext_modules = [Extension("geomoment._simplex_core", ["src/geomoment/_simplex_core.c"],
+                                 extra_compile_args=FLAGS)]
 
 setup(ext_modules=ext_modules)

@@ -196,13 +196,25 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
 
 
 def _bd_bound_cloud(cloud, xbar):
+    """The envelope bound at xbar, solved on the offsets y_i = (x_i - xbar) / s
+    at 0, with s = max |x_i - xbar|: the variance about xbar is s^2 times
+    theirs, and the LP's absolute tolerances see a cloud of unit size, so
+    neither the scale nor the position of the cloud changes the answer.  A
+    separating certificate (u, -c) of 0 from the y_i, u.y_i <= c, maps back
+    to u.x_i <= s c + u.xbar.
+    """
     if xbar.size != cloud.dim:
         raise ValueError(f"mean has dimension {xbar.size}, cloud has {cloud.dim}")
-    sol = envelope_lp(cloud, xbar)
+    Y = cloud.points - xbar
+    s = float(np.linalg.norm(Y, axis=1).max())
+    if s == 0.0:  # every atom at xbar
+        return 0.0
+    sol = envelope_lp(Y / s, np.zeros(cloud.dim))
     if sol.status is LpStatus.INFEASIBLE:
+        u, y = sol.certificate[:-1], sol.certificate[-1]
         raise DomainError("mean outside the convex hull of the atoms",
-                          certificate=sol.certificate)
-    return -float(xbar @ xbar) - sol.value
+                          certificate=np.append(u, s * y - u @ xbar))
+    return -s * s * sol.value
 
 
 def max_variance(cloud):

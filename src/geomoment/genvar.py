@@ -298,14 +298,19 @@ def _weiszfeld(P, w, tol, max_iters=5000):
     """Damped Weiszfeld iteration for the weighted first-power center.
 
     Certificate: at z the objective exceeds the optimum by at most
-    (norm of the minimal subgradient) * (largest atom distance).
+    (norm of the minimal subgradient) * (largest atom distance).  An iterate
+    that meets an atom takes the subgradient there.
     """
     z = w @ P
-    scale = 1.0 + float(np.abs(P).max())
+    # z meets an atom within 1e-13 of the atoms' spread about their mean,
+    # plus the rounding of a distance between coordinates of size max |x|
+    # (as meb_support allows), so the scale of the atoms changes nothing
+    spread = float(np.linalg.norm(P - z, axis=1).max())
+    collision = 1e-13 * spread + 16.0 * EPS * float(np.abs(P).max())
     for _ in range(max_iters):
         d = np.linalg.norm(P - z, axis=1)
         j = int(np.argmin(d))
-        if d[j] < 1e-13 * scale:
+        if d[j] < collision:
             mask = np.arange(P.shape[0]) != j
             dm = d[mask]
             if not mask.any() or not (dm > 0).all():

@@ -109,7 +109,7 @@ class Ball:
     def contains(self, points, tol=0.0):
         d = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
         # np.linalg.norm's arithmetic for real input, without its dispatch
-        return bool((np.sqrt((d * d).sum(axis=1)) <= self.radius + tol).all())
+        return bool((np.sqrt(np.add.reduce(d * d, axis=1)) <= self.radius + tol).all())
 
 
 @dataclass(frozen=True)
@@ -416,9 +416,11 @@ def min_enclosing_ball(cloud, first=None):
     head = None if first is None else _check_first(first, N)
     if N == 1:
         return Ball(P[0], 0.0, [0], [1.0])
-    mean = P.sum(axis=0) / N  # P.mean's arithmetic, without its dispatch
+    # P.mean's arithmetic, without its dispatch: np.add.reduce is
+    # ndarray.sum's own ufunc, in its order, without the Python-level wrapper
+    mean = np.add.reduce(P, axis=0) / N
     Q = P - mean
-    spread2 = float((Q * Q).sum(axis=1).max())
+    spread2 = float(np.add.reduce(Q * Q, axis=1).max())
     span, c, f = _Span(Q), np.zeros(n), None  # f: c's steps along V once c is on the hull
     for i in head if head and len(head) <= n + 1 else ():
         span.push(i)
@@ -429,7 +431,7 @@ def min_enclosing_ball(cloud, first=None):
         span, c, f = _Span(Q), np.zeros(n), None
     for _ in range(64 * (n + 1)):
         D = Q - c
-        d2 = (D * D).sum(axis=1)
+        d2 = np.add.reduce(D * D, axis=1)
         far = int(d2.argmax())
         r2 = float(d2[span.rows[0]]) if span.rows else -1.0
         if d2[far] > r2 + CONTAIN_TOL * max(r2, spread2):

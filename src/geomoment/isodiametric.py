@@ -18,6 +18,7 @@ from .geometry import (as_cloud, diameter, jung_radius, meb_support,
 from .lp import hull_membership
 
 WEIGHT_FLOOR = 1e-12
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,9 @@ def _project_diameter(atoms, w, d):
         diff = atoms[:, None, :] - atoms[None, :, :]
         # the square root of every entry, not only of the largest: distinct
         # squares can share a root, and the first pair at the largest root
-        # is the one pulled
-        D = np.sqrt((diff * diff).sum(axis=2))
+        # is the one pulled.  np.add.reduce is ndarray.sum's own ufunc, in
+        # its order, without the Python-level wrapper
+        D = np.sqrt(np.add.reduce(diff * diff, axis=2))
         i, j = divmod(int(D.argmax()), N)
         dij = D[i, j]
         if dij <= d:
@@ -157,6 +159,52 @@ def _weights_at_atoms(atoms, ball, cost):
     return w, float(w @ cost(np.linalg.norm(atoms - ball.center, axis=1)))
 
 
+def _pair_clearance(atoms, ball, norms, d):
+    """The step below which the pair certificate rejects every step, or 0
+    when there is none.
+
+    It certifies when the ball's support is one pair within 4 eps d of the
+    cap d (the 1-simplex, a stationary point of the ascent) and no other
+    atom lies in the 1e-7 (d + R) band at the ball's sphere, so that the
+    pair alone steps.  A step t then moves the pair apart along its own
+    chord; with t at most half of R minus the largest distance m of another
+    atom from the center, every other pair stays below the stepped pair
+    (R + t + m < 2 R + 2 t), so the projection pulls the stepped pair back
+    first, to d, and then stops.  The radius grows by at most
+    (d - |x_i - x_j|) / 2 <= 2 eps d plus rounding, below the 1e-15 d an
+    accepted step must gain, so the step is rejected, and so is every
+    smaller one.  ``norms`` holds each atom's distance from the center.
+    """
+    support = ball.support
+    if len(support) != 2:
+        return 0.0
+    i, j = support
+    chord = atoms[i] - atoms[j]
+    if math.sqrt(float(chord @ chord)) < d - 4.0 * EPS * d:
+        return 0.0
+    R = ball.radius
+    others = np.delete(norms, support)
+    inner = float(others.max()) if others.size else 0.0
+    if inner >= R - 1e-7 * (d + R):  # another atom on the sphere steps too
+        return 0.0
+    return 0.5 * (R - inner)
+
+
+def _outward(atoms, ball, d):
+    """What a search state's steps need: each atom's unit direction from
+    the ball's center if it lies on the ball's sphere (within 1e-7 (d + R))
+    and off the center, else 0; the indices of the atoms on the sphere, as
+    a list, the guess at the next ball's support; and the state's
+    :func:`_pair_clearance`."""
+    offs = atoms - ball.center
+    norms = np.sqrt(np.add.reduce(offs * offs, axis=1))
+    on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
+    movable = on_bdry & (norms > 1e-12 * d)
+    dirs = np.zeros(atoms.shape)
+    dirs[movable] = offs[movable] / norms[movable, None]
+    return dirs, on_bdry.nonzero()[0].tolist(), _pair_clearance(atoms, ball, norms, d)
+
+
 def _search_one(config, restart):
     """One restart: ascend the enclosing-ball radius of the configuration
     under the diameter cap (boundary atoms step outward, worst pairs get
@@ -175,9 +223,21 @@ def _search_one(config, restart):
     ball is rejected without solving its ball: the smallest ball
     containing them is no larger than the current one, so the radius
     cannot grow beyond rounding, which stays below the 1e-15 d an accepted
-    step must gain, and the full solve would reject the step too.  Every
-    tolerance is relative to d + R (or to d), so the search does not
-    depend on the scale of the diameter cap.
+    step must gain, and the full solve would reject the step too.
+
+    A rejected step changes neither the atoms nor the ball, so each state's
+    boundary atoms, outward directions, support guess and pair clearance
+    (:func:`_pair_clearance`) are computed once, when the state is
+    accepted, and serve all of its halvings.  Lower-dimensional regular
+    simplices are stationary for the ascent, and many restarts settle
+    within a step or two on one diameter pair, then halve a step that the
+    projection undoes every time.  Once the step is within the pair's
+    clearance, every later halving is rejected, so the restart halves to
+    the floor without taking them, and converges exactly when those
+    halvings fit within ``max_iters``.  On three of the benchmark's search
+    rounds at seed 1 this skips the ends of 83 of 222 restarts, 19% of all
+    steps.  Every tolerance is relative to d + R (or to d), so the search
+    does not depend on the scale of the diameter cap.
     """
     rng = np.random.default_rng(config.seed + restart)
     n, N, d, cost = config.n, config.atom_count, config.d, config.cost
@@ -188,19 +248,22 @@ def _search_one(config, restart):
     step = config.step if config.step is not None else 0.25 * d
     step_floor = 1e-9 * d
     converged = False
-    for _ in range(config.max_iters):
-        offs = atoms - ball.center
-        norms = np.sqrt((offs * offs).sum(axis=1))
-        on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
-        movable = on_bdry & (norms > 1e-12 * d)
-        dirs = np.zeros((N, n))
-        dirs[movable] = offs[movable] / norms[movable, None]
+    dirs, first, clearance = _outward(atoms, ball, d)
+    for it in range(config.max_iters):
+        if step <= clearance:
+            # this halving and every later one would be rejected
+            halvings = 1
+            while step * 0.5 ** halvings >= step_floor:
+                halvings += 1
+            converged = it + halvings <= config.max_iters
+            break
         cand = _project_diameter(atoms + step * dirs, w0, d)
         # inside the current ball, the candidate's own ball is no larger
         if not ball.contains(cand):
-            cand_ball = min_enclosing_ball(cand, first=on_bdry.nonzero()[0])
+            cand_ball = min_enclosing_ball(cand, first=first)
             if cand_ball.radius > ball.radius + 1e-15 * d:
                 atoms, ball = cand, cand_ball
+                dirs, first, clearance = _outward(atoms, ball, d)
                 continue
         step *= 0.5
         if step < step_floor:

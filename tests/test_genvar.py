@@ -351,6 +351,22 @@ def test_weiszfeld_steps_off_a_colliding_start():
     assert abs(res.value - val) <= tol
 
 
+@pytest.mark.parametrize("s", [1e-8, 1e-6])
+def test_weiszfeld_power1_does_not_depend_on_scale(s):
+    # the collision floor was 1e-13 (1 + max |x|), absolute: at s = 1e-8 it
+    # took iterates 3e-6 of the spread from an atom for the atom, and four
+    # of these clouds reported converged while over 1e-8 off (worst 7.8e-7;
+    # 9e-9 at s = 1e-6)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        N, n = int(rng.integers(8, 31)), int(rng.integers(2, 5))
+        P, w = rng.normal(size=(N, n)), rng.dirichlet(np.ones(N))
+        ref = generalized_variance(AtomicMeasure(P, w), RadialCost.power(1), tol=1e-9)
+        res = generalized_variance(AtomicMeasure(s * P, w), RadialCost.power(1), tol=1e-9 * s)
+        assert ref.converged and res.converged
+        assert res.value / s == pytest.approx(ref.value, rel=1e-9, abs=0)
+
+
 @pytest.mark.parametrize("cost", [RadialCost.power(3),
                                   RadialCost.piecewise_linear([[0, 0], [0.5, 0.25], [2, 2.5]])],
                          ids=["power3", "pwl"])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from geomoment import (AtomicMeasure, DomainError, PointCloud, RadialCost,
-                       SearchConfig, diameter, generalized_variance,
+from geomoment import (AtomicMeasure, DomainError, NoConvergenceError,
+                       PointCloud, RadialCost, SearchConfig, diameter,
+                       generalized_variance,
                        isodiametric_bound, jung_radius, jung_verify,
                        regular_simplex, search_max, simplex_maximizer,
                        tension_check, variance, verify_simplex_optimality)
@@ -347,6 +348,90 @@ def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
         assert s.per_restart_values == f.per_restart_values
         assert s.converged_restarts == f.converged_restarts
         assert np.array_equal(s.best_measure.atoms.points, f.best_measure.atoms.points)
+
+
+def _search_or_error(cfg):
+    """(per-restart values, converged restarts, best atoms), or the message
+    of the NoConvergenceError that a budget too small for every restart
+    raises."""
+    try:
+        res = search_max(cfg)
+    except NoConvergenceError as exc:
+        return str(exc)
+    return res.per_restart_values, res.converged_restarts, res.best_measure.atoms.points
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
+    # a restart stalled on one diameter pair halves its step to the floor
+    # without taking the halvings; taking them must end it where it ends.
+    # From 0.25 d, 28 halvings reach the floor, and the restarts that stall
+    # settle within two accepted steps: with max_iters = 29 some cascades
+    # would overrun the budget and must leave their restart unconverged
+    configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
+                            max_iters=max_iters, cost=RadialCost.power(p))
+               for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)
+               for max_iters in (400, 29)]
+    project, search_one = isodiametric._project_diameter, isodiametric._search_one
+    clearance = isodiametric._pair_clearance
+    steps, certified, restarts = [], [], []
+
+    def count(*args):
+        steps.append(None)
+        return project(*args)
+
+    def spy(*args):
+        out = clearance(*args)
+        certified.append(out > 0.0)
+        return out
+
+    def one(config, restart):  # (a pair certificate held, converged)
+        certified.clear()
+        out = search_one(config, restart)
+        restarts.append((any(certified), out[3]))
+        return out
+
+    monkeypatch.setattr(isodiametric, "_project_diameter", count)
+    monkeypatch.setattr(isodiametric, "_pair_clearance", spy)
+    monkeypatch.setattr(isodiametric, "_search_one", one)
+    short = [_search_or_error(cfg) for cfg in configs]
+    short_steps = len(steps)
+    steps.clear()
+    monkeypatch.setattr(isodiametric, "_pair_clearance", lambda *args: 0.0)
+    stepped = [_search_or_error(cfg) for cfg in configs]
+    assert short_steps < len(steps)  # the certificate fired
+    assert (True, True) in restarts and (True, False) in restarts
+    for a, b in zip(short, stepped):
+        if isinstance(a, str) or isinstance(b, str):
+            assert a == b
+            continue
+        assert a[0] == b[0]
+        assert a[1] == b[1]
+        assert np.array_equal(a[2], b[2])
+
+
+@pytest.mark.parametrize("d", [1.0, 3.7e-4])
+def test_pair_clearance(d):
+    def clearance(P):
+        P = np.asarray(P, dtype=float) * d
+        ball = geometry.min_enclosing_ball(P)
+        norms = np.linalg.norm(P - ball.center, axis=1)
+        return isodiametric._pair_clearance(P, ball, norms, d), ball, norms
+
+    # a pair at distance d with atoms inside: half their clearance
+    inner = [[0.0, 0.1], [0.05, -0.2], [-0.3, 0.0]]
+    got, ball, norms = clearance([[-0.5, 0.0], [0.5, 0.0]] + inner)
+    assert sorted(ball.support) == [0, 1]
+    assert got == 0.5 * (ball.radius - norms[2:].max()) > 0.0
+    # an inner atom in the 1e-7 (d + R) band at the sphere steps too
+    got, ball, _ = clearance([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5 * (1 - 1e-9)]] + inner)
+    assert sorted(ball.support) == [0, 1] and got == 0.0
+    # a pair d (1 - 1e-9) apart still gains radius from a step
+    half = 0.5 * (1 - 1e-9)
+    assert clearance([[-half, 0.0], [half, 0.0]] + inner)[0] == 0.0
+    # a support of three atoms: an equilateral triangle of side d
+    got, ball, _ = clearance(regular_simplex(2, 1.0).vertices.tolist() + [[0.0, 0.0]])
+    assert len(ball.support) == 3 and got == 0.0
 
 
 @pytest.mark.parametrize("p", [1, 3])

@@ -20,9 +20,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from geomoment import (PointCloud, RadialCost, chebyshev_level, diameter,  # noqa: E402
-                       max_variance, meb_support, min_enclosing_ball,
-                       regular_simplex)
+from geomoment import (PointCloud, RadialCost, bhatia_davis_bound,  # noqa: E402
+                       chebyshev_level, diameter, max_variance, meb_support,
+                       min_enclosing_ball, regular_simplex)
 
 EPS = np.finfo(float).eps
 MAX_RATIO = 1e8  # offset over spread, for the support and the gap
@@ -36,12 +36,12 @@ def _rotation(rng, n):
 
 
 @st.composite
-def placements(draw, max_ratio=math.inf, dims=(1, 4)):
-    """(rng, n, s, t): a generator for a base cloud in R^n, a scale and an
-    offset."""
+def placements(draw, max_ratio=math.inf, dims=(1, 4), scales=(-6.0, 6.0)):
+    """(rng, n, s, t): a generator for a base cloud in R^n, a scale (a power
+    of ten with its exponent in ``scales``) and an offset."""
     n = draw(st.integers(*dims))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    s = 10.0 ** draw(st.floats(-6.0, 6.0))
+    s = 10.0 ** draw(st.floats(*scales))
     offset = min(10.0 ** draw(st.floats(-1.0, 7.0)), max_ratio * s)
     u = rng.normal(size=n)
     return rng, n, s, offset * u / np.linalg.norm(u)
@@ -140,3 +140,19 @@ def test_chebyshev_level_invariant(placed, p):
                                tol=1e-6 * (s * r0) ** p + level_slack)
     assert abs(lam1 - s ** p * lam0) <= level_slack
     assert np.linalg.norm(z1 - (s * z0 + t)) <= 1e3 * slack
+
+
+@SETTINGS
+@given(placements(max_ratio=1e6, scales=(-8.0, 8.0)))
+def test_bhatia_davis_bound_invariant(placed):
+    # the envelope LP ran on the raw coordinates, whose absolute tolerances
+    # put the bound 0.46 off at s = 1e-8 and 1e-6, and 6.9e8 off at spread
+    # 1e-6 and offset 1e3; on the offsets from the mean over their largest
+    # norm, what is left is the rounding of the coordinates, eps |t|
+    rng, n, s, t = placed
+    P = rng.normal(size=(int(rng.integers(n + 1, 25)), n))
+    w = rng.dirichlet(np.ones(len(P)))
+    b0 = bhatia_davis_bound(PointCloud(P), w @ P)
+    Q = s * P + t
+    b1 = bhatia_davis_bound(PointCloud(Q), w @ Q)
+    assert abs(b1 / s ** 2 - b0) <= 1e-9 * b0
