@@ -2,27 +2,14 @@ import os
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
+# The C source is committed: Cython generated it from _simplex_core.pyx,
+# and it needs only Python.h.  After editing the .pyx, regenerate it with
+#     cython -3 src/geomoment/_simplex_core.pyx
 # -ffp-contract=off keeps the compiled kernel bit-identical to the numpy
 # fallback (no fused multiply-adds).
-FLAGS = ["-O3", "-ffp-contract=off"]
-
 ext_modules = []
 if not os.environ.get("GEOMOMENT_SKIP_EXT"):
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [Extension("geomoment._simplex_core", ["src/geomoment/_simplex_core.pyx"],
-                       extra_compile_args=FLAGS)],
-            language_level=3,
-        )
-    else:
-        # without Cython, the C source it generated, which is committed;
-        # it needs only Python.h
-        ext_modules = [Extension("geomoment._simplex_core", ["src/geomoment/_simplex_core.c"],
-                                 extra_compile_args=FLAGS)]
+    ext_modules = [Extension("geomoment._simplex_core", ["src/geomoment/_simplex_core.c"],
+                             extra_compile_args=["-O3", "-ffp-contract=off"])]
 
 setup(ext_modules=ext_modules)

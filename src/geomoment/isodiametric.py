@@ -159,50 +159,53 @@ def _weights_at_atoms(atoms, ball, cost):
     return w, float(w @ cost(np.linalg.norm(atoms - ball.center, axis=1)))
 
 
-def _pair_clearance(atoms, ball, norms, d):
-    """The step below which the pair certificate rejects every step, or 0
-    when there is none.
+def _pair_certified(atoms, ball, boundary, d):
+    """Does the pair certificate hold: does the ascent reject every step
+    of at most d from this state?
 
-    It certifies when the ball's support is one pair within 4 eps d of the
-    cap d (the 1-simplex, a stationary point of the ascent) and no other
-    atom lies in the 1e-7 (d + R) band at the ball's sphere, so that the
-    pair alone steps.  A step t then moves the pair apart along its own
-    chord; with t at most half of R minus the largest distance m of another
-    atom from the center, every other pair stays below the stepped pair
-    (R + t + m < 2 R + 2 t), so the projection pulls the stepped pair back
-    first, to d, and then stops.  The radius grows by at most
-    (d - |x_i - x_j|) / 2 <= 2 eps d plus rounding, below the 1e-15 d an
-    accepted step must gain, so the step is rejected, and so is every
-    smaller one.  ``norms`` holds each atom's distance from the center.
+    It holds when the ball's support is one pair and its atoms are the only
+    ones within 1e-7 (d + R) of the sphere (``boundary``), and the pair
+    reads at least d - eps d apart: the 1-simplex, a stationary point of
+    the ascent.  A step t <= d moves the pair apart along its chord, to
+    |x_i - x_j| + 2 t, and leaves the others, at most m < R from the
+    center, where they are.  Each other pair is then at most R + t + m
+    apart, shorter, so the projection pulls the stepped pair back to d
+    along the stepped chord and stops: after the pull-back every other
+    pair is at most R + m, at least 1e-7 (d + R) below d.  Rounding in the step moves
+    the pair's midpoint by a few eps (d + t), far inside the band that
+    keeps the others in the pair's ball.  So the candidate's ball is the
+    pair's, and its radius exceeds R by half the pair's lengthening plus
+    rounding.  Bounded term by term, in units of u d with u = eps / 2, the
+    growth is at most: about 1 from the band; n / 4 + 1 from the
+    projection's exit test, which reads the pair at most d; 0.75 from the
+    recentring; n / 4 + 1 from the state's own chord reading; 2.5 from the
+    new center; and n / 4 + 1 from each radius reading.  That is n + 8.25,
+    against the 1e-15 d = 9.007 u d an accepted step must gain, a proof for
+    n = 1 only.  The errors do not align at their bounds: over all 30380
+    halvings of the certified states of 40 seeds of 4 restarts at (n,
+    atoms) in {(1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)} and
+    d in {1, 3.7e-4, 123.4}, the radius grew by at most 2.0 u d.
     """
-    support = ball.support
-    if len(support) != 2:
-        return 0.0
-    i, j = support
-    chord = atoms[i] - atoms[j]
-    if math.sqrt(float(chord @ chord)) < d - 4.0 * EPS * d:
-        return 0.0
-    R = ball.radius
-    others = np.delete(norms, support)
-    inner = float(others.max()) if others.size else 0.0
-    if inner >= R - 1e-7 * (d + R):  # another atom on the sphere steps too
-        return 0.0
-    return 0.5 * (R - inner)
+    if len(boundary) != 2 or sorted(ball.support) != boundary:
+        return False
+    chord = atoms[boundary[0]] - atoms[boundary[1]]
+    return math.sqrt(float(chord @ chord)) >= d - EPS * d
 
 
 def _outward(atoms, ball, d):
     """What a search state's steps need: each atom's unit direction from
     the ball's center if it lies on the ball's sphere (within 1e-7 (d + R))
     and off the center, else 0; the indices of the atoms on the sphere, as
-    a list, the guess at the next ball's support; and the state's
-    :func:`_pair_clearance`."""
+    a list, the guess at the next ball's support; and whether the state's
+    :func:`_pair_certified` holds."""
     offs = atoms - ball.center
     norms = np.sqrt(np.add.reduce(offs * offs, axis=1))
     on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
     movable = on_bdry & (norms > 1e-12 * d)
     dirs = np.zeros(atoms.shape)
     dirs[movable] = offs[movable] / norms[movable, None]
-    return dirs, on_bdry.nonzero()[0].tolist(), _pair_clearance(atoms, ball, norms, d)
+    boundary = on_bdry.nonzero()[0].tolist()
+    return dirs, boundary, _pair_certified(atoms, ball, boundary, d)
 
 
 def _search_one(config, restart):
@@ -226,17 +229,17 @@ def _search_one(config, restart):
     step must gain, and the full solve would reject the step too.
 
     A rejected step changes neither the atoms nor the ball, so each state's
-    boundary atoms, outward directions, support guess and pair clearance
-    (:func:`_pair_clearance`) are computed once, when the state is
+    boundary atoms, outward directions, support guess and pair certificate
+    (:func:`_pair_certified`) are computed once, when the state is
     accepted, and serve all of its halvings.  Lower-dimensional regular
     simplices are stationary for the ascent, and many restarts settle
     within a step or two on one diameter pair, then halve a step that the
-    projection undoes every time.  Once the step is within the pair's
-    clearance, every later halving is rejected, so the restart halves to
-    the floor without taking them, and converges exactly when those
-    halvings fit within ``max_iters``.  On three of the benchmark's search
-    rounds at seed 1 this skips the ends of 83 of 222 restarts, 19% of all
-    steps.  Every tolerance is relative to d + R (or to d), so the search
+    projection undoes every time.  In a certified state every step of at
+    most d is rejected, so the restart halves to the floor without taking
+    them, and converges exactly when those halvings fit within
+    ``max_iters``.  On three of the benchmark's search rounds at seed 1
+    this skips the ends of 83 of 222 restarts, 21% of all steps.  Every
+    tolerance is relative to d + R (or to d), so the search
     does not depend on the scale of the diameter cap.
     """
     rng = np.random.default_rng(config.seed + restart)
@@ -248,9 +251,9 @@ def _search_one(config, restart):
     step = config.step if config.step is not None else 0.25 * d
     step_floor = 1e-9 * d
     converged = False
-    dirs, first, clearance = _outward(atoms, ball, d)
+    dirs, first, certified = _outward(atoms, ball, d)
     for it in range(config.max_iters):
-        if step <= clearance:
+        if certified and step <= d:
             # this halving and every later one would be rejected
             halvings = 1
             while step * 0.5 ** halvings >= step_floor:
@@ -263,7 +266,7 @@ def _search_one(config, restart):
             cand_ball = min_enclosing_ball(cand, first=first)
             if cand_ball.radius > ball.radius + 1e-15 * d:
                 atoms, ball = cand, cand_ball
-                dirs, first, clearance = _outward(atoms, ball, d)
+                dirs, first, certified = _outward(atoms, ball, d)
                 continue
         step *= 0.5
         if step < step_floor:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -373,7 +374,7 @@ def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
                for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)
                for max_iters in (400, 29)]
     project, search_one = isodiametric._project_diameter, isodiametric._search_one
-    clearance = isodiametric._pair_clearance
+    pair_certified = isodiametric._pair_certified
     steps, certified, restarts = [], [], []
 
     def count(*args):
@@ -381,9 +382,8 @@ def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
         return project(*args)
 
     def spy(*args):
-        out = clearance(*args)
-        certified.append(out > 0.0)
-        return out
+        certified.append(pair_certified(*args))
+        return certified[-1]
 
     def one(config, restart):  # (a pair certificate held, converged)
         certified.clear()
@@ -392,12 +392,12 @@ def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
         return out
 
     monkeypatch.setattr(isodiametric, "_project_diameter", count)
-    monkeypatch.setattr(isodiametric, "_pair_clearance", spy)
+    monkeypatch.setattr(isodiametric, "_pair_certified", spy)
     monkeypatch.setattr(isodiametric, "_search_one", one)
     short = [_search_or_error(cfg) for cfg in configs]
     short_steps = len(steps)
     steps.clear()
-    monkeypatch.setattr(isodiametric, "_pair_clearance", lambda *args: 0.0)
+    monkeypatch.setattr(isodiametric, "_pair_certified", lambda *args: False)
     stepped = [_search_or_error(cfg) for cfg in configs]
     assert short_steps < len(steps)  # the certificate fired
     assert (True, True) in restarts and (True, False) in restarts
@@ -410,28 +410,121 @@ def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
         assert np.array_equal(a[2], b[2])
 
 
+def test_search_pair_certificate_converges_at_the_exact_budget(monkeypatch):
+    # a certified restart that takes k steps when it takes every one
+    # converges with max_iters = k and not with k - 1, with or without the
+    # certificate
+    project, pair_certified = isodiametric._project_diameter, isodiametric._pair_certified
+    calls, certified = [], []
+
+    def count(*args):
+        calls.append(None)
+        return project(*args)
+
+    def spy(*args):
+        certified.append(pair_certified(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(isodiametric, "_project_diameter", count)
+    checked = 0
+    for n, N in ((1, 4), (2, 6)):
+        config = SearchConfig(n=n, d=1.0, atom_count=N, seed=5)
+        for r in range(10):
+            monkeypatch.setattr(isodiametric, "_pair_certified", spy)
+            certified.clear()
+            isodiametric._search_one(config, r)
+            if not any(certified):
+                continue
+            monkeypatch.setattr(isodiametric, "_pair_certified", lambda *args: False)
+            calls.clear()
+            full = isodiametric._search_one(config, r)
+            k = len(calls) - 1  # the first projection is the start's
+            assert full[3] and k < config.max_iters
+            for budget, converged in ((k, True), (k - 1, False)):
+                budgeted = dataclasses.replace(config, max_iters=budget)
+                stepped = isodiametric._search_one(budgeted, r)
+                monkeypatch.setattr(isodiametric, "_pair_certified", pair_certified)
+                short = isodiametric._search_one(budgeted, r)
+                monkeypatch.setattr(isodiametric, "_pair_certified", lambda *args: False)
+                assert stepped[3] is short[3] is converged
+                assert stepped[2] == short[2]
+                assert np.array_equal(stepped[0], short[0])
+            checked += 1
+    assert checked >= 3
+
+
 @pytest.mark.parametrize("d", [1.0, 3.7e-4])
-def test_pair_clearance(d):
-    def clearance(P):
+def test_pair_certified(d):
+    def certified(P):
         P = np.asarray(P, dtype=float) * d
         ball = geometry.min_enclosing_ball(P)
-        norms = np.linalg.norm(P - ball.center, axis=1)
-        return isodiametric._pair_clearance(P, ball, norms, d), ball, norms
+        return isodiametric._outward(P, ball, d)[2], ball
 
-    # a pair at distance d with atoms inside: half their clearance
+    # a pair at distance d with atoms inside
     inner = [[0.0, 0.1], [0.05, -0.2], [-0.3, 0.0]]
-    got, ball, norms = clearance([[-0.5, 0.0], [0.5, 0.0]] + inner)
-    assert sorted(ball.support) == [0, 1]
-    assert got == 0.5 * (ball.radius - norms[2:].max()) > 0.0
+    got, ball = certified([[-0.5, 0.0], [0.5, 0.0]] + inner)
+    assert sorted(ball.support) == [0, 1] and got
     # an inner atom in the 1e-7 (d + R) band at the sphere steps too
-    got, ball, _ = clearance([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5 * (1 - 1e-9)]] + inner)
-    assert sorted(ball.support) == [0, 1] and got == 0.0
+    got, ball = certified([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5 * (1 - 1e-9)]] + inner)
+    assert sorted(ball.support) == [0, 1] and not got
     # a pair d (1 - 1e-9) apart still gains radius from a step
     half = 0.5 * (1 - 1e-9)
-    assert clearance([[-half, 0.0], [half, 0.0]] + inner)[0] == 0.0
+    assert not certified([[-half, 0.0], [half, 0.0]] + inner)[0]
     # a support of three atoms: an equilateral triangle of side d
-    got, ball, _ = clearance(regular_simplex(2, 1.0).vertices.tolist() + [[0.0, 0.0]])
-    assert len(ball.support) == 3 and got == 0.0
+    got, ball = certified(regular_simplex(2, 1.0).vertices.tolist() + [[0.0, 0.0]])
+    assert len(ball.support) == 3 and not got
+
+
+def _pair_state(n, d, rng, half):
+    """A recentred search state: a pair 2 half apart along a random
+    direction and three atoms well inside its ball, with the state's ball
+    and :func:`isodiametric._outward`."""
+    e = rng.normal(size=n)
+    e /= np.linalg.norm(e)
+    inner = rng.uniform(-0.15 * d, 0.15 * d, (3, n))
+    atoms = np.vstack([-half * e, half * e, inner])
+    atoms -= np.full(len(atoms), 1.0 / len(atoms)) @ atoms
+    ball = geometry.min_enclosing_ball(atoms)
+    return atoms, ball, isodiametric._outward(atoms, ball, d)
+
+
+def _steps_rejected(atoms, ball, dirs, first, d):
+    """Is every step of d, d / 2, ... down to the search's floor rejected,
+    as the search would reject it?"""
+    w0 = np.full(len(atoms), 1.0 / len(atoms))
+    step = d
+    while step >= 1e-9 * d:
+        cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
+        if not ball.contains(cand):
+            if geometry.min_enclosing_ball(cand, first=first).radius > ball.radius + 1e-15 * d:
+                return False
+        step *= 0.5
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
+def test_pair_certified_at_band_edge_rejects_every_step(n, d):
+    # a pair that reads as short as the band allows: one ulp shorter and the
+    # certificate no longer holds.  Every step it skips is still rejected
+    rng = np.random.default_rng(17 * n)
+    for _ in range(4):
+        state = rng.bit_generator.state
+        half, edge = 0.5 * d * (1 + 4 * isodiametric.EPS), None
+        while True:
+            rng.bit_generator.state = state
+            atoms, ball, (dirs, first, certified) = _pair_state(n, d, rng, half)
+            if not certified:
+                break
+            edge = atoms, ball, dirs, first
+            half = np.nextafter(half, 0.0)
+        assert edge is not None
+        atoms, ball, dirs, first = edge
+        assert sorted(ball.support) == first == [0, 1]
+        assert _steps_rejected(atoms, ball, dirs, first, d)
+    # the same steps from a pair 1e-9 d short of the cap are taken
+    atoms, ball, (dirs, first, certified) = _pair_state(n, d, rng, 0.5 * d * (1 - 1e-9))
+    assert not certified and not _steps_rejected(atoms, ball, dirs, first, d)
 
 
 @pytest.mark.parametrize("p", [1, 3])
