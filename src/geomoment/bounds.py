@@ -201,11 +201,16 @@ def _bd_bound_cloud(cloud, xbar):
     theirs, and the LP's absolute tolerances see a cloud of unit size, so
     neither the scale nor the position of the cloud changes the answer.  A
     separating certificate (u, -c) of 0 from the y_i, u.y_i <= c, maps back
-    to u.x_i <= s c + u.xbar.
+    to u.x_i <= s c + u.xbar.  Offsets too large for s or s^2 to be finite,
+    those where n max |x_ij - xbar_j|^2 overflows, raise ValueError before
+    any of them is squared.
     """
     if xbar.size != cloud.dim:
         raise ValueError(f"mean has dimension {xbar.size}, cloud has {cloud.dim}")
     Y = cloud.points - xbar
+    top = float(np.abs(Y).max())
+    if not cloud.dim * top * top < math.inf:
+        raise ValueError("point cloud is too far from xbar to square its offsets")
     s = float(np.linalg.norm(Y, axis=1).max())
     if s == 0.0:  # every atom at xbar
         return 0.0

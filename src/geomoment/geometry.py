@@ -409,7 +409,12 @@ def min_enclosing_ball(cloud, first=None):
     guess, starts at the mean.  A repeated index, one outside 0..N-1 or a
     value that is not an integer raises ValueError.  The ball is unique, so
     the guess changes only its rounding.  Empty, ragged or non-finite input
-    raises ValueError, as PointCloud does.
+    raises ValueError, as PointCloud does, and so does a cloud whose squared
+    spread is not representable: one where 64 n times the largest squared
+    coordinate of a point's offset from the mean overflows.  That bounds the
+    squared spread with the margin the loop needs, since no square it forms
+    exceeds 20 times the squared spread, and the check runs before any
+    square is formed.
     """
     P = _as_points(cloud)
     N, n = P.shape
@@ -420,6 +425,9 @@ def min_enclosing_ball(cloud, first=None):
     # ndarray.sum's own ufunc, in its order, without the Python-level wrapper
     mean = np.add.reduce(P, axis=0) / N
     Q = P - mean
+    top = float(np.abs(Q).max())
+    if not 64.0 * n * top * top < math.inf:  # checked before any square is formed
+        raise ValueError("point cloud is too spread out to square its distances")
     spread2 = float(np.add.reduce(Q * Q, axis=1).max())
     span, c, f = _Span(Q), np.zeros(n), None  # f: c's steps along V once c is on the hull
     for i in head if head and len(head) <= n + 1 else ():
@@ -448,7 +456,7 @@ def min_enclosing_ball(cloud, first=None):
                 # hull of T and is not taken, so every point taken can be pushed
                 rate = D @ res + res2
                 rate[span.rows] = 0.0
-                near = np.flatnonzero(rate > 4.0 * RANK_TOL * math.sqrt(res2 * r2))
+                near = np.flatnonzero(rate > 4.0 * RANK_TOL * math.sqrt(res2) * math.sqrt(r2))
                 # a point outside by rounding stops the walk at once
                 ts = np.maximum(r2 - d2[near], 0.0) / (2.0 * rate[near])
                 t = float(ts.min()) if near.size else 1.0

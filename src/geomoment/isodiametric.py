@@ -175,21 +175,61 @@ def _pair_certified(atoms, ball, boundary, d):
     the pair's midpoint by a few eps (d + t), far inside the band that
     keeps the others in the pair's ball.  So the candidate's ball is the
     pair's, and its radius exceeds R by half the pair's lengthening plus
-    rounding.  Bounded term by term, in units of u d with u = eps / 2, the
-    growth is at most: about 1 from the band; n / 4 + 1 from the
-    projection's exit test, which reads the pair at most d; 0.75 from the
-    recentring; n / 4 + 1 from the state's own chord reading; 2.5 from the
-    new center; and n / 4 + 1 from each radius reading.  That is n + 8.25,
-    against the 1e-15 d = 9.007 u d an accepted step must gain, a proof for
-    n = 1 only.  The errors do not align at their bounds: over all 30380
-    halvings of the certified states of 40 seeds of 4 restarts at (n,
+    rounding.
+
+    That this rounding stays below the 1e-15 d = 9.007 u d (u = eps / 2) an
+    accepted step must gain is measured, not proved.  Bounded term by term,
+    in units of u d, the growth is at most: about 1 from the band; n / 4 + 1
+    from the projection's exit test, which reads the pair at most d; 0.75
+    from the recentring; n / 4 + 1 from the state's own chord reading; 2.5
+    from the new center; and n / 4 + 1 from each radius reading.  That is
+    n + 8.25, above 9.007 for every n, so it proves nothing.  The errors do
+    not align at their bounds: over the 28980 steps of d, d / 2, ... down to
+    1e-9 d from the 966 certified states of 40 seeds of 4 restarts at (n,
     atoms) in {(1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)} and
-    d in {1, 3.7e-4, 123.4}, the radius grew by at most 2.0 u d.
+    d in {1, 3.7e-4, 123.4}, the radius grew by at most 2.0 u d.  A test
+    replays such states and fails when the growth passes 4.5 u d, half the
+    gain.
     """
     if len(boundary) != 2 or sorted(ball.support) != boundary:
         return False
     chord = atoms[boundary[0]] - atoms[boundary[1]]
     return math.sqrt(float(chord @ chord)) >= d - EPS * d
+
+
+def _reach(cand, first):
+    """The largest distance from the circumcenter of the atoms ``first`` of
+    ``cand`` to any atom of ``cand``: inf when that guess is degenerate,
+    and inf or nan when the circumcenter overflows.
+
+    A ball of this radius around any point contains ``cand``, so the reach
+    is an upper bound on ``cand``'s enclosing radius, however the center
+    is rounded.  The circumcenter is p_0 + sum_k F_k v_k, with the offsets
+    u_k = p_k - p_0 orthogonalized into v_k as :class:`geometry._Span`
+    does, in one pass: a Gram solve of at most n unknowns.  A guess of
+    more than n + 1 atoms, or one with a pivot |v_k|^2 that is not
+    positive, is degenerate.  Plain floats: the guess has a few atoms in a
+    few dimensions, too few for arrays to pay.
+    """
+    rows = cand.tolist()
+    p = rows[first[0]]
+    if len(first) > len(p) + 1:
+        return math.inf
+    c, V = p, []  # V: (v_k, |v_k|^2, F_k)
+    for i in first[1:]:
+        u = [a - b for a, b in zip(rows[i], p)]
+        v, t = u, 0.5 * sum([a * a for a in u])
+        for vj, zj, fj in V:
+            a = sum([x * y for x, y in zip(u, vj)]) / zj
+            v = [x - a * y for x, y in zip(v, vj)]
+            t -= a * fj * zj
+        z = sum([a * a for a in v])
+        if not z > 0.0:
+            return math.inf
+        f = t / z
+        V.append((v, z, f))
+        c = [x + f * y for x, y in zip(c, v)]
+    return max([math.dist(x, c) for x in rows])
 
 
 def _outward(atoms, ball, d):
@@ -222,11 +262,27 @@ def _search_one(config, restart):
     pushed outward, the support of the previous ball: they are almost
     always the new support too, and the ball through them is certified
     and returned at once; when it is not, the enclosing-ball loop starts
-    at its center.  A step whose moved atoms all lie in the current
-    ball is rejected without solving its ball: the smallest ball
-    containing them is no larger than the current one, so the radius
-    cannot grow beyond rounding, which stays below the 1e-15 d an accepted
-    step must gain, and the full solve would reject the step too.
+    at its center.
+
+    The retry, the step right after an accepted one at the size just
+    accepted, is mostly undone by the projection, and its ball comes out
+    smaller than the current one.  So it is first checked on a cheaper
+    bound: its reach (:func:`_reach`), the largest distance from the
+    circumcenter of its atoms ``first`` to any of its atoms, is the radius
+    of a ball that contains it, and so no smaller than its enclosing
+    radius.  That is proved.  A retry whose reach is at least 1e-12 d
+    (9007 u d, u = eps / 2) below the current radius R is rejected without
+    solving its ball.  That the solve would reject it too is measured: over
+    all 80118 steps of 504 search configurations ((n, atoms) in {(1, 4),
+    (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)}, p in {1, 2, 3}, d in
+    {1, 3.7e-4, 123.4}, ``max_iters`` in {400, 29}, 4 restarts, 4 seeds),
+    the solved radius exceeded the reach by at most 1.04 eps d (2.1 u d),
+    far inside the band, so it stayed below R and short of the 1e-15 d
+    (9.007 u d) an accepted step must gain.  On three of the benchmark's
+    search rounds at seed 1 the bound rejects 3800 of the 4495 retries (the
+    solve rejects 3803), and the ball solves fall from 8520 to 4871.  Other
+    steps are rarely rejected there (89 of 3954), so they go straight to
+    the solve.
 
     A rejected step changes neither the atoms nor the ball, so each state's
     boundary atoms, outward directions, support guess and pair certificate
@@ -252,6 +308,7 @@ def _search_one(config, restart):
     step_floor = 1e-9 * d
     converged = False
     dirs, first, certified = _outward(atoms, ball, d)
+    retry = False  # is this step the one right after an accepted step, at its size?
     for it in range(config.max_iters):
         if certified and step <= d:
             # this halving and every later one would be rejected
@@ -261,13 +318,15 @@ def _search_one(config, restart):
             converged = it + halvings <= config.max_iters
             break
         cand = _project_diameter(atoms + step * dirs, w0, d)
-        # inside the current ball, the candidate's own ball is no larger
-        if not ball.contains(cand):
+        # the candidate's own ball is no larger than its reach
+        if not (retry and _reach(cand, first) <= ball.radius - 1e-12 * d):
             cand_ball = min_enclosing_ball(cand, first=first)
             if cand_ball.radius > ball.radius + 1e-15 * d:
                 atoms, ball = cand, cand_ball
                 dirs, first, certified = _outward(atoms, ball, d)
+                retry = True
                 continue
+        retry = False
         step *= 0.5
         if step < step_floor:
             converged = True

@@ -325,6 +325,13 @@ def test_equality_case_boundary_mean_indeterminate():
     assert ec.is_equality is None
 
 
+def test_bound_on_a_cloud_whose_squares_overflow_raises():
+    # s^2 overflowed at 1e300 and the bound came out nan, silently
+    P = np.random.default_rng(0).normal(size=(10, 2)) * 1e300
+    with pytest.raises(ValueError, match="square its offsets"):
+        bhatia_davis_bound(Shape.cloud(PointCloud(P)), np.zeros(2))
+
+
 def test_equality_case_requires_atoms_in_cloud():
     cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mu = AtomicMeasure([[5.0, 5.0]], [1.0])

@@ -273,6 +273,19 @@ def test_duality_domain_error_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", [["meb"], ["maxvar"], ["jung"],
+                                     ["bound", "--xbar", "0,0", "--cloud"]])
+def test_cloud_whose_squares_overflow_exit_2(capsys, tmp_path, command):
+    # at 1e300, meb, maxvar and jung died with an IndexError and bound
+    # printed "nan" and exited 0
+    path = tmp_path / "huge.csv"
+    write_cloud_csv(PointCloud(np.random.default_rng(0).normal(size=(10, 2)) * 1e300), path)
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2
+    assert "Traceback" not in err
+    assert "nan" not in out and "inf" not in out
+
+
 def test_isodiametric_deterministic_and_csv(capsys, tmp_path):
     args = ["isodiametric", "--n", "1", "--d", "1", "--atoms", "3",
             "--restarts", "3", "--seed", "5"]

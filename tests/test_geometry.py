@@ -219,6 +219,26 @@ def test_meb_loop_that_cannot_finish_raises(monkeypatch):
         min_enclosing_ball(_pivoted_cloud(1e-3))
 
 
+@pytest.mark.parametrize("scale", [1e78, 1e100, 1e150])
+def test_meb_at_scales_whose_fourth_power_overflows(scale):
+    # the walk's threshold took the square root of res^2 r^2, which
+    # overflows above about 1e77: no point was ever near, and every such
+    # cloud raised NoConvergenceError
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        P = rng.normal(size=(10, 2))
+        radius = min_enclosing_ball(P).radius
+        assert min_enclosing_ball(P * scale).radius / scale == pytest.approx(radius, rel=1e-15)
+
+
+def test_meb_rejects_a_cloud_whose_squares_overflow():
+    # at 1e300 the squared distances overflow: this used to warn, then fail
+    # with an IndexError on an empty span
+    P = np.random.default_rng(0).normal(size=(10, 2)) * 1e300
+    with pytest.raises(ValueError, match="too spread out"):
+        min_enclosing_ball(P)
+
+
 def test_meb_near_sphere_high_dim_is_fast():
     # 40 points within 1e-3 of the unit sphere in R^12 hold a support of up
     # to 13 points; a move-to-front recursion on them took 1.2 s a cloud
