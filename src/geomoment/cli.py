@@ -1,9 +1,11 @@
 """Command-line surface: ``geomoment <command> [flags]``.
 
 Each command prints exactly one JSON run report on stdout (floats at 17
-significant digits, byte-identical for identical inputs and seed) and
-human diagnostics on stderr.  Exit codes: 0 success, 2 parse error or
-invalid flag value, 3 domain precondition, 4 no convergence.
+significant digits, byte-identical for identical inputs and seed on one
+numpy/BLAS build: BLAS dot products need not add left to right, so another
+build may round differently) and human diagnostics on stderr.  Exit codes:
+0 success, 2 parse error or invalid flag value, 3 domain precondition, 4 no
+convergence.
 """
 
 import argparse

@@ -53,12 +53,17 @@ class PointCloud:
 
 
 def _check_points(P):
-    """Raise ValueError unless P is a nonempty (N, n) array of finite reals;
-    no arithmetic runs before the check, so bad input warns of nothing."""
+    """Raise ValueError unless P is a nonempty (N, n) array of finite reals
+    whose coordinate sums are representable: 2 N times the largest |x_ij|,
+    a bound on any sum of N coordinates and its rounding, must be finite.
+    No arithmetic runs before the check, so bad input warns of nothing."""
     if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] == 0:
         raise ValueError("point cloud must be a nonempty (N, n) array")
-    if not np.isfinite(P).all():
+    top = float(np.abs(P).max())
+    if not top < math.inf:  # nan fails too
         raise ValueError("point cloud has non-finite coordinates")
+    if not 2.0 * P.shape[0] * top < math.inf:
+        raise ValueError("point cloud is too large to sum its coordinates")
 
 
 def as_cloud(cloud):
@@ -318,17 +323,18 @@ class _Span:
         if k >= 0:
             u = self.Q[i] - self.Q[self.rows[0]]
             u2 = float(u @ u)
-            v, a = u, []
+            v, a, zk = u, [], u2
             if k:
                 W, z = self.V[:k], self.Z[:k]
                 b = (W @ u) / z
                 v = u - b @ W
-                if v @ v < 0.5 * u2:  # a second pass after a cancellation
+                zk = float(v @ v)
+                if zk < 0.5 * u2:  # a second pass after a cancellation
                     e = (W @ v) / z
                     v -= e @ W
                     b += e
+                    zk = float(v @ v)
                 a = b.tolist()
-            zk = float(v @ v)
             if not zk > RANK_TOL * RANK_TOL * u2:  # NaN is dependent too
                 return False
             # the circumcenter y = sum_j F[j] V[j] solves 2 y . u_k = |u_k|^2
@@ -470,7 +476,8 @@ def min_enclosing_ball(cloud, first=None):
         low = min(lam)
         if low >= 0.0:
             c = c + mean
-            return Ball(c, math.sqrt(((P - c) ** 2).sum(axis=1).max()), span.rows, lam)
+            D = P - c
+            return Ball(c, math.sqrt(np.add.reduce(D * D, axis=1).max()), span.rows, lam)
         span.drop(lam.index(low))
     raise NoConvergenceError(
         f"enclosing-ball loop did not stop within {64 * (n + 1)} rounds")

@@ -115,26 +115,29 @@ def simplex_maximizer(n, d):
 def _project_diameter(atoms, w, d):
     """Restore diameter <= d by pulling the worst-separated pair together
     along its chord, repeatedly; this rearranges angles and is what lets
-    atoms coalesce into clusters.  A global contraction toward the
-    weighted centroid is the fallback if pair repair cycles."""
+    atoms coalesce into clusters.  The pair pulled is the first, in
+    row-major order, at the largest rounded distance (distinct squared
+    distances can share a root); both its rows of a copy of ``atoms``
+    move in place, each by half the excess.  A global contraction toward
+    the weighted centroid is the fallback if pair repair cycles."""
     atoms = atoms.copy()
     N = atoms.shape[0]
+    col, row = atoms[:, None, :], atoms[None, :, :]  # views: they see each pull
     for _ in range(10 * N + 20):
-        diff = atoms[:, None, :] - atoms[None, :, :]
+        diff = col - row
         # the square root of every entry, not only of the largest: distinct
         # squares can share a root, and the first pair at the largest root
         # is the one pulled.  np.add.reduce is ndarray.sum's own ufunc, in
         # its order, without the Python-level wrapper
         D = np.sqrt(np.add.reduce(diff * diff, axis=2))
-        i, j = divmod(int(D.argmax()), N)
-        dij = D[i, j]
+        k = int(D.argmax())
+        dij = D.item(k)
         if dij <= d:
             return atoms - (w @ atoms)
-        u = (atoms[j] - atoms[i]) / dij
-        excess = dij - d
-        half = 0.5 * excess * u
-        atoms[i] += half
-        atoms[j] -= half
+        a, b = atoms[k // N], atoms[k % N]  # row views, pulled in place
+        half = (0.5 * (dij - d)) * ((b - a) / dij)
+        a += half
+        b -= half
     dia = diameter(atoms)
     if dia > d:
         centroid = w @ atoms
@@ -240,11 +243,11 @@ def _outward(atoms, ball, d):
     :func:`_pair_certified` holds."""
     offs = atoms - ball.center
     norms = np.sqrt(np.add.reduce(offs * offs, axis=1))
-    on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
-    movable = on_bdry & (norms > 1e-12 * d)
+    boundary = (np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)).nonzero()[0].tolist()
     dirs = np.zeros(atoms.shape)
-    dirs[movable] = offs[movable] / norms[movable, None]
-    boundary = on_bdry.nonzero()[0].tolist()
+    for i in boundary:  # a few rows: no mask over every atom
+        if norms[i] > 1e-12 * d:
+            dirs[i] = offs[i] / norms[i]
     return dirs, boundary, _pair_certified(atoms, ball, boundary, d)
 
 

@@ -8,8 +8,11 @@ echoes (a search's config, a cloud's support atoms, a maximizer's atoms).
 Floats agree within 1e-12 relative: a scalar relative to itself, an entry
 of a list or array relative to the largest entry of its field, and a gap
 or residual relative to the value it is a gap of.  Ints, bools, strings
-and nulls agree exactly.  A change that moves answers on purpose writes the
-file again and says by how much they moved:
+and nulls agree exactly.  The corpus was written on one numpy/BLAS build
+(OpenBLAS): BLAS dot products need not add left to right, and the search
+takes a step or not on comparisons of such sums, so its entries may not
+reproduce on another build.  A change that moves answers on purpose writes
+the file again and says by how much they moved:
 
     python tests/test_answers.py          # print the largest differences
     python tests/test_answers.py --write  # write the corpus again

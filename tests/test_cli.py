@@ -286,6 +286,20 @@ def test_cloud_whose_squares_overflow_exit_2(capsys, tmp_path, command):
     assert "nan" not in out and "inf" not in out
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["meb", "maxvar", "jung", "chebyshev", "duality"])
+def test_cloud_whose_sums_overflow_exit_2(capsys, tmp_path, command):
+    # at 5e307 the mean of ten points overflowed: each command printed an
+    # overflow RuntimeWarning, which -W error made a traceback and exit 1
+    P = np.random.default_rng(0).normal(size=(10, 2)) * 5e307
+    path = tmp_path / "huge.csv"
+    path.write_text("x1,x2\n" + "".join(f"{x!r},{y!r}\n" for x, y in P.tolist()))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("invalid input:") and "Traceback" not in err
+    assert out == ""
+
+
 def test_isodiametric_deterministic_and_csv(capsys, tmp_path):
     args = ["isodiametric", "--n", "1", "--d", "1", "--atoms", "3",
             "--restarts", "3", "--seed", "5"]

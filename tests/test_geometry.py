@@ -36,6 +36,7 @@ def test_pointcloud_validation():
     ([[0.0, 0.0], [1.0, -np.inf]], "non-finite"),
     (np.empty((0, 2)), "nonempty"),
     ([], "nonempty"),
+    ([[5e307, 0.0], [1.0, 1.0]], "too large to sum"),
 ])
 @pytest.mark.parametrize("func", [diameter, min_enclosing_ball])
 def test_raw_array_rejected_like_pointcloud(P, message, func):

@@ -502,6 +502,87 @@ def test_search_pair_certificate_converges_at_the_exact_budget(monkeypatch):
     assert checked >= 3
 
 
+def _project_reference(atoms, w, d, by_square=False):
+    """The pull loop of :func:`isodiametric._project_diameter` with
+    whole-array indexing and numpy scalars throughout: the oracle its
+    rewritten loop must match bit for bit.  ``by_square`` pulls the pair
+    with the largest squared distance instead of the first pair at the
+    largest root."""
+    atoms = atoms.copy()
+    N = atoms.shape[0]
+    for _ in range(10 * N + 20):
+        diff = atoms[:, None, :] - atoms[None, :, :]
+        S = np.add.reduce(diff * diff, axis=2)
+        D = np.sqrt(S)
+        i, j = divmod(int((S if by_square else D).argmax()), N)
+        dij = D[i, j]
+        if dij <= d:
+            return atoms - (w @ atoms)
+        u = (atoms[j] - atoms[i]) / dij
+        excess = dij - d
+        half = 0.5 * excess * u
+        atoms[i] += half
+        atoms[j] -= half
+    dia = diameter(atoms)
+    if dia > d:
+        centroid = w @ atoms
+        atoms = centroid + (atoms - centroid) * (d / dia)
+    return atoms - (w @ atoms)
+
+
+def _outward_reference(atoms, ball, d):
+    """:func:`isodiametric._outward` with boolean masks over every atom: its
+    oracle."""
+    offs = atoms - ball.center
+    norms = np.sqrt(np.add.reduce(offs * offs, axis=1))
+    on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
+    movable = on_bdry & (norms > 1e-12 * d)
+    dirs = np.zeros(atoms.shape)
+    dirs[movable] = offs[movable] / norms[movable, None]
+    boundary = on_bdry.nonzero()[0].tolist()
+    return dirs, boundary, isodiametric._pair_certified(atoms, ball, boundary, d)
+
+
+def _outward_matches_reference(atoms, d):
+    ball = geometry.min_enclosing_ball(atoms)
+    dirs, boundary, certified = isodiametric._outward(atoms, ball, d)
+    ref_dirs, ref_boundary, ref_certified = _outward_reference(atoms, ball, d)
+    return (dirs.tobytes() == ref_dirs.tobytes() and boundary == ref_boundary
+            and certified == ref_certified)
+
+
+def test_project_and_outward_match_their_references():
+    # 2070 configurations; at n = 8 each squared distance is a sum of 8
+    # squares, which numpy's reduction adds pairwise, not left to right
+    rng = np.random.default_rng(2024)
+    for N, n, d in itertools.product(range(4, 10), [1, 2, 3, 4, 8], [1.0, 3.7e-4, 123.4]):
+        for _ in range(23):
+            atoms = rng.uniform(-1.0, 1.0, (N, n)) * (rng.uniform(0.3, 1.5) * d)
+            given = atoms.copy()
+            w = rng.dirichlet(np.ones(N))
+            got = isodiametric._project_diameter(atoms, w, d)
+            assert got.tobytes() == _project_reference(atoms, w, d).tobytes()
+            assert atoms.tobytes() == given.tobytes()  # the pulls act on a copy
+            assert _outward_matches_reference(got, d)
+    # every atom at the center: all on the sphere of radius 0, none moves
+    same = np.full((5, 2), 0.25)
+    assert _outward_matches_reference(same, 1.0)
+    assert not isodiametric._outward(same, geometry.min_enclosing_ball(same), 1.0)[0].any()
+
+
+def test_project_diameter_pulls_the_first_pair_at_the_largest_root():
+    # |x_0 - x_1|^2 = 1 and |x_0 - x_2|^2 = 1 + 2^-52: distinct squares
+    # with one rounded root, 1.  The first pair in row-major order, (0, 1),
+    # is pulled first, not (0, 2), which has the largest square
+    atoms = np.array([[0.0, 0.0], [1.0, 0.0], [0.95532880527733, 0.29554504531016823]])
+    sq = np.add.reduce(atoms * atoms, axis=1)
+    assert sq[1] < sq[2] and np.sqrt(sq[1]) == np.sqrt(sq[2]) == 1.0
+    w = np.full(3, 1.0 / 3.0)
+    got = isodiametric._project_diameter(atoms, w, 0.9)
+    assert got.tobytes() == _project_reference(atoms, w, 0.9).tobytes()
+    assert got.tobytes() != _project_reference(atoms, w, 0.9, by_square=True).tobytes()
+
+
 @pytest.mark.parametrize("d", [1.0, 3.7e-4])
 def test_pair_certified(d):
     def certified(P):
