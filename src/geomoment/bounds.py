@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report
-from .conjugate import envelope_lp
+from .conjugate import envelope_lp, scaled_envelope_lp
 from .errors import DomainError, ParseError
 from .geometry import Ball, Shape, as_cloud, min_enclosing_ball, shape_sample
 from .lp import LpProblem, LpStatus, solve_lp
@@ -246,13 +246,15 @@ def max_variance(cloud):
 
 
 def primal_lp_value(cloud):
-    """Exact optimum of: maximize sum w_i |x_i|^2 over zero-mean weights."""
+    """Exact optimum of: maximize sum w_i |x_i|^2 over zero-mean weights,
+    solved at unit scale (:func:`conjugate.scaled_envelope_lp`)."""
     cloud = as_cloud(cloud)
-    sol = envelope_lp(cloud, np.zeros(cloud.dim))
+    sol, s = scaled_envelope_lp(cloud.points, np.zeros(cloud.dim))
     if sol.status is LpStatus.INFEASIBLE:
+        u, c = sol.certificate[:-1], sol.certificate[-1]
         raise DomainError("origin not in the convex hull of the atoms",
-                          certificate=sol.certificate)
-    return -sol.value
+                          certificate=np.append(u, s * c))
+    return -sol.value * s * s
 
 
 def duality_gap(cloud):

@@ -54,20 +54,37 @@ def envelope_lp(cloud, x):
     return sol
 
 
+def scaled_envelope_lp(points, x):
+    """:func:`envelope_lp` at x, solved on the points and x divided by s, a
+    power of two near their largest |coordinate| (1 when every one is 0):
+    (solution, s).
+
+    The division is exact, and the LP's absolute tolerances see a cloud of
+    unit size, so its answers do not depend on the scale of the cloud.  The
+    value at x is s^2 times the solution's value, the weights are the
+    solution's own, and a separating certificate (u, c) maps back to
+    (u, s c).
+    """
+    top = max(float(np.abs(points).max()), float(np.abs(x).max(initial=0.0)))
+    s = math.ldexp(1.0, math.frexp(top)[1])
+    return envelope_lp(points / s, x / s), s
+
+
 def biconjugate_at(cloud, x):
     """Convex envelope of phi over the cloud, evaluated at x.
 
-    The value of :func:`envelope_lp` at x; +inf when x lies outside the
-    convex hull of the atoms.
+    The value of :func:`envelope_lp` at x, solved at unit scale
+    (:func:`scaled_envelope_lp`); +inf when x lies outside the convex hull
+    of the atoms.
     """
     cloud = as_cloud(cloud)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != cloud.dim:
         raise ValueError(f"point has dimension {x.size}, cloud has {cloud.dim}")
-    sol = envelope_lp(cloud, x)
+    sol, s = scaled_envelope_lp(cloud.points, x)
     if sol.status is LpStatus.INFEASIBLE:
         return math.inf
-    return sol.value
+    return sol.value * s * s
 
 
 def translated_biconjugate_zero(cloud, w):

@@ -339,7 +339,7 @@ class _Span:
                 return False
             # the circumcenter y = sum_j F[j] V[j] solves 2 y . u_k = |u_k|^2
             F, Z = self.F, self.Z
-            F[k] = (0.5 * u2 - sum(a[j] * F[j] * Z[j] for j in range(k))) / zk
+            F[k] = (0.5 * u2 - _sum(a[j] * F[j] * Z[j] for j in range(k))) / zk
             self.V[k], Z[k], self.L[k] = v, zk, a
         self.rows.append(i)
         return True
@@ -366,14 +366,34 @@ class _Span:
 
     def weights(self, f):
         """The affine weights, one per pushed row in push order, of the point
-        p_0 + sum_k f[k] V[k] of the hull (back-substitution on L)."""
-        k = len(self.rows) - 1
-        L = self.L
-        lam = [0.0] * (k + 1)
-        for j in range(k, 0, -1):
-            lam[j] = f[j - 1] - sum(L[i - 1][j - 1] * lam[i] for i in range(j + 1, k + 1))
-        lam[0] = 1.0 - sum(lam)
-        return lam
+        p_0 + sum_k f[k] V[k] of the hull."""
+        return _affine_weights(self.L, f[:len(self.rows) - 1])
+
+
+def _affine_weights(L, f):
+    """The affine weights, one per point p_0..p_k, of p_0 + sum_j f[j] V[j],
+    where k = len(f) and the offsets u_j = p_j - p_0 are held orthogonalized
+    as :class:`_Span` holds them: u_j = V[j-1] + sum_i L[j-1][i] V[i].
+    Back-substitution on L, then lam_0 = 1 minus the others."""
+    k = len(f)
+    lam = [0.0] * (k + 1)
+    for j in range(k, 0, -1):
+        t = 0.0
+        for i in range(j + 1, k + 1):
+            t += L[i - 1][j - 1] * lam[i]
+        lam[j] = f[j - 1] - t
+    lam[0] = 1.0 - _sum(lam)
+    return lam
+
+
+def _sum(terms):
+    """The sum of floats added left to right, one rounding per term.  The
+    builtin sum compensates its rounding from Python 3.12 on, so it would
+    round the same terms differently on different Python versions."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def min_enclosing_ball(cloud, first=None):

@@ -18,7 +18,7 @@ from geomoment import (AtomicMeasure, Ball, DegenerateSupportError, ParseError,
                        read_cloud_csv, regular_simplex, shape_sample,
                        sup_genvar, translated_biconjugate_zero,
                        verify_saddle, write_cloud_csv, zero_mean_dual_center)
-from geomoment import NoConvergenceError, geometry
+from geomoment import NoConvergenceError, geometry, isodiametric
 
 
 def test_pointcloud_validation():
@@ -667,3 +667,18 @@ def test_cloud_entries_accept_raw_arrays(entry):
         call([[0.0, 1.0], [2.0]])
     with pytest.raises(ValueError, match="non-finite"):
         call([[np.nan, 0.0], [1.0, 1.0]])
+
+
+def test_float_sums_add_left_to_right():
+    # the builtin sum compensates its rounding from Python 3.12 on:
+    # sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0 on 3.11.  The enclosing
+    # ball's pushes and weights, and the search's guessed balls, add left to
+    # right, so they round alike on every Python version
+    assert geometry._sum([1e16, 1.0, -1e16]) == 0.0
+    # orthogonal offsets (L = 0): lam_j = f[j-1], and lam_0 = 1 minus them
+    lam = geometry._affine_weights([[], [0.0], [0.0, 0.0]], [1e16, 1.0, -1e16])
+    assert lam == [1.0, 1e16, 1.0, -1e16]
+    # a squared distance of 1e16 + 1 + 1: 1e16 left to right, 1e16 + 2
+    # compensated, whose root is one ulp above 1e8
+    reach, _ = isodiametric._guess_ball(np.array([[0.0, 0.0, 0.0], [1e8, 1.0, 1.0]]), [0], 1.0)
+    assert reach == 1e8

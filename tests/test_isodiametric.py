@@ -293,13 +293,21 @@ def test_search_measure_genvar_at_large_scale(tol):
 def test_search_warm_start_matches_cold_start(p, monkeypatch):
     # the enclosing ball is unique, so starting from the previous support
     # changes only its rounding: the search ends where a guess too long to
-    # be used, which starts at the mean, does
-    warm = []
+    # be used, which starts at the mean, does.  Almost every step's ball is
+    # the certified ball of its guess or a solve started from that guess;
+    # the cold search certifies no guess and solves every ball cold
+    warm, balls = [], []
     orders = np.random.default_rng(0)
+    guess_ball = isodiametric._guess_ball
 
     def spy(cloud, first=None):
         warm.append(first is not None)
         return geometry.min_enclosing_ball(cloud, first=first)
+
+    def certified(cand, first, d):
+        reach, ball = guess_ball(cand, first, d)
+        balls.append(ball is not None)
+        return reach, ball
 
     def cold(cloud, first=None):
         return geometry.min_enclosing_ball(cloud, first=orders.permutation(len(cloud)))
@@ -308,9 +316,11 @@ def test_search_warm_start_matches_cold_start(p, monkeypatch):
                             cost=RadialCost.power(p))
                for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)]
     monkeypatch.setattr(isodiametric, "min_enclosing_ball", spy)
+    monkeypatch.setattr(isodiametric, "_guess_ball", certified)
     ws = [search_max(cfg) for cfg in configs]
-    assert sum(warm) > 0.9 * len(warm)
+    assert sum(balls) + sum(warm) > 0.9 * (sum(balls) + len(warm))
     monkeypatch.setattr(isodiametric, "min_enclosing_ball", cold)
+    monkeypatch.setattr(isodiametric, "_guess_ball", lambda *args: (guess_ball(*args)[0], None))
     for w, c in zip(ws, (search_max(cfg) for cfg in configs)):
         assert np.allclose(w.per_restart_values, c.per_restart_values, rtol=1e-12, atol=0)
         assert w.converged_restarts == c.converged_restarts
@@ -321,18 +331,20 @@ def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
     # a retry whose reach, the radius of a ball around its guessed
     # circumcenter that contains it, is 1e-12 d below the current radius
     # cannot grow the radius, so rejecting it unsolved must end every
-    # restart where solving every retry does, within a tight budget too
+    # restart where solving every retry does, within a tight budget too.
+    # Certified balls are off in both searches, so every step the bound
+    # does not reject solves its ball
     configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
                             max_iters=max_iters, cost=RadialCost.power(p))
                for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)
                for max_iters in (400, 29)]
-    reach, meb = isodiametric._reach, isodiametric.min_enclosing_ball
+    guess_ball, meb = isodiametric._guess_ball, isodiametric.min_enclosing_ball
     weights_at_atoms = isodiametric._weights_at_atoms
     reaches, solves, finals = [], [], []
 
-    def spy(cand, first):
-        reaches.append(reach(cand, first))
-        return reaches[-1]
+    def spy(cand, first, d):
+        reaches.append(guess_ball(cand, first, d)[0])
+        return reaches[-1], None
 
     def count(cloud, first=None):
         solves.append(None)
@@ -344,15 +356,15 @@ def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
 
     monkeypatch.setattr(isodiametric, "_weights_at_atoms", record)
     monkeypatch.setattr(isodiametric, "min_enclosing_ball", count)
-    monkeypatch.setattr(isodiametric, "_reach", spy)
+    monkeypatch.setattr(isodiametric, "_guess_ball", spy)
     short = [_search_or_error(cfg) for cfg in configs]
     short_solves, short_atoms = len(solves), finals.copy()
     solves.clear()
     finals.clear()
-    monkeypatch.setattr(isodiametric, "_reach", lambda cand, first: math.inf)
+    monkeypatch.setattr(isodiametric, "_guess_ball", lambda cand, first, d: (math.inf, None))
     full = [_search_or_error(cfg) for cfg in configs]
     # every step of the full search solves its ball, so the difference is
-    # the number of retries the bound rejected: some of them, not all
+    # the number of retries the bound rejected: some steps, not all
     assert 0 < len(solves) - short_solves < len(reaches)
     assert len(short_atoms) == len(finals) == sum(cfg.restarts for cfg in configs)
     for a, b in zip(short_atoms, finals):
@@ -368,6 +380,37 @@ def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
         assert np.array_equal(s[2], f[2])  # best measure's atoms
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_search_certified_ball_matches_solving_every_ball(p, monkeypatch):
+    # a certified ball is the smallest enclosing ball up to rounding, so
+    # solving every ball in its place ends each restart where it ends,
+    # within rounding, and converges the same restarts, within a tight
+    # budget too
+    configs = [SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=seed,
+                            max_iters=max_iters, cost=RadialCost.power(p))
+               for n, N in ((1, 4), (2, 6), (3, 8)) for d in (1.0, 3.7e-4, 123.4)
+               for seed in (3, 11) for max_iters in (400, 29)]
+    guess_ball, certified = isodiametric._guess_ball, []
+
+    def spy(cand, first, d):
+        reach, ball = guess_ball(cand, first, d)
+        certified.append(ball is not None)
+        return reach, ball
+
+    monkeypatch.setattr(isodiametric, "_guess_ball", spy)
+    short = [_search_or_error(cfg) for cfg in configs]
+    assert sum(certified) > 0.9 * len(certified)
+    monkeypatch.setattr(isodiametric, "_guess_ball", lambda *args: (guess_ball(*args)[0], None))
+    solved = [_search_or_error(cfg) for cfg in configs]
+    assert any(s[1] < cfg.restarts for s, cfg in zip(short, configs) if not isinstance(s, str))
+    for s, f in zip(short, solved):
+        if isinstance(s, str) or isinstance(f, str):
+            assert s == f
+            continue
+        np.testing.assert_allclose(s[0], f[0], rtol=1e-12, atol=0)
+        assert s[1] == f[1]
+
+
 @pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
 def test_reach_bounds_the_enclosing_radius(d):
     # around any center, the largest distance to the cloud is the radius of
@@ -381,23 +424,69 @@ def test_reach_bounds_the_enclosing_radius(d):
             ball = geometry.min_enclosing_ball(cand)
             guesses = [rng.permutation(len(cand))[:k].tolist() for k in range(1, n + 2)]
             for first in guesses + [ball.support]:
-                assert isodiametric._reach(cand, first) >= ball.radius - 2 * isodiametric.EPS * d
+                reach = isodiametric._guess_ball(cand, first, d)[0]
+                assert reach >= ball.radius - 2 * isodiametric.EPS * d
+
+
+@pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
+def test_guess_ball_matches_min_enclosing_ball(d):
+    # whenever a guess is certified, its ball is the smallest enclosing
+    # ball: the same support, radius and weights up to rounding.  The
+    # support, pushed in any order, is certified
+    rng = np.random.default_rng(31)
+    certified = tried = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(60):
+            cand = rng.uniform(-0.5 * d, 0.5 * d, (n + 4, n))
+            ref = geometry.min_enclosing_ball(cand)
+            order = rng.permutation(ref.support).tolist()
+            guesses = [rng.permutation(len(cand))[:k].tolist() for k in range(1, n + 2)]
+            for first in [order] + guesses:
+                reach, ball = isodiametric._guess_ball(cand, first, d)
+                tried += first is order
+                if ball is None:
+                    continue
+                certified += first is order
+                assert ball.support == first and sorted(first) == sorted(ref.support)
+                assert ball.radius == reach
+                assert abs(ball.radius - ref.radius) <= 2 * isodiametric.EPS * d
+                assert np.linalg.norm(ball.center - ref.center) <= 8 * isodiametric.EPS * d
+                weight = dict(zip(ref.support, ref.weights))
+                assert np.allclose(ball.weights, [weight[i] for i in first], rtol=0, atol=1e-9)
+                assert min(ball.weights) >= 0.0
+                assert np.abs(np.linalg.norm(cand - ball.center, axis=1)).max() <= ball.radius
+    assert certified == tried
 
 
 def test_reach_degenerate_guess_never_certifies():
-    # two equal atoms, collinear atoms (exactly so, and up to rounding),
-    # and more than n + 1 atoms: the search never rejects on such a guess
-    def certifies(cand, first):
+    # no ball, and an inf reach where the guess is degenerate: two equal
+    # atoms, collinear atoms (exactly so, and up to rounding), more than
+    # n + 1 atoms, an obtuse triangle (its circumcenter has a negative
+    # weight) and an atom outside the guess's circumsphere.  The search
+    # never rejects a retry on a degenerate guess
+    def guess(cand, first):
+        return isodiametric._guess_ball(np.asarray(cand, dtype=float), first, 1.0)
+
+    def rejects(cand, first):
         radius = geometry.min_enclosing_ball(cand).radius
-        return isodiametric._reach(np.asarray(cand, dtype=float), first) <= radius - 1e-12
+        return guess(cand, first)[0] <= radius - 1e-12
 
     inner = [[0.05, -0.02], [-0.03, 0.04]]
-    assert not certifies([[0.3, 0.1], [0.3, 0.1], [-0.4, 0.2]] + inner, [0, 1])
-    assert not certifies([[0.0, 0.0], [0.2, 0.2], [0.4, 0.4]] + inner, [0, 1, 2])
-    assert not certifies([[0.0, 0.0], [0.1, 0.3], [0.2, 0.6]] + inner, [0, 1, 2])
-    assert not certifies([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, -0.5]] + inner,
-                         [0, 1, 2, 3])
-    assert isodiametric._reach(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]), [0, 1]) == math.inf
+    degenerate = [([[0.3, 0.1], [0.3, 0.1], [-0.4, 0.2]] + inner, [0, 1]),
+                  ([[0.0, 0.0], [0.2, 0.2], [0.4, 0.4]] + inner, [0, 1, 2]),
+                  ([[0.0, 0.0], [0.1, 0.3], [0.2, 0.6]] + inner, [0, 1, 2]),
+                  ([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, -0.5]] + inner, [0, 1, 2, 3])]
+    for cand, first in degenerate:
+        assert not rejects(cand, first)
+        assert guess(cand, first)[1] is None
+    assert guess([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]], [0, 1]) == (math.inf, None)
+    obtuse = [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.1]] + inner
+    reach, ball = guess(obtuse, [0, 1, 2])
+    assert ball is None and reach < math.inf
+    assert guess(obtuse, [0, 1])[1].support == [0, 1]
+    outside = [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5 + 1e-9]] + inner
+    assert guess(outside, [0, 1])[1] is None
+    assert guess(outside, [0, 1, 2])[1].support == [0, 1, 2]
 
 
 def _search_or_error(cfg):

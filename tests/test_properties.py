@@ -21,8 +21,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from geomoment import (PointCloud, RadialCost, bhatia_davis_bound,  # noqa: E402
-                       chebyshev_level, diameter, max_variance, meb_support,
-                       min_enclosing_ball, regular_simplex)
+                       biconjugate_at, chebyshev_level, diameter, duality_gap,
+                       max_variance, meb_support, min_enclosing_ball,
+                       primal_lp_value, regular_simplex,
+                       translated_biconjugate_zero)
 
 EPS = np.finfo(float).eps
 MAX_RATIO = 1e8  # offset over spread, for the support and the gap
@@ -156,3 +158,24 @@ def test_bhatia_davis_bound_invariant(placed):
     Q = s * P + t
     b1 = bhatia_davis_bound(PointCloud(Q), w @ Q)
     assert abs(b1 / s ** 2 - b0) <= 1e-9 * b0
+
+
+@SETTINGS
+@given(placements(scales=(-8.0, 8.0)))
+def test_envelope_values_scale(placed):
+    # the envelope LP ran on the raw coordinates, whose absolute tolerances
+    # put primal_lp_value 60% and the biconjugate 37% off at s = 1e-8 (30
+    # clouds); solved on the cloud divided by a power of two near its
+    # largest coordinate, each value scales as s^2 up to rounding, and so
+    # does the duality gap, a residual of the enclosing ball's R^2
+    rng, n, s, _ = placed
+    P = rng.normal(size=(int(rng.integers(n + 2, 25)), n))
+    P -= P.mean(axis=0)
+    x, w = rng.dirichlet(np.ones(len(P)), size=2) @ P
+    for value in (lambda Q, s: primal_lp_value(Q),
+                  lambda Q, s: biconjugate_at(Q, s * x),
+                  lambda Q, s: translated_biconjugate_zero(Q, s * w)):
+        v0 = value(P, 1.0)
+        assert abs(value(s * P, s) / s ** 2 - v0) <= 1e-9 * abs(v0)
+    R = min_enclosing_ball(P).radius
+    assert duality_gap(s * P) <= 1e-9 * (s * R) ** 2
