@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report
-from .conjugate import envelope_lp, scaled_envelope_lp
+from .conjugate import scaled_envelope_lp
 from .errors import DomainError, ParseError
 from .geometry import Ball, Shape, as_cloud, min_enclosing_ball, shape_sample
 from .lp import LpProblem, LpStatus, solve_lp
@@ -196,12 +196,12 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
 
 
 def _bd_bound_cloud(cloud, xbar):
-    """The envelope bound at xbar, solved on the offsets y_i = (x_i - xbar) / s
-    at 0, with s = max |x_i - xbar|: the variance about xbar is s^2 times
-    theirs, and the LP's absolute tolerances see a cloud of unit size, so
-    neither the scale nor the position of the cloud changes the answer.  A
-    separating certificate (u, -c) of 0 from the y_i, u.y_i <= c, maps back
-    to u.x_i <= s c + u.xbar.  Offsets too large for s or s^2 to be finite,
+    """The envelope bound at xbar: the largest variance about xbar, the
+    envelope program at 0 on the offsets x_i - xbar, solved at unit scale
+    (:func:`conjugate.scaled_envelope_lp`), so neither the scale nor the
+    position of the cloud changes the answer.  A separating certificate
+    (u, -c) of 0 from the offsets, u.(x_i - xbar) <= c, maps back to
+    u.x_i <= c + u.xbar.  Offsets too large for their squares to be finite,
     those where n max |x_ij - xbar_j|^2 overflows, raise ValueError before
     any of them is squared.
     """
@@ -211,15 +211,14 @@ def _bd_bound_cloud(cloud, xbar):
     top = float(np.abs(Y).max())
     if not cloud.dim * top * top < math.inf:
         raise ValueError("point cloud is too far from xbar to square its offsets")
-    s = float(np.linalg.norm(Y, axis=1).max())
-    if s == 0.0:  # every atom at xbar
+    if top == 0.0:  # every atom at xbar
         return 0.0
-    sol = envelope_lp(Y / s, np.zeros(cloud.dim))
+    sol, s = scaled_envelope_lp(Y, np.zeros(cloud.dim))
     if sol.status is LpStatus.INFEASIBLE:
-        u, y = sol.certificate[:-1], sol.certificate[-1]
+        u, c = sol.certificate[:-1], sol.certificate[-1]
         raise DomainError("mean outside the convex hull of the atoms",
-                          certificate=np.append(u, s * y - u @ xbar))
-    return -s * s * sol.value
+                          certificate=np.append(u, s * c - u @ xbar))
+    return -sol.value * s * s
 
 
 def max_variance(cloud):

@@ -56,17 +56,17 @@ def envelope_lp(cloud, x):
 
 def scaled_envelope_lp(points, x):
     """:func:`envelope_lp` at x, solved on the points and x divided by s, a
-    power of two near their largest |coordinate| (1 when every one is 0):
-    (solution, s).
+    power of two near the points' largest |coordinate| (1 when every one is
+    0): (solution, s).
 
     The division is exact, and the LP's absolute tolerances see a cloud of
     unit size, so its answers do not depend on the scale of the cloud.  The
     value at x is s^2 times the solution's value, the weights are the
     solution's own, and a separating certificate (u, c) maps back to
-    (u, s c).
+    (u, s c).  x must lie within twice the points' largest |coordinate|,
+    so that x / s stays below 2.
     """
-    top = max(float(np.abs(points).max()), float(np.abs(x).max(initial=0.0)))
-    s = math.ldexp(1.0, math.frexp(top)[1])
+    s = math.ldexp(1.0, math.frexp(float(np.abs(points).max()))[1])
     return envelope_lp(points / s, x / s), s
 
 
@@ -75,12 +75,15 @@ def biconjugate_at(cloud, x):
 
     The value of :func:`envelope_lp` at x, solved at unit scale
     (:func:`scaled_envelope_lp`); +inf when x lies outside the convex hull
-    of the atoms.
+    of the atoms, without a solve when a coordinate of x exceeds twice the
+    atoms' largest |coordinate|.
     """
     cloud = as_cloud(cloud)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != cloud.dim:
         raise ValueError(f"point has dimension {x.size}, cloud has {cloud.dim}")
+    if float(np.abs(x).max()) > 2.0 * float(np.abs(cloud.points).max()):
+        return math.inf
     sol, s = scaled_envelope_lp(cloud.points, x)
     if sol.status is LpStatus.INFEASIBLE:
         return math.inf

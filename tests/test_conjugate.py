@@ -57,6 +57,9 @@ def test_biconjugate_unit_interval_formula():
 
 def test_biconjugate_outside_hull_is_inf():
     assert math.isinf(biconjugate_at(PointCloud([0.0, 1.0]), [2.0]))
+    # far outside, where x's own binary exponent is 1024
+    assert math.isinf(biconjugate_at(PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                                     [1e308, 0.0]))
 
 
 def test_translated_no_shift():

@@ -289,13 +289,14 @@ def test_search_measure_genvar_at_large_scale(tol):
     assert gv.value == pytest.approx(res.best_value, rel=1e-9)
 
 
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
 def test_search_warm_start_matches_cold_start(p, monkeypatch):
     # the enclosing ball is unique, so starting from the previous support
     # changes only its rounding: the search ends where a guess too long to
     # be used, which starts at the mean, does.  Almost every step's ball is
     # the certified ball of its guess or a solve started from that guess;
-    # the cold search certifies no guess and solves every ball cold
+    # the cold search certifies no guess and solves every ball cold.  Both
+    # end each restart alike at any scale of d and within a tight budget
     warm, balls = [], []
     orders = np.random.default_rng(0)
     guess_ball = isodiametric._guess_ball
@@ -315,15 +316,26 @@ def test_search_warm_start_matches_cold_start(p, monkeypatch):
     configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
                             cost=RadialCost.power(p))
                for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)]
+    configs += [SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=seed,
+                             max_iters=max_iters, cost=RadialCost.power(p))
+                for n, N in ((1, 4), (2, 6), (3, 8)) for d in (1.0, 3.7e-4, 123.4)
+                for seed in (3, 11) for max_iters in (400, 29)]
     monkeypatch.setattr(isodiametric, "min_enclosing_ball", spy)
     monkeypatch.setattr(isodiametric, "_guess_ball", certified)
-    ws = [search_max(cfg) for cfg in configs]
+    ws = [_search_or_error(cfg) for cfg in configs]
+    assert sum(balls) > 0.9 * len(balls)
     assert sum(balls) + sum(warm) > 0.9 * (sum(balls) + len(warm))
     monkeypatch.setattr(isodiametric, "min_enclosing_ball", cold)
     monkeypatch.setattr(isodiametric, "_guess_ball", lambda *args: (guess_ball(*args)[0], None))
-    for w, c in zip(ws, (search_max(cfg) for cfg in configs)):
-        assert np.allclose(w.per_restart_values, c.per_restart_values, rtol=1e-12, atol=0)
-        assert w.converged_restarts == c.converged_restarts
+    cs = [_search_or_error(cfg) for cfg in configs]
+    # the tight budget leaves restarts unconverged
+    assert any(w[1] < cfg.restarts for w, cfg in zip(ws, configs) if not isinstance(w, str))
+    for w, c in zip(ws, cs):
+        if isinstance(w, str) or isinstance(c, str):
+            assert w == c
+            continue
+        assert np.allclose(w[0], c[0], rtol=1e-12, atol=0)
+        assert w[1] == c[1]
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -339,16 +351,28 @@ def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
                for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)
                for max_iters in (400, 29)]
     guess_ball, meb = isodiametric._guess_ball, isodiametric.min_enclosing_ball
-    weights_at_atoms = isodiametric._weights_at_atoms
-    reaches, solves, finals = [], [], []
+    weights_at_atoms, outward = isodiametric._weights_at_atoms, isodiametric._outward
+    solves, finals = [], []
+    # the support guesses of accepted states, by id (the dict keeps each
+    # alive, so no other guess takes its id): the first step to use one is
+    # a retry.  A restart's starting state follows its first ball solve
+    accepted, starting, retries = {}, [False], [0]
 
     def spy(cand, first, d):
-        reaches.append(guess_ball(cand, first, d)[0])
-        return reaches[-1], None
+        retries[0] += accepted.pop(id(first), None) is first
+        return guess_ball(cand, first, d)[0], None
 
     def count(cloud, first=None):
         solves.append(None)
+        starting[0] = first is None
         return meb(cloud, first=first)
+
+    def guesses(*args):
+        state = outward(*args)
+        if not starting[0]:
+            accepted[id(state[1])] = state[1]
+        starting[0] = False
+        return state
 
     def record(atoms, *args):  # every restart's final atoms
         finals.append(atoms)
@@ -356,6 +380,7 @@ def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
 
     monkeypatch.setattr(isodiametric, "_weights_at_atoms", record)
     monkeypatch.setattr(isodiametric, "min_enclosing_ball", count)
+    monkeypatch.setattr(isodiametric, "_outward", guesses)
     monkeypatch.setattr(isodiametric, "_guess_ball", spy)
     short = [_search_or_error(cfg) for cfg in configs]
     short_solves, short_atoms = len(solves), finals.copy()
@@ -364,8 +389,8 @@ def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
     monkeypatch.setattr(isodiametric, "_guess_ball", lambda cand, first, d: (math.inf, None))
     full = [_search_or_error(cfg) for cfg in configs]
     # every step of the full search solves its ball, so the difference is
-    # the number of retries the bound rejected: some steps, not all
-    assert 0 < len(solves) - short_solves < len(reaches)
+    # the number of retries the bound rejected: some of them, not all
+    assert 0 < len(solves) - short_solves < retries[0]
     assert len(short_atoms) == len(finals) == sum(cfg.restarts for cfg in configs)
     for a, b in zip(short_atoms, finals):
         assert np.array_equal(a, b)
@@ -378,37 +403,6 @@ def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
         assert s[0] == f[0]  # per-restart values
         assert s[1] == f[1]  # converged restarts
         assert np.array_equal(s[2], f[2])  # best measure's atoms
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_search_certified_ball_matches_solving_every_ball(p, monkeypatch):
-    # a certified ball is the smallest enclosing ball up to rounding, so
-    # solving every ball in its place ends each restart where it ends,
-    # within rounding, and converges the same restarts, within a tight
-    # budget too
-    configs = [SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=seed,
-                            max_iters=max_iters, cost=RadialCost.power(p))
-               for n, N in ((1, 4), (2, 6), (3, 8)) for d in (1.0, 3.7e-4, 123.4)
-               for seed in (3, 11) for max_iters in (400, 29)]
-    guess_ball, certified = isodiametric._guess_ball, []
-
-    def spy(cand, first, d):
-        reach, ball = guess_ball(cand, first, d)
-        certified.append(ball is not None)
-        return reach, ball
-
-    monkeypatch.setattr(isodiametric, "_guess_ball", spy)
-    short = [_search_or_error(cfg) for cfg in configs]
-    assert sum(certified) > 0.9 * len(certified)
-    monkeypatch.setattr(isodiametric, "_guess_ball", lambda *args: (guess_ball(*args)[0], None))
-    solved = [_search_or_error(cfg) for cfg in configs]
-    assert any(s[1] < cfg.restarts for s, cfg in zip(short, configs) if not isinstance(s, str))
-    for s, f in zip(short, solved):
-        if isinstance(s, str) or isinstance(f, str):
-            assert s == f
-            continue
-        np.testing.assert_allclose(s[0], f[0], rtol=1e-12, atol=0)
-        assert s[1] == f[1]
 
 
 @pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
