@@ -166,7 +166,7 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
     if shape.kind == Shape.BALL:
         R = p["radius"]
         nx = float(xbar @ xbar)
-        if nx > R * R * (1 + 1e-12) + 1e-15:
+        if nx > R * R * (1 + 1e-12):
             raise DomainError(f"mean with |x|={math.sqrt(nx)} outside ball of radius {R}",
                               certificate=xbar / max(math.sqrt(nx), 1e-300))
         return R * R - nx
@@ -328,29 +328,36 @@ def _dual_ball_for_mean(cloud, m):
 def equality_case(measure, cloud, tol=1e-9):
     """Does the measure attain the variance bound on this cloud?
 
-    True requires a ball enclosing the whole cloud with every positive-mass
-    atom within ``tol`` of its boundary; with the barycenter interior to
-    the hull this is equivalent to attaining the bound, which is how the
-    verdict is decided.  Barycenters on the hull boundary return
-    ``is_equality=None`` (indeterminate): the supporting-sphere criterion
-    degenerates there and is out of scope.
+    True requires the variance to reach the bound within ``tol`` times the
+    bound; with the barycenter interior to the hull this is equivalent to a
+    ball enclosing the whole cloud with every positive-mass atom on its
+    boundary, which the witness shows when its LP finds one.  Barycenters
+    on the hull boundary return ``is_equality=None`` (indeterminate): the
+    supporting-sphere criterion degenerates there and is out of scope.
+    Every tolerance is relative to the bound or to the cloud's spread, plus
+    the rounding of a distance computed from the coordinates, 16 eps
+    max_i |x_i| as in :func:`geometry.meb_support`, so neither a small
+    cloud nor a far one changes the answer.
     """
-    P = as_cloud(cloud).points
+    cloud = as_cloud(cloud)
+    P = cloud.points
     atoms, w = measure.support()
-    scale = 1.0 + float(np.abs(P).max())
+    spread = float(np.linalg.norm(P - P.mean(axis=0), axis=1).max())
+    rnd = 16.0 * np.finfo(float).eps * float(np.linalg.norm(P, axis=1).max())
     for a in atoms:
-        if np.min(np.linalg.norm(P - a, axis=1)) > 1e-9 * scale:
+        if np.min(np.linalg.norm(P - a, axis=1)) > 1e-9 * spread + rnd:
             raise ValueError("measure has an atom that is not a cloud point")
     m = mean(measure)
     if not in_hull_interior(P, m):
         return EqualityCase(None, None)
     bound = bhatia_davis_bound(cloud, m)
     var = variance(measure)
-    is_eq = var >= bound - tol * (1.0 + abs(bound))
+    # a standard deviation off by rnd moves the variance by 2 rnd sqrt(bound)
+    is_eq = var >= bound - tol * bound - 2.0 * rnd * math.sqrt(max(bound, 0.0))
     if not is_eq:
         return EqualityCase(False, None, bound=bound, variance=var)
     witness = _dual_ball_for_mean(cloud, m)
-    if witness is not None and not witness.contains(P, tol=1e-7 * (1 + witness.radius)):
+    if witness is not None and not witness.contains(P, tol=1e-7 * witness.radius + rnd):
         witness = None
     return EqualityCase(True, witness, bound=bound, variance=var)
 

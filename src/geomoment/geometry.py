@@ -5,7 +5,6 @@ the sample shapes used by the bound computations.
 import csv
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +236,7 @@ class Shape:
             return bool(p["k_lo"] <= x[0] <= p["k_hi"])
         if self.kind == self.BALL:
             r = p["radius"]
-            return bool(np.linalg.norm(x) <= r * (1 + tol) + tol)
+            return bool(np.linalg.norm(x) <= r * (1 + tol))
         if self.kind == self.ELLIPSE:
             q = (x[0] / p["a"]) ** 2 + (x[1] / p["b"]) ** 2
             return bool(q <= 1 + tol)
@@ -285,118 +284,125 @@ def circumball(points):
     distance from the first); raises DegenerateSupportError otherwise.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    span = _Span(P)
+    span = _Span(P.tolist())
     for i in range(len(P)):
         if not span.push(i):
             raise DegenerateSupportError(
                 f"{len(P)} support points are affinely dependent (rank tolerance {RANK_TOL})")
-    center = span.circumcenter()
+    center = np.array(span.circumcenter())
     return Ball(center, float(np.linalg.norm(center - P[0])))
 
 
 class _Span:
-    """Affinely independent rows of a point array Q, pushed one at a time
+    """Affinely independent rows of a point set Q, pushed one at a time
     (Gärtner's push arithmetic, "Fast and Robust Smallest Enclosing Balls",
-    1999).  With m rows pushed, the offsets u_k = p_k - p_0 (k = 1..m-1)
-    are held orthogonalized, each against those before it, as V[k-1] with
-    squared length Z[k-1], and with u_k = V[k-1] + sum_j L[k-1][j] V[j].
-    Gram-Schmidt runs a second pass when the first cancels over half of
-    |u|^2, so the rows stay orthogonal to rounding however thin the
-    simplex.  A row whose orthogonal part v has |v|^2 at most RANK_TOL^2
-    |u|^2 is dependent and is not pushed.  F holds the circumcenter's steps
-    along V: the point of the hull equidistant from every pushed row is
-    p_0 + sum_k F[k] V[k].
+    1999): the one Gram-Schmidt, circumcenter and affine-weight arithmetic
+    of the package, which the enclosing-ball loop, :func:`circumball` and
+    the isodiametric search's guessed balls share.  Q is a list of rows, or
+    an array whose rows are converted as they are pushed; everything else
+    is plain floats, with every sum added left to right, since the builtin
+    sum compensates its rounding from Python 3.12 on.  With m rows pushed,
+    the offsets u_k = p_k - p_0 (k = 1..m-1) are held orthogonalized, each
+    against those before it, as V[k-1] with squared length Z[k-1], and with
+    u_k = V[k-1] + sum_j L[k-1][j] V[j].  Gram-Schmidt runs a second pass
+    when the first cancels over half of |u|^2, so the rows stay orthogonal
+    to rounding however thin the simplex.  A row whose orthogonal part v
+    has |v|^2 at most RANK_TOL^2 |u|^2 is dependent and is not pushed.  F
+    holds the circumcenter's steps along V: the point of the hull
+    equidistant from every pushed row is p_0 + sum_k F[k] V[k].
     """
 
     def __init__(self, Q):
-        k = min(Q.shape[0] - 1, Q.shape[1])  # the most offsets that can be pushed
-        self.Q = Q
-        self.rows = []
-        self.V = np.empty((k, Q.shape[1]))
-        self.Z = np.empty(k)
-        self.L = [None] * k
-        self.F = [0.0] * k
+        self.Q, self.p0, self.rows = Q, None, []
+        self.V, self.Z, self.L, self.F = [], [], [], []
 
     def push(self, i):
         """Push row i unless it is dependent on the pushed rows; True if pushed."""
-        k = len(self.rows) - 1
-        if k >= 0:
-            u = self.Q[i] - self.Q[self.rows[0]]
-            u2 = float(u @ u)
-            v, a, zk = u, [], u2
-            if k:
-                W, z = self.V[:k], self.Z[:k]
-                b = (W @ u) / z
-                v = u - b @ W
-                zk = float(v @ v)
-                if zk < 0.5 * u2:  # a second pass after a cancellation
-                    e = (W @ v) / z
-                    v -= e @ W
-                    b += e
-                    zk = float(v @ v)
-                a = b.tolist()
-            if not zk > RANK_TOL * RANK_TOL * u2:  # NaN is dependent too
+        x = self.Q[i]
+        if not isinstance(x, list):
+            x = x.tolist()
+        if not self.rows:
+            self.p0 = x
+        else:
+            V, Z, F = self.V, self.Z, self.F
+            u = [a - b for a, b in zip(x, self.p0)]
+            u2 = _dot(u, u)
+            a, v = self._split(u)
+            z = _dot(v, v)
+            if z < 0.5 * u2:  # a second pass after a cancellation
+                e, v = self._split(v)
+                a = [s + t for s, t in zip(a, e)]
+                z = _dot(v, v)
+            if not z > RANK_TOL * RANK_TOL * u2:  # NaN is dependent too
                 return False
             # the circumcenter y = sum_j F[j] V[j] solves 2 y . u_k = |u_k|^2
-            F, Z = self.F, self.Z
-            F[k] = (0.5 * u2 - _sum(a[j] * F[j] * Z[j] for j in range(k))) / zk
-            self.V[k], Z[k], self.L[k] = v, zk, a
+            t = 0.0
+            for aj, fj, zj in zip(a, F, Z):
+                t += aj * fj * zj
+            F.append((0.5 * u2 - t) / z)
+            V.append(v)
+            Z.append(z)
+            self.L.append(a)
         self.rows.append(i)
         return True
+
+    def _split(self, u):
+        """u's steps along V, and u minus its parts along V: one classical
+        Gram-Schmidt pass."""
+        a = [_dot(u, v) / z for v, z in zip(self.V, self.Z)]
+        for aj, v in zip(a, self.V):
+            u = [x - aj * y for x, y in zip(u, v)]
+        return a, u
 
     def drop(self, k):
         """Remove the k-th pushed row and push the later ones again."""
         later = self.rows[k + 1:]
         del self.rows[k:]
+        j = max(k - 1, 0)
+        del self.V[j:], self.Z[j:], self.L[j:], self.F[j:]
         for i in later:
             self.push(i)
 
     def circumcenter(self):
-        k = len(self.rows) - 1
-        return self.Q[self.rows[0]] + np.asarray(self.F[:k]) @ self.V[:k]
+        """p_0 + sum_k F[k] V[k], added left to right."""
+        c = self.p0
+        for f, v in zip(self.F, self.V):
+            c = [a + f * b for a, b in zip(c, v)]
+        return c
 
     def project(self, x):
         """x's steps f along V to its projection onto the affine hull, and
-        the residual from that projection to x."""
-        k = len(self.rows) - 1
-        W = self.V[:k]
-        y = x - self.Q[self.rows[0]]
-        f = (W @ y) / self.Z[:k]
-        return f.tolist(), y - f @ W
+        the residual from that projection to x, for a point x given as a
+        list."""
+        return self._split([a - b for a, b in zip(x, self.p0)])
 
     def weights(self, f):
         """The affine weights, one per pushed row in push order, of the point
-        p_0 + sum_k f[k] V[k] of the hull."""
-        return _affine_weights(self.L, f[:len(self.rows) - 1])
-
-
-def _affine_weights(L, f):
-    """The affine weights, one per point p_0..p_k, of p_0 + sum_j f[j] V[j],
-    where k = len(f) and the offsets u_j = p_j - p_0 are held orthogonalized
-    as :class:`_Span` holds them: u_j = V[j-1] + sum_i L[j-1][i] V[i].
-    Back-substitution on L, then lam_0 = 1 minus the others."""
-    k = len(f)
-    lam = [0.0] * (k + 1)
-    for j in range(k, 0, -1):
+        p_0 + sum_k f[k] V[k] of the hull: back-substitution on L, then
+        lam_0 = 1 minus the others."""
+        L, k = self.L, len(self.L)
+        lam = [0.0] * (k + 1)
+        for j in range(k, 0, -1):
+            t = 0.0
+            for i in range(j + 1, k + 1):
+                t += L[i - 1][j - 1] * lam[i]
+            lam[j] = f[j - 1] - t
         t = 0.0
-        for i in range(j + 1, k + 1):
-            t += L[i - 1][j - 1] * lam[i]
-        lam[j] = f[j - 1] - t
-    lam[0] = 1.0 - _sum(lam)
-    return lam
+        for w in lam:
+            t += w
+        lam[0] = 1.0 - t
+        return lam
 
 
-def _sum(terms):
-    """The sum of floats added left to right, one rounding per term.  The
-    builtin sum compensates its rounding from Python 3.12 on, so it would
-    round the same terms differently on different Python versions."""
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
+def _dot(x, y):
+    """x . y for two lists, added left to right."""
+    t = 0.0
+    for a, b in zip(x, y):
+        t += a * b
+    return t
 
 
-def min_enclosing_ball(cloud, first=None):
+def min_enclosing_ball(cloud):
     """Smallest closed ball containing the cloud, with its dual measure.
 
     The loop of Fischer, Gärtner and Kutz ("Fast Smallest-Enclosing-Ball
@@ -426,25 +432,15 @@ def min_enclosing_ball(cloud, first=None):
     maximizer over measures on the cloud.  A singleton gives support [0]
     with weight 1.
 
-    ``first`` is a guess at the support, typically that of a nearby ball: a
-    sequence of distinct integer point indices in 0..N-1.  A guess of 1 to
-    dim + 1 points starts the loop with T its independent points and c
-    their circumcenter, so a guess whose ball contains the cloud and whose
-    center has nonnegative weights is returned at once.  A circumcenter
-    farther from the mean than the farthest point, or a longer or empty
-    guess, starts at the mean.  A repeated index, one outside 0..N-1 or a
-    value that is not an integer raises ValueError.  The ball is unique, so
-    the guess changes only its rounding.  Empty, ragged or non-finite input
-    raises ValueError, as PointCloud does, and so does a cloud whose squared
-    spread is not representable: one where 64 n times the largest squared
-    coordinate of a point's offset from the mean overflows.  That bounds the
-    squared spread with the margin the loop needs, since no square it forms
-    exceeds 20 times the squared spread, and the check runs before any
-    square is formed.
+    Empty, ragged or non-finite input raises ValueError, as PointCloud
+    does, and so does a cloud whose squared spread is not representable:
+    one where 64 n times the largest squared coordinate of a point's offset
+    from the mean overflows.  That bounds the squared spread with the
+    margin the loop needs, since no square it forms exceeds 20 times the
+    squared spread, and the check runs before any square is formed.
     """
     P = _as_points(cloud)
     N, n = P.shape
-    head = None if first is None else _check_first(first, N)
     if N == 1:
         return Ball(P[0], 0.0, [0], [1.0])
     # P.mean's arithmetic, without its dispatch: np.add.reduce is
@@ -456,27 +452,21 @@ def min_enclosing_ball(cloud, first=None):
         raise ValueError("point cloud is too spread out to square its distances")
     spread2 = float(np.add.reduce(Q * Q, axis=1).max())
     span, c, f = _Span(Q), np.zeros(n), None  # f: c's steps along V once c is on the hull
-    for i in head if head and len(head) <= n + 1 else ():
-        span.push(i)
-    if span.rows:
-        c, f = span.circumcenter(), span.F
-    if c @ c > spread2:
-        # no smallest ball is centered farther from the mean than its farthest point
-        span, c, f = _Span(Q), np.zeros(n), None
     for _ in range(64 * (n + 1)):
         D = Q - c
         d2 = np.add.reduce(D * D, axis=1)
         far = int(d2.argmax())
         r2 = float(d2[span.rows[0]]) if span.rows else -1.0
         if d2[far] > r2 + CONTAIN_TOL * max(r2, spread2):
-            # the start, a guess too small, or a point that rounding let out
+            # the start, or a point that rounding let out
             span, f = _Span(Q), None
             span.push(far)
             r2 = float(d2[far])
         if f is None:
-            f, res = span.project(c)
-            res2 = float(res @ res)
+            f, res = span.project(c.tolist())
+            res2 = _dot(res, res)
             if len(span.rows) <= n and res2 > RANK_TOL * RANK_TOL * r2:
+                res = np.array(res)
                 # walking to c - t res, p's slack r^2 - |p - c|^2 falls by 2 t
                 # rate; a point with rate <= 4 RANK_TOL |res| r is that near the
                 # hull of T and is not taken, so every point taken can be pushed
@@ -501,20 +491,6 @@ def min_enclosing_ball(cloud, first=None):
         span.drop(lam.index(low))
     raise NoConvergenceError(
         f"enclosing-ball loop did not stop within {64 * (n + 1)} rounds")
-
-
-def _check_first(first, N):
-    """The indices of ``first`` as a list, checked to be distinct and in
-    0..N-1."""
-    try:
-        head = [operator.index(i) for i in first]
-    except TypeError:
-        raise ValueError("first must hold integer point indices") from None
-    if not all(0 <= i < N for i in head):
-        raise ValueError(f"first must hold point indices in 0..{N - 1}")
-    if len(set(head)) != len(head):
-        raise ValueError("first must hold distinct point indices")
-    return head
 
 
 def meb_support(cloud, ball, tol=None):

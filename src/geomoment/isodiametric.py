@@ -13,8 +13,8 @@ import numpy as np
 from .bounds import AtomicMeasure
 from .errors import DomainError, NoConvergenceError
 from .genvar import RadialCost
-from .geometry import (CONTAIN_TOL, RANK_TOL, Ball, _affine_weights, as_cloud, diameter,
-                       jung_radius, meb_support, min_enclosing_ball, regular_simplex)
+from .geometry import (CONTAIN_TOL, Ball, _Span, as_cloud, diameter, jung_radius, meb_support,
+                       min_enclosing_ball, regular_simplex)
 from .lp import hull_membership
 
 WEIGHT_FLOOR = 1e-12
@@ -201,28 +201,19 @@ def _pair_certified(atoms, ball, boundary, d):
 
 
 def _guess_ball(cand, first, d):
-    """For ``first``, a guess at the support of ``cand``'s smallest
-    enclosing ball: its reach and, when a certificate holds, that ball, as
-    (reach, ball or None), from one Gram-Schmidt pass in plain floats.
+    """The smallest enclosing ball of ``cand`` if ``first``, a guess at its
+    support, can be certified to carry it, else None.
 
-    The circumcenter c of the atoms ``first`` is p_0 + sum_k F_k v_k, with
-    the offsets u_k = p_k - p_0 orthogonalized into v_k as
-    :class:`geometry._Span` does: a Gram solve of at most n unknowns.  The
-    reach is the largest distance from c to any atom of ``cand``.  A ball of
-    that radius around c contains ``cand``, so the reach bounds ``cand``'s
-    enclosing radius from above, however c is rounded.  It is inf when the
-    guess has more than n + 1 atoms or a pivot |v_k|^2 that is not
-    positive, and inf or nan when c overflows.
+    One :class:`geometry._Span` over the rows of ``cand`` pushes the atoms
+    ``first`` and gives their circumcenter c and its affine weights on
+    them.  The ball is B(c, reach), where the reach is the largest distance
+    from c to any atom, with ``first`` as its ``support`` and those weights
+    as its ``weights``.  It is returned when the optimality condition that
+    ends :func:`geometry.min_enclosing_ball`'s loop holds, the duality of
+    the moment problem: c lies in the hull of atoms on its sphere.  That is:
 
-    The ball is B(c, reach), with ``first`` as its ``support`` and c's
-    affine weights on it, back-substituted as ``_Span.weights`` does, as its
-    ``weights``.  It is returned when the optimality condition that ends
-    :func:`geometry.min_enclosing_ball`'s loop holds, the duality of the
-    moment problem: c lies in the hull of atoms on its sphere.  That is:
-
-    - every pivot passes the loop's test |v_k|^2 > RANK_TOL^2 |u_k|^2,
-      after a second pass where the first cancels over half of |u_k|^2,
-      as the loop takes it;
+    - the guess has at most n + 1 atoms and every push is independent
+      under the loop's test |v_k|^2 > RANK_TOL^2 |u_k|^2;
     - every affine weight of c is >= 0;
     - no atom lies farther from c than the farthest atom of the guess by
       more than 1e-13 (d + R), capped at 0.4 CONTAIN_TOL R, where R is that
@@ -230,67 +221,30 @@ def _guess_ball(cand, first, d):
       0.5 CONTAIN_TOL R, up to rounding, and the cap binds only when
       R < d / 3.
 
-    Plain floats, with every sum added left to right: the guess has a few
-    atoms in a few dimensions, too few for arrays to pay.
+    The guess has a few atoms in a few dimensions, too few for arrays to
+    pay, so the span works on ``cand.tolist()``.
     """
     rows = cand.tolist()
-    p = rows[first[0]]
-    if len(first) > len(p) + 1:
-        return math.inf, None
-    c, V, L, F, independent = p, [], [], [], True  # V: (v_k, |v_k|^2)
-    for i in first[1:]:
-        u = [a - b for a, b in zip(rows[i], p)]
-        u2 = _dot(u, u)
-        lk, v = _orthogonalize(u, V)
-        z = _dot(v, v)
-        if z < 0.5 * u2:  # a second pass after a cancellation, as _Span.push takes
-            e, v = _orthogonalize(v, V)
-            lk = [a + b for a, b in zip(lk, e)]
-            z = _dot(v, v)
-        if not z > 0.0:  # nan fails too
-            return math.inf, None
-        independent = independent and z > RANK_TOL * RANK_TOL * u2
-        t = 0.0
-        for a, fj, (_, zj) in zip(lk, F, V):
-            t += a * fj * zj
-        f = (0.5 * u2 - t) / z
-        V.append((v, z))
-        L.append(lk)
-        F.append(f)
-        c = [x + f * y for x, y in zip(c, v)]
-    d2 = []
+    if len(first) > len(rows[0]) + 1:
+        return None
+    span = _Span(rows)
+    for i in first:
+        if not span.push(i):
+            return None
+    lam = span.weights(span.F)
+    if min(lam) < 0.0:
+        return None
+    c, d2 = span.circumcenter(), []
     for x in rows:
         t = 0.0
         for a, b in zip(x, c):
             t += (a - b) * (a - b)
         d2.append(t)
     reach = math.sqrt(max(d2))
-    if not independent:
-        return reach, None
     R = math.sqrt(max([d2[i] for i in first]))
     if not reach <= R + min(1e-13 * (d + R), 0.4 * CONTAIN_TOL * R):  # nan fails too
-        return reach, None
-    lam = _affine_weights(L, F)
-    if min(lam) < 0.0:
-        return reach, None
-    return reach, Ball(c, reach, list(first), lam)
-
-
-def _dot(x, y):
-    """x . y, added left to right."""
-    t = 0.0
-    for a, b in zip(x, y):
-        t += a * b
-    return t
-
-
-def _orthogonalize(u, V):
-    """u's coefficients along the vectors v_j of V, (v_j, |v_j|^2) pairs,
-    and u minus its parts along them: one classical Gram-Schmidt pass."""
-    a = [_dot(u, vj) / zj for vj, zj in V]
-    for aj, (vj, _) in zip(a, V):
-        u = [x - aj * y for x, y in zip(u, vj)]
-    return a, u
+        return None
+    return Ball(c, reach, list(first), lam)
 
 
 def _outward(atoms, ball, d):
@@ -321,39 +275,24 @@ def _search_one(config, restart):
 
     Each step's enclosing ball is guessed to have the support of the
     previous ball, the atoms the step pushed outward (``first``), and the
-    guess is certified in plain floats (:func:`_guess_ball`).  By the
-    duality of the moment problem, the ball through the guess is the
-    smallest enclosing ball when it contains every atom and its center
-    has nonnegative affine weights on the guess; that is the test that
-    ends :func:`min_enclosing_ball`'s loop too.  A certified ball is used
-    as it is.  Only a guess that fails is solved, by
-    ``min_enclosing_ball(cand, first=first)``, whose loop starts at the
-    guess's center.  On three of the benchmark's search rounds at seed 1,
-    4617 of the 4649 balls the steps need are certified and 32 are solved:
-    with the 222 starting balls, one per restart, 254 balls are solved
-    where solving every guess would take 4871.  The ball is unique, so the
-    certificate changes only its rounding.  Over 378 search configurations
-    ((n, atoms) in {(1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8),
-    (4, 8)}, p in {1, 2, 3}, d in {1, 3.7e-4, 123.4}, ``max_iters`` in
-    {400, 29}, 4 restarts, 3 seeds), solving every ball in its place gave
-    the same outcomes and per-restart values within 1e-15, and the 57672
-    certified balls had the solved ball's support, its radius within
-    1.5 eps d and its center within 2.6 eps d.
-
-    The retry, the step right after an accepted one at the size just
-    accepted, is mostly undone by the projection, and its ball comes out
-    smaller than the current one.  So it is first checked on a cheaper
-    bound, before any certificate: its reach, the largest distance from
-    the guess's circumcenter to any of its atoms, is the radius of a ball
-    that contains it, and so no smaller than its enclosing radius.  That
-    is proved.  A retry whose reach is at least 1e-12 d (9007 u d,
-    u = eps / 2) below the current radius R is rejected without a ball.
-    That the solve would reject it too is measured: over all 80118 steps
-    of 504 search configurations (the same grid with 4 seeds), the solved
-    radius exceeded the reach by at most 1.04 eps d (2.1 u d), far inside
-    the band, so it stayed below R and short of the 1e-15 d (9.007 u d) an
-    accepted step must gain.  On the three rounds above the bound rejects
-    3800 of the 8449 steps.
+    guess is certified by :func:`_guess_ball`.  By the duality of the
+    moment problem, the ball through the guess is the smallest enclosing
+    ball when it contains every atom and its center has nonnegative affine
+    weights on the guess; that is the test that ends
+    :func:`min_enclosing_ball`'s loop too.  Every step follows one rule: the
+    certified ball if there is one, else ``min_enclosing_ball(cand)``, and
+    then the step is taken if its radius grows by more than 1e-15 d.  On
+    three of the benchmark's search rounds at seed 1, 8414 of the 8449
+    steps' balls are certified and 35 are solved: with the 222 starting
+    balls, one per restart, 257 balls are solved where solving every ball
+    would take 8671.  The ball is unique, so the certificate changes only
+    its rounding.  Over 378 search configurations ((n, atoms) in {(1, 4),
+    (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)}, p in {1, 2, 3}, d in
+    {1, 3.7e-4, 123.4}, ``max_iters`` in {400, 29}, 4 restarts, 3 seeds),
+    solving every ball in its place gave the same outcomes and per-restart
+    values within 1e-15, and the 56799 certified balls had the solved
+    ball's support, its radius within 1.6 eps d and its center within
+    2.3 eps d.
 
     A rejected step changes neither the atoms nor the ball, so each state's
     boundary atoms, outward directions, support guess and pair certificate
@@ -379,7 +318,6 @@ def _search_one(config, restart):
     step_floor = 1e-9 * d
     converged = False
     dirs, first, certified = _outward(atoms, ball, d)
-    retry = False  # is this step the one right after an accepted step, at its size?
     for it in range(config.max_iters):
         if certified and step <= d:
             # this halving and every later one would be rejected
@@ -389,17 +327,13 @@ def _search_one(config, restart):
             converged = it + halvings <= config.max_iters
             break
         cand = _project_diameter(atoms + step * dirs, w0, d)
-        reach, cand_ball = _guess_ball(cand, first, d)
-        # the candidate's own ball is no larger than its reach
-        if not (retry and reach <= ball.radius - 1e-12 * d):
-            if cand_ball is None:
-                cand_ball = min_enclosing_ball(cand, first=first)
-            if cand_ball.radius > ball.radius + 1e-15 * d:
-                atoms, ball = cand, cand_ball
-                dirs, first, certified = _outward(atoms, ball, d)
-                retry = True
-                continue
-        retry = False
+        cand_ball = _guess_ball(cand, first, d)
+        if cand_ball is None:
+            cand_ball = min_enclosing_ball(cand)
+        if cand_ball.radius > ball.radius + 1e-15 * d:
+            atoms, ball = cand, cand_ball
+            dirs, first, certified = _outward(atoms, ball, d)
+            continue
         step *= 0.5
         if step < step_floor:
             converged = True
@@ -486,7 +420,7 @@ def verify_simplex_optimality(result, n, d, tol, tol_geom=None, cost=None):
     and cluster masses within ``tol`` of 1/(n+1).
     """
     if tol_geom is None:
-        tol_geom = max(1e-3 * d, 10 * 1e-8)
+        tol_geom = 1e-3 * d
     bound = isodiametric_bound(n, d, cost)
     if result.best_value < bound - tol:
         return False

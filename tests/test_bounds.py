@@ -104,6 +104,21 @@ def test_bound_shape_domain_errors():
         bhatia_davis_bound(Shape.diamond(2.0, 1.0), [1.5, 0.9])
 
 
+@pytest.mark.parametrize("R", [1e-9, 1.0, 1e9])
+def test_ball_bound_slack_is_relative(R):
+    # an absolute 1e-15 on |xbar|^2 took a mean at 20 R for a point of the
+    # ball of radius 1e-9, and Shape.contains's absolute 1e-12 took a point
+    # 1e-4 R outside it
+    with pytest.raises(DomainError):
+        bhatia_davis_bound(Shape.ball(R), [20.0 * R, 0.0])
+    with pytest.raises(DomainError):
+        bhatia_davis_bound(Shape.ball(R), [R * (1 + 1e-9), 0.0])
+    assert bhatia_davis_bound(Shape.ball(R), [0.9 * R, 0.0]) == pytest.approx(0.19 * R * R)
+    assert not Shape.ball(R).contains([R * (1 + 1e-4), 0.0])
+    assert Shape.ball(R).contains([0.0, 0.9 * R])
+    assert Shape.ball(R).contains([0.6 * R, 0.8 * R])
+
+
 def test_max_variance_two_point():
     rep = max_variance(PointCloud([-1.0, 1.0]))
     assert rep.dual_value == pytest.approx(1.0)
@@ -330,6 +345,24 @@ def test_bound_on_a_cloud_whose_squares_overflow_raises():
     P = np.random.default_rng(0).normal(size=(10, 2)) * 1e300
     with pytest.raises(ValueError, match="square its offsets"):
         bhatia_davis_bound(Shape.cloud(PointCloud(P)), np.zeros(2))
+
+
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
+def test_equality_case_tolerances_are_relative(s):
+    # at s = 1e-8 the absolute tol (1 + |bound|) took a measure with 0.6 of
+    # the bound's variance for an extremal one.  A regular triangle of
+    # diameter s plus its center, at the origin and offset by 3 s
+    base = np.vstack([regular_simplex(2, s).vertices, [[0.0, 0.0]]])
+    for P in (base, base + 3.0 * s):
+        extremal = equality_case(AtomicMeasure(P, [1 / 3, 1 / 3, 1 / 3, 0.0]), PointCloud(P))
+        assert extremal.is_equality is True
+        assert extremal.witness.contains(P, tol=1e-7 * extremal.witness.radius)
+        inner = equality_case(AtomicMeasure(P, [0.2, 0.2, 0.2, 0.4]), PointCloud(P))
+        assert inner.is_equality is False
+        assert inner.variance == pytest.approx(0.6 * inner.bound, rel=1e-9)
+    # an atom 1e-6 s off a cloud point is no cloud point at any scale
+    with pytest.raises(ValueError, match="not a cloud point"):
+        equality_case(AtomicMeasure(base + [1e-6 * s, 0.0], np.full(4, 0.25)), PointCloud(base))
 
 
 def test_equality_case_requires_atoms_in_cloud():

@@ -254,9 +254,9 @@ def test_duality_solves_its_ball_once(capsys, tmp_path, monkeypatch):
     expected = {"gap": gap, "dual_center": ball.center, "radius": ball.radius}
     calls = []
 
-    def counted(cloud, first=None):
+    def counted(cloud):
         calls.append(len(cloud))
-        return ball_solver(cloud, first)
+        return ball_solver(cloud)
 
     ball_solver = geometry.min_enclosing_ball
     for mod in (bounds, cli, geometry):

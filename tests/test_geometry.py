@@ -125,7 +125,7 @@ def test_meb_contains_and_radius_window():
         n = int(rng.integers(1, 6))
         P = rng.normal(size=(int(rng.integers(2, 60)), n))
         cloud = PointCloud(P)
-        b = min_enclosing_ball(cloud, first=np.random.default_rng(trial).permutation(len(P)))
+        b = min_enclosing_ball(cloud)
         d = np.linalg.norm(P - b.center, axis=1)
         assert d.max() <= b.radius + 1e-9 * (1 + b.radius)
         dia = diameter(cloud)
@@ -462,50 +462,12 @@ def test_meb_clustered_simplex_support(n, d):
         P = _simplex_clusters(rng, n, d, rho)
         cloud = PointCloud(P)
         radii = []
-        for seed in range(5):
-            b = min_enclosing_ball(cloud, first=np.random.default_rng(seed).permutation(len(P)))
+        for seed in range(5):  # the loop's path depends on the order of the points
+            b = min_enclosing_ball(P[np.random.default_rng(seed).permutation(len(P))])
             assert np.linalg.norm(P - b.center, axis=1).max() <= b.radius * (1 + 1e-12)
             assert hull_membership(P[meb_support(cloud, b)], b.center) is not None
             radii.append(b.radius)
         assert max(radii) - min(radii) <= 1e-12 * max(radii)
-
-
-def _first_index_sets(rng, P, support):
-    N = len(P)
-    subset = rng.choice(N, size=int(rng.integers(0, N + 1)), replace=False)
-    return [support, subset, np.arange(N), rng.permutation(N), []]
-
-
-def test_meb_first_matches_seeded_ball():
-    # a warm start finds the same (unique) ball as a guess too long to be
-    # used, and so does the default start at the mean
-    rng = np.random.default_rng(61)
-    clouds = [rng.normal(size=(int(rng.integers(2, 41)), int(rng.integers(1, 6))))
-              for _ in range(40)]
-    clouds += [_simplex_clusters(rng, n, d, rho)
-               for n in (1, 2, 3) for d in (1e-3, 1.0, 1e3) for rho in (1e-12, 1e-9, 1e-6)]
-    for P in clouds:
-        cloud = PointCloud(P)
-        ref = min_enclosing_ball(cloud, first=np.random.default_rng(3).permutation(len(P)))
-        for first in _first_index_sets(rng, P, meb_support(cloud, ref)) + [None]:
-            b = min_enclosing_ball(cloud, first=first)
-            assert abs(b.radius - ref.radius) <= 1e-12 * ref.radius
-            assert np.linalg.norm(b.center - ref.center) <= 1e-12 * ref.radius
-            assert np.linalg.norm(P - b.center, axis=1).max() <= b.radius
-    # guesses the certificate must turn down: an obtuse triangle (the ball
-    # through its vertices covers it but is not the smallest), a collinear
-    # triple (its third push is dependent) and a 3-point guess with a far
-    # fourth point outside its ball
-    misses = [(np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 0.5]]), [0, 1, 2]),
-              (np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]), [0, 1, 2]),
-              (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [9.0, 7.0]]), [0, 1, 2])]
-    for P, first in misses:
-        ref = min_enclosing_ball(PointCloud(P), first=np.random.default_rng(3).permutation(len(P)))
-        b = min_enclosing_ball(PointCloud(P), first=first)
-        assert abs(b.radius - ref.radius) <= 1e-12 * ref.radius
-        assert np.linalg.norm(b.center - ref.center) <= 1e-12 * ref.radius
-    with pytest.raises(ValueError):
-        min_enclosing_ball(PointCloud(clouds[0]), first=[1, 0, 1])
 
 
 @pytest.mark.parametrize("spread, offset", [(1e-6, 0.0), (1e-3, 1e6), (1.0, 1e6)])
@@ -518,22 +480,6 @@ def test_meb_support_default_tolerance_is_relative(spread, offset):
     cloud = PointCloud(np.vstack([V, (1 - 1e-4) * R * u, -(1 - 1e-3) * R * u]) + offset)
     b = min_enclosing_ball(cloud)
     assert meb_support(cloud, b).tolist() == [0, 1, 2]
-
-
-@pytest.mark.parametrize("first", [[-1], [0, -6], [6], [1.7], [0.0], np.array([2.0, 5.0])])
-def test_meb_first_rejects_indices_outside_the_cloud(first):
-    # index -1 used to alias the recursion's list sentinel, so the last
-    # point was never scanned and the ball came out with radius 6.36; index
-    # N raised a bare IndexError and floats were truncated to integers
-    P = np.array([[0, 0], [1, 0], [0, 1], [.2, .3], [.5, .4], [5, 5]], dtype=float)
-    assert min_enclosing_ball(P).radius == pytest.approx(math.sqrt(12.5), rel=1e-12)
-    with pytest.raises(ValueError, match="first must hold"):
-        min_enclosing_ball(P, first=first)
-    for ok in ([5], np.array([5, 0]), range(6), []):
-        assert min_enclosing_ball(P, first=ok).radius == pytest.approx(math.sqrt(12.5), rel=1e-12)
-    # a cloud in R^13 checks first the same way
-    with pytest.raises(ValueError, match="first must hold"):
-        min_enclosing_ball(np.eye(3, 13), first=first)
 
 
 def _assert_dual(P, ball):
@@ -568,16 +514,16 @@ def _dual_clouds(rng):
 def test_min_enclosing_ball_carries_its_dual():
     rng = np.random.default_rng(71)
     for P in _dual_clouds(rng):
-        # the start at the mean, and guesses of every point in random orders
-        for order in [None] + [np.random.default_rng(seed).permutation(len(P))
-                               for seed in range(3)]:
-            ball = min_enclosing_ball(P, first=order)
-            _assert_dual(P, ball)
-        # a guess at the support, certified at once, hands over the weights
+        # the points in their own order and in three random ones
+        for order in [np.arange(len(P))] + [np.random.default_rng(seed).permutation(len(P))
+                                            for seed in range(3)]:
+            ball = min_enclosing_ball(P[order])
+            _assert_dual(P[order], ball)
+        # the search's guess at the support, certified, carries the weights
         # it certified with
-        guessed = min_enclosing_ball(P, first=ball.support)
+        guessed = isodiametric._guess_ball(P[order], ball.support, 2.0 * ball.radius)
         assert guessed.support == ball.support
-        _assert_dual(P, guessed)
+        _assert_dual(P[order], guessed)
 
 
 def test_min_enclosing_ball_dual_on_refinement_and_singleton():
@@ -650,6 +596,8 @@ CLOUD_ENTRIES = {
     "primal_lp_value": lambda c: primal_lp_value(c),
     "zero_mean_dual_center": lambda c: zero_mean_dual_center(c),
     "equality_case": lambda c: equality_case(_MEASURE, c),
+    # the verdict True handed the raw array on to the witness's LP
+    "equality_case_extremal": lambda c: equality_case(max_variance(_RAW).maximizer, c),
     "bhatia_davis_bound": lambda c: bhatia_davis_bound(c, [0.1, 0.0]),
     "conjugate_at": lambda c: conjugate_at(c, [0.5, -0.5]),
     "biconjugate_at": lambda c: biconjugate_at(c, [0.1, 0.0]),
@@ -671,14 +619,16 @@ def test_cloud_entries_accept_raw_arrays(entry):
 
 def test_float_sums_add_left_to_right():
     # the builtin sum compensates its rounding from Python 3.12 on:
-    # sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0 on 3.11.  The enclosing
-    # ball's pushes and weights, and the search's guessed balls, add left to
-    # right, so they round alike on every Python version
-    assert geometry._sum([1e16, 1.0, -1e16]) == 0.0
+    # sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0 on 3.11.  _Span, which
+    # the enclosing ball, circumball and the search's guessed balls share,
+    # adds left to right, so they round alike on every Python version
+    assert geometry._dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
     # orthogonal offsets (L = 0): lam_j = f[j-1], and lam_0 = 1 minus them
-    lam = geometry._affine_weights([[], [0.0], [0.0, 0.0]], [1e16, 1.0, -1e16])
-    assert lam == [1.0, 1e16, 1.0, -1e16]
-    # a squared distance of 1e16 + 1 + 1: 1e16 left to right, 1e16 + 2
-    # compensated, whose root is one ulp above 1e8
-    reach, _ = isodiametric._guess_ball(np.array([[0.0, 0.0, 0.0], [1e8, 1.0, 1.0]]), [0], 1.0)
-    assert reach == 1e8
+    span = geometry._Span([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert all(span.push(i) for i in range(4))
+    assert span.L == [[], [0.0], [0.0, 0.0]]
+    assert span.weights([1e16, 1.0, -1e16]) == [1.0, 1e16, 1.0, -1e16]
+    # squared distances of 1e16 + 1 + 1 from the pair's midpoint: 1e16 left
+    # to right, 1e16 + 2 compensated, whose root is one ulp above 1e8
+    ball = isodiametric._guess_ball(np.array([[0.0, 0.0, 0.0], [2e8, 2.0, 2.0]]), [0, 1], 1.0)
+    assert ball.radius == 1e8

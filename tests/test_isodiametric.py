@@ -147,6 +147,16 @@ def test_verify_simplex_optimality_rejects_jittered():
     assert not verify_simplex_optimality(res, 2, 1.0, tol=1e-3, tol_geom=1e-3)
 
 
+def test_verify_simplex_optimality_at_small_diameter():
+    # the default tol_geom had a floor of 1e-7: at d = 1e-9 single linkage
+    # merged every atom into one cluster, and the search's own maximizer,
+    # within 5.4e-10 of the bound, read False
+    d = 1e-9
+    res = search_max(SearchConfig(n=2, d=d, atom_count=6, restarts=6, seed=1))
+    assert res.best_value >= isodiametric_bound(2, d) * (1 - 1e-9)
+    assert verify_simplex_optimality(res, 2, d, tol=1e-6)
+
+
 def test_tension_simplex_at_threshold():
     V = regular_simplex(2, 1.0).vertices
     rep = tension_check(PointCloud(V), jung_radius(2), tol=1e-9)
@@ -291,27 +301,18 @@ def test_search_measure_genvar_at_large_scale(tol):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_search_warm_start_matches_cold_start(p, monkeypatch):
-    # the enclosing ball is unique, so starting from the previous support
-    # changes only its rounding: the search ends where a guess too long to
-    # be used, which starts at the mean, does.  Almost every step's ball is
-    # the certified ball of its guess or a solve started from that guess;
-    # the cold search certifies no guess and solves every ball cold.  Both
-    # end each restart alike at any scale of d and within a tight budget
-    warm, balls = [], []
-    orders = np.random.default_rng(0)
+    # the enclosing ball is unique, so guessing it from the previous support
+    # changes only its rounding.  Almost every step's ball is the certified
+    # ball of its guess; the cold search certifies no guess and solves every
+    # ball.  Both end each restart alike at any scale of d and within a
+    # tight budget
+    balls = []
     guess_ball = isodiametric._guess_ball
 
-    def spy(cloud, first=None):
-        warm.append(first is not None)
-        return geometry.min_enclosing_ball(cloud, first=first)
-
     def certified(cand, first, d):
-        reach, ball = guess_ball(cand, first, d)
+        ball = guess_ball(cand, first, d)
         balls.append(ball is not None)
-        return reach, ball
-
-    def cold(cloud, first=None):
-        return geometry.min_enclosing_ball(cloud, first=orders.permutation(len(cloud)))
+        return ball
 
     configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
                             cost=RadialCost.power(p))
@@ -320,13 +321,10 @@ def test_search_warm_start_matches_cold_start(p, monkeypatch):
                              max_iters=max_iters, cost=RadialCost.power(p))
                 for n, N in ((1, 4), (2, 6), (3, 8)) for d in (1.0, 3.7e-4, 123.4)
                 for seed in (3, 11) for max_iters in (400, 29)]
-    monkeypatch.setattr(isodiametric, "min_enclosing_ball", spy)
     monkeypatch.setattr(isodiametric, "_guess_ball", certified)
     ws = [_search_or_error(cfg) for cfg in configs]
     assert sum(balls) > 0.9 * len(balls)
-    assert sum(balls) + sum(warm) > 0.9 * (sum(balls) + len(warm))
-    monkeypatch.setattr(isodiametric, "min_enclosing_ball", cold)
-    monkeypatch.setattr(isodiametric, "_guess_ball", lambda *args: (guess_ball(*args)[0], None))
+    monkeypatch.setattr(isodiametric, "_guess_ball", lambda *args: None)
     cs = [_search_or_error(cfg) for cfg in configs]
     # the tight budget leaves restarts unconverged
     assert any(w[1] < cfg.restarts for w, cfg in zip(ws, configs) if not isinstance(w, str))
@@ -336,90 +334,6 @@ def test_search_warm_start_matches_cold_start(p, monkeypatch):
             continue
         assert np.allclose(w[0], c[0], rtol=1e-12, atol=0)
         assert w[1] == c[1]
-
-
-@pytest.mark.parametrize("p", [1, 2])
-def test_search_certified_rejection_matches_full_solve(p, monkeypatch):
-    # a retry whose reach, the radius of a ball around its guessed
-    # circumcenter that contains it, is 1e-12 d below the current radius
-    # cannot grow the radius, so rejecting it unsolved must end every
-    # restart where solving every retry does, within a tight budget too.
-    # Certified balls are off in both searches, so every step the bound
-    # does not reject solves its ball
-    configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
-                            max_iters=max_iters, cost=RadialCost.power(p))
-               for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)
-               for max_iters in (400, 29)]
-    guess_ball, meb = isodiametric._guess_ball, isodiametric.min_enclosing_ball
-    weights_at_atoms, outward = isodiametric._weights_at_atoms, isodiametric._outward
-    solves, finals = [], []
-    # the support guesses of accepted states, by id (the dict keeps each
-    # alive, so no other guess takes its id): the first step to use one is
-    # a retry.  A restart's starting state follows its first ball solve
-    accepted, starting, retries = {}, [False], [0]
-
-    def spy(cand, first, d):
-        retries[0] += accepted.pop(id(first), None) is first
-        return guess_ball(cand, first, d)[0], None
-
-    def count(cloud, first=None):
-        solves.append(None)
-        starting[0] = first is None
-        return meb(cloud, first=first)
-
-    def guesses(*args):
-        state = outward(*args)
-        if not starting[0]:
-            accepted[id(state[1])] = state[1]
-        starting[0] = False
-        return state
-
-    def record(atoms, *args):  # every restart's final atoms
-        finals.append(atoms)
-        return weights_at_atoms(atoms, *args)
-
-    monkeypatch.setattr(isodiametric, "_weights_at_atoms", record)
-    monkeypatch.setattr(isodiametric, "min_enclosing_ball", count)
-    monkeypatch.setattr(isodiametric, "_outward", guesses)
-    monkeypatch.setattr(isodiametric, "_guess_ball", spy)
-    short = [_search_or_error(cfg) for cfg in configs]
-    short_solves, short_atoms = len(solves), finals.copy()
-    solves.clear()
-    finals.clear()
-    monkeypatch.setattr(isodiametric, "_guess_ball", lambda cand, first, d: (math.inf, None))
-    full = [_search_or_error(cfg) for cfg in configs]
-    # every step of the full search solves its ball, so the difference is
-    # the number of retries the bound rejected: some of them, not all
-    assert 0 < len(solves) - short_solves < retries[0]
-    assert len(short_atoms) == len(finals) == sum(cfg.restarts for cfg in configs)
-    for a, b in zip(short_atoms, finals):
-        assert np.array_equal(a, b)
-    # the tight budget leaves restarts unconverged
-    assert any(s[1] < cfg.restarts for s, cfg in zip(short, configs) if not isinstance(s, str))
-    for s, f in zip(short, full):
-        if isinstance(s, str) or isinstance(f, str):
-            assert s == f
-            continue
-        assert s[0] == f[0]  # per-restart values
-        assert s[1] == f[1]  # converged restarts
-        assert np.array_equal(s[2], f[2])  # best measure's atoms
-
-
-@pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
-def test_reach_bounds_the_enclosing_radius(d):
-    # around any center, the largest distance to the cloud is the radius of
-    # a ball that contains it; from a guess that holds the ball's support
-    # the reach is its radius, up to the rounding of the two centers and of
-    # their distances (at most 1.04 eps d over every step of the search)
-    rng = np.random.default_rng(29)
-    for n in (1, 2, 3, 4):
-        for _ in range(50):
-            cand = rng.uniform(-0.5 * d, 0.5 * d, (n + 4, n))
-            ball = geometry.min_enclosing_ball(cand)
-            guesses = [rng.permutation(len(cand))[:k].tolist() for k in range(1, n + 2)]
-            for first in guesses + [ball.support]:
-                reach = isodiametric._guess_ball(cand, first, d)[0]
-                assert reach >= ball.radius - 2 * isodiametric.EPS * d
 
 
 @pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
@@ -436,34 +350,28 @@ def test_guess_ball_matches_min_enclosing_ball(d):
             order = rng.permutation(ref.support).tolist()
             guesses = [rng.permutation(len(cand))[:k].tolist() for k in range(1, n + 2)]
             for first in [order] + guesses:
-                reach, ball = isodiametric._guess_ball(cand, first, d)
+                ball = isodiametric._guess_ball(cand, first, d)
                 tried += first is order
                 if ball is None:
                     continue
                 certified += first is order
                 assert ball.support == first and sorted(first) == sorted(ref.support)
-                assert ball.radius == reach
                 assert abs(ball.radius - ref.radius) <= 2 * isodiametric.EPS * d
                 assert np.linalg.norm(ball.center - ref.center) <= 8 * isodiametric.EPS * d
                 weight = dict(zip(ref.support, ref.weights))
                 assert np.allclose(ball.weights, [weight[i] for i in first], rtol=0, atol=1e-9)
                 assert min(ball.weights) >= 0.0
-                assert np.abs(np.linalg.norm(cand - ball.center, axis=1)).max() <= ball.radius
+                assert np.linalg.norm(cand - ball.center, axis=1).max() <= ball.radius
     assert certified == tried
 
 
 def test_reach_degenerate_guess_never_certifies():
-    # no ball, and an inf reach where the guess is degenerate: two equal
-    # atoms, collinear atoms (exactly so, and up to rounding), more than
-    # n + 1 atoms, an obtuse triangle (its circumcenter has a negative
-    # weight) and an atom outside the guess's circumsphere.  The search
-    # never rejects a retry on a degenerate guess
+    # no ball where the guess is degenerate: two equal atoms, collinear
+    # atoms (exactly so, and up to rounding), more than n + 1 atoms, an
+    # obtuse triangle (its circumcenter has a negative weight) and an atom
+    # outside the guess's circumsphere
     def guess(cand, first):
         return isodiametric._guess_ball(np.asarray(cand, dtype=float), first, 1.0)
-
-    def rejects(cand, first):
-        radius = geometry.min_enclosing_ball(cand).radius
-        return guess(cand, first)[0] <= radius - 1e-12
 
     inner = [[0.05, -0.02], [-0.03, 0.04]]
     degenerate = [([[0.3, 0.1], [0.3, 0.1], [-0.4, 0.2]] + inner, [0, 1]),
@@ -471,16 +379,14 @@ def test_reach_degenerate_guess_never_certifies():
                   ([[0.0, 0.0], [0.1, 0.3], [0.2, 0.6]] + inner, [0, 1, 2]),
                   ([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, -0.5]] + inner, [0, 1, 2, 3])]
     for cand, first in degenerate:
-        assert not rejects(cand, first)
-        assert guess(cand, first)[1] is None
-    assert guess([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]], [0, 1]) == (math.inf, None)
+        assert guess(cand, first) is None
+    assert guess([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]], [0, 1]) is None
     obtuse = [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.1]] + inner
-    reach, ball = guess(obtuse, [0, 1, 2])
-    assert ball is None and reach < math.inf
-    assert guess(obtuse, [0, 1])[1].support == [0, 1]
+    assert guess(obtuse, [0, 1, 2]) is None
+    assert guess(obtuse, [0, 1]).support == [0, 1]
     outside = [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5 + 1e-9]] + inner
-    assert guess(outside, [0, 1])[1] is None
-    assert guess(outside, [0, 1, 2])[1].support == [0, 1, 2]
+    assert guess(outside, [0, 1]) is None
+    assert guess(outside, [0, 1, 2]).support == [0, 1, 2]
 
 
 def _search_or_error(cfg):
@@ -701,15 +607,15 @@ def _pair_state(n, d, rng, half):
     return atoms, ball, isodiametric._outward(atoms, ball, d)
 
 
-def _steps_rejected(atoms, ball, dirs, first, d):
+def _steps_rejected(atoms, ball, dirs, d):
     """Is every step of d, d / 2, ... down to the search's floor rejected,
-    as the search would reject it?"""
+    as the search would reject it, with each ball solved cold?"""
     w0 = np.full(len(atoms), 1.0 / len(atoms))
     step = d
     while step >= 1e-9 * d:
         cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
         if not ball.contains(cand):
-            if geometry.min_enclosing_ball(cand, first=first).radius > ball.radius + 1e-15 * d:
+            if geometry.min_enclosing_ball(cand).radius > ball.radius + 1e-15 * d:
                 return False
         step *= 0.5
     return True
@@ -734,10 +640,10 @@ def test_pair_certified_at_band_edge_rejects_every_step(n, d):
         assert edge is not None
         atoms, ball, dirs, first = edge
         assert sorted(ball.support) == first == [0, 1]
-        assert _steps_rejected(atoms, ball, dirs, first, d)
+        assert _steps_rejected(atoms, ball, dirs, d)
     # the same steps from a pair 1e-9 d short of the cap are taken
     atoms, ball, (dirs, first, certified) = _pair_state(n, d, rng, 0.5 * d * (1 - 1e-9))
-    assert not certified and not _steps_rejected(atoms, ball, dirs, first, d)
+    assert not certified and not _steps_rejected(atoms, ball, dirs, d)
 
 
 def test_pair_certificate_growth_stays_below_half_the_gain(monkeypatch):
@@ -751,7 +657,7 @@ def test_pair_certificate_growth_stays_below_half_the_gain(monkeypatch):
     def spy(atoms, ball, d):
         out = outward(atoms, ball, d)
         if out[2]:
-            states.append((atoms, ball, out[0], out[1], d))
+            states.append((atoms, ball, out[0], d))
         return out
 
     monkeypatch.setattr(isodiametric, "_outward", spy)
@@ -759,12 +665,12 @@ def test_pair_certificate_growth_stays_below_half_the_gain(monkeypatch):
                                        (1.0, 3.7e-4, 123.4)):
         _search_or_error(SearchConfig(n=n, d=d, atom_count=N, restarts=8, seed=0))
     growth = []
-    for atoms, ball, dirs, first, d in states:
+    for atoms, ball, dirs, d in states:
         w0 = np.full(len(atoms), 1.0 / len(atoms))
         step = d
         while step >= 1e-9 * d:
             cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
-            radius = geometry.min_enclosing_ball(cand, first=first).radius
+            radius = geometry.min_enclosing_ball(cand).radius
             growth.append((radius - ball.radius) / (0.5 * isodiametric.EPS * d))
             step *= 0.5
     assert len(states) >= 50

@@ -25,6 +25,7 @@ from geomoment import (PointCloud, RadialCost, bhatia_davis_bound,  # noqa: E402
                        max_variance, meb_support, min_enclosing_ball,
                        primal_lp_value, regular_simplex,
                        translated_biconjugate_zero)
+from geomoment.isodiametric import _guess_ball  # noqa: E402
 
 EPS = np.finfo(float).eps
 MAX_RATIO = 1e8  # offset over spread, for the support and the gap
@@ -68,17 +69,19 @@ def test_diameter_invariant(placed):
 
 
 def _assert_meb_invariant(placed, max_points):
-    # with no guess, and with a guess of the point nearest the mean, whose
-    # ball (radius 0) fails its certificate
+    # the solved ball, and the search's guess of its support on the placed
+    # points, which must be certified as the same ball
     rng, n, s, t = placed
     P = _random_cloud(rng, n, max_points)
     b0 = min_enclosing_ball(PointCloud(P))
     slack = _slack(s, b0.radius, t)
-    near = int(np.argmin(np.linalg.norm(P - P.mean(axis=0), axis=1)))
-    for first in (None, [near]):
-        b1 = min_enclosing_ball(PointCloud(s * P + t), first=first)
-        assert abs(b1.radius - s * b0.radius) <= slack
-        assert np.linalg.norm(b1.center - (s * b0.center + t)) <= 1e3 * slack
+    Q = s * P + t
+    b1 = min_enclosing_ball(PointCloud(Q))
+    guessed = _guess_ball(Q, b1.support, diameter(PointCloud(Q)))
+    assert guessed is not None
+    for b in (b1, guessed):
+        assert abs(b.radius - s * b0.radius) <= slack
+        assert np.linalg.norm(b.center - (s * b0.center + t)) <= 1e3 * slack
 
 
 @SETTINGS
