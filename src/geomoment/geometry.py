@@ -91,8 +91,8 @@ class Ball:
     ``weights``, q's affine weights on them, nonnegative where its loop
     stops: their barycenter is q and their variance R^2 certifies the
     radius from below.  Other balls carry None for both.  Plain lists cost
-    the search, which builds thousands of balls a second, no array
-    conversions; ``P[support]`` and ``weights @ X`` work on them as they are.
+    no array conversions; ``P[support]`` and ``weights @ X`` work on them as
+    they are.
     """
 
     center: np.ndarray
@@ -227,7 +227,11 @@ class Shape:
 
     def contains(self, x, tol=CONTAIN_TOL):
         """Closed membership; curved boundaries get a relative tolerance,
-        polytopes are exact."""
+        polytopes are exact.  A cloud contains its atoms: the points within
+        ``tol`` times the cloud's spread (the largest distance of an atom
+        from the atoms' mean) of one, plus 16 eps times the largest atom
+        norm for the rounding of the coordinates, so the match does not
+        depend on the cloud's scale or offset."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size != self.dim:
             raise ValueError(f"point has dimension {x.size}, shape has {self.dim}")
@@ -245,7 +249,9 @@ class Shape:
         if self.kind == self.DIAMOND:
             return bool(abs(x[0]) / p["a1"] + abs(x[1]) / p["a2"] <= 1)
         pts = p["cloud"].points
-        return bool(np.min(np.linalg.norm(pts - x, axis=1)) <= tol)
+        spread = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+        rnd = 16.0 * np.finfo(float).eps * float(np.linalg.norm(pts, axis=1).max())
+        return bool(np.min(np.linalg.norm(pts - x, axis=1)) <= tol * spread + rnd)
 
 
 def diameter(cloud):

@@ -162,7 +162,19 @@ def _weights_at_atoms(atoms, ball, cost):
     return w, float(w @ cost(np.linalg.norm(atoms - ball.center, axis=1)))
 
 
-def _pair_certified(atoms, ball, boundary, d):
+def _sq_dists(rows, c):
+    """The squared distance from c to each row, for rows and c given as
+    lists, every sum added left to right."""
+    d2 = []
+    for x in rows:
+        t = 0.0
+        for a, b in zip(x, c):
+            t += (a - b) * (a - b)
+        d2.append(t)
+    return d2
+
+
+def _pair_certified(rows, support, boundary, d):
     """Does the pair certificate hold: does the ascent reject every step
     of at most d from this state?
 
@@ -190,27 +202,30 @@ def _pair_certified(atoms, ball, boundary, d):
     not align at their bounds: over the 28980 steps of d, d / 2, ... down to
     1e-9 d from the 966 certified states of 40 seeds of 4 restarts at (n,
     atoms) in {(1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)} and
-    d in {1, 3.7e-4, 123.4}, the radius grew by at most 2.0 u d.  A test
+    d in {1, 3.7e-4, 123.4}, the radius grew by at most 3.0 u d.  A test
     replays such states and fails when the growth passes 4.5 u d, half the
-    gain.
+    gain.  The chord is read off ``rows``, the state's atoms as lists, with
+    its squares added left to right.
     """
-    if len(boundary) != 2 or sorted(ball.support) != boundary:
+    if len(boundary) != 2 or sorted(support) != boundary:
         return False
-    chord = atoms[boundary[0]] - atoms[boundary[1]]
-    return math.sqrt(float(chord @ chord)) >= d - EPS * d
+    i, j = boundary
+    return math.sqrt(_sq_dists([rows[i]], rows[j])[0]) >= d - EPS * d
 
 
-def _guess_ball(cand, first, d):
-    """The smallest enclosing ball of ``cand`` if ``first``, a guess at its
-    support, can be certified to carry it, else None.
+def _guess_ball(rows, first, d):
+    """The smallest enclosing ball of the atoms ``rows`` (a list of lists)
+    if ``first``, a guess at its support, can be certified to carry it, as
+    (c, reach, weights, d2), else None.
 
-    One :class:`geometry._Span` over the rows of ``cand`` pushes the atoms
-    ``first`` and gives their circumcenter c and its affine weights on
-    them.  The ball is B(c, reach), where the reach is the largest distance
-    from c to any atom, with ``first`` as its ``support`` and those weights
-    as its ``weights``.  It is returned when the optimality condition that
-    ends :func:`geometry.min_enclosing_ball`'s loop holds, the duality of
-    the moment problem: c lies in the hull of atoms on its sphere.  That is:
+    One :class:`geometry._Span` over ``rows`` pushes the atoms ``first``
+    and gives their circumcenter c and its affine weights on them.  The
+    ball is B(c, reach), where the reach is the largest distance from c to
+    any atom, with ``first`` as its support and those weights as its
+    weights; d2 holds each atom's squared distance to c, added left to
+    right.  It is returned when the optimality condition that ends
+    :func:`geometry.min_enclosing_ball`'s loop holds, the duality of the
+    moment problem: c lies in the hull of atoms on its sphere.  That is:
 
     - the guess has at most n + 1 atoms and every push is independent
       under the loop's test |v_k|^2 > RANK_TOL^2 |u_k|^2;
@@ -222,9 +237,8 @@ def _guess_ball(cand, first, d):
       R < d / 3.
 
     The guess has a few atoms in a few dimensions, too few for arrays to
-    pay, so the span works on ``cand.tolist()``.
+    pay: everything here is plain floats, and no :class:`Ball` is built.
     """
-    rows = cand.tolist()
     if len(first) > len(rows[0]) + 1:
         return None
     span = _Span(rows)
@@ -234,33 +248,43 @@ def _guess_ball(cand, first, d):
     lam = span.weights(span.F)
     if min(lam) < 0.0:
         return None
-    c, d2 = span.circumcenter(), []
-    for x in rows:
-        t = 0.0
-        for a, b in zip(x, c):
-            t += (a - b) * (a - b)
-        d2.append(t)
+    c = span.circumcenter()
+    d2 = _sq_dists(rows, c)
     reach = math.sqrt(max(d2))
     R = math.sqrt(max([d2[i] for i in first]))
     if not reach <= R + min(1e-13 * (d + R), 0.4 * CONTAIN_TOL * R):  # nan fails too
         return None
-    return Ball(c, reach, list(first), lam)
+    return c, reach, lam, d2
 
 
-def _outward(atoms, ball, d):
-    """What a search state's steps need: each atom's unit direction from
-    the ball's center if it lies on the ball's sphere (within 1e-7 (d + R))
-    and off the center, else 0; the indices of the atoms on the sphere, as
-    a list, the guess at the next ball's support; and whether the state's
-    :func:`_pair_certified` holds."""
-    offs = atoms - ball.center
-    norms = np.sqrt(np.add.reduce(offs * offs, axis=1))
-    boundary = (np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)).nonzero()[0].tolist()
-    dirs = np.zeros(atoms.shape)
-    for i in boundary:  # a few rows: no mask over every atom
-        if norms[i] > 1e-12 * d:
-            dirs[i] = offs[i] / norms[i]
-    return dirs, boundary, _pair_certified(atoms, ball, boundary, d)
+def _solved_ball(cand, rows):
+    """``min_enclosing_ball(cand)`` in the form the search steps with:
+    (c, R, support, weights, d2), the center as a list and d2 the squared
+    distances from it to ``rows``, the rows of ``cand`` as lists."""
+    ball = min_enclosing_ball(cand)
+    c = ball.center.tolist()
+    return c, ball.radius, ball.support, ball.weights, _sq_dists(rows, c)
+
+
+def _outward(rows, c, R, d2, support, d):
+    """What a search state's steps need, for atoms ``rows`` in the ball of
+    center c and radius R with the given support, d2 holding each atom's
+    squared distance to c: each atom's unit direction from c if it lies on
+    the ball's sphere (within 1e-7 (d + R)) and off the center, else 0, as
+    an (N, n) array; the indices of the atoms on the sphere, as a list, the
+    guess at the next ball's support; and whether the state's
+    :func:`_pair_certified` holds.  Plain floats throughout: below n = 8,
+    numpy adds a row's squares left to right too, so this is numpy's
+    arithmetic on the same numbers."""
+    band, floor = 1e-7 * (d + R), 1e-12 * d
+    dirs, boundary = np.zeros((len(rows), len(c))), []
+    for i, t in enumerate(d2):
+        norm = math.sqrt(t)
+        if abs(norm - R) <= band:
+            boundary.append(i)
+            if norm > floor:
+                dirs[i] = [(a - b) / norm for a, b in zip(rows[i], c)]
+    return dirs, boundary, _pair_certified(rows, support, boundary, d)
 
 
 def _search_one(config, restart):
@@ -294,6 +318,19 @@ def _search_one(config, restart):
     ball's support, its radius within 1.6 eps d and its center within
     2.3 eps d.
 
+    Only the projection works on arrays.  Each step converts its projected
+    atoms to lists once, and the guess, the radius comparison and the next
+    state's :func:`_outward` work on them in plain floats: the state is the
+    atoms as an array and as lists, the ball's center (a list), radius,
+    support and weights.  The certified guess hands the squared distances
+    it summed to :func:`_outward`, and a rejected step builds no array
+    beyond its candidate and no :class:`Ball`; a ball is built only by
+    :func:`min_enclosing_ball`, for the restart's first ball and for the
+    guesses that fail, and once at the end, for :func:`_weights_at_atoms`.
+    On the grid above, values and outcomes are bit-identical to the search
+    that built a ball for every certified guess and read its atoms'
+    distances again with numpy.
+
     A rejected step changes neither the atoms nor the ball, so each state's
     boundary atoms, outward directions, support guess and pair certificate
     (:func:`_pair_certified`) are computed once, when the state is
@@ -313,11 +350,12 @@ def _search_one(config, restart):
 
     w0 = np.full(N, 1.0 / N)
     atoms = _project_diameter(rng.uniform(-0.5 * d, 0.5 * d, (N, n)), w0, d)
-    ball = min_enclosing_ball(atoms)
+    rows = atoms.tolist()
+    c, R, support, lam, d2 = _solved_ball(atoms, rows)
     step = config.step if config.step is not None else 0.25 * d
     step_floor = 1e-9 * d
     converged = False
-    dirs, first, certified = _outward(atoms, ball, d)
+    dirs, first, certified = _outward(rows, c, R, d2, support, d)
     for it in range(config.max_iters):
         if certified and step <= d:
             # this halving and every later one would be rejected
@@ -327,18 +365,21 @@ def _search_one(config, restart):
             converged = it + halvings <= config.max_iters
             break
         cand = _project_diameter(atoms + step * dirs, w0, d)
-        cand_ball = _guess_ball(cand, first, d)
-        if cand_ball is None:
-            cand_ball = min_enclosing_ball(cand)
-        if cand_ball.radius > ball.radius + 1e-15 * d:
-            atoms, ball = cand, cand_ball
-            dirs, first, certified = _outward(atoms, ball, d)
+        cand_rows = cand.tolist()
+        guess = _guess_ball(cand_rows, first, d)
+        if guess is None:
+            cand_c, reach, cand_support, cand_lam, d2 = _solved_ball(cand, cand_rows)
+        else:
+            (cand_c, reach, cand_lam, d2), cand_support = guess, first
+        if reach > R + 1e-15 * d:
+            atoms, rows, c, R, support, lam = cand, cand_rows, cand_c, reach, cand_support, cand_lam
+            dirs, first, certified = _outward(rows, c, R, d2, support, d)
             continue
         step *= 0.5
         if step < step_floor:
             converged = True
             break
-    w, val = _weights_at_atoms(atoms, ball, cost)
+    w, val = _weights_at_atoms(atoms, Ball(c, R, support, lam), cost)
     return atoms, w, val, converged
 
 
@@ -414,15 +455,16 @@ def _simplex_clusters(points, n, side, tol, weights=None):
 def verify_simplex_optimality(result, n, d, tol, tol_geom=None, cost=None):
     """Is the search result the simplex extremizer?
 
-    Requires the value to reach the sharp bound within ``tol``, the
-    positive-mass atoms to form exactly n+1 clusters of radius at most
-    ``tol_geom`` with pairwise cluster distances within ``tol_geom`` of d,
-    and cluster masses within ``tol`` of 1/(n+1).
+    Requires the value to reach the sharp bound within ``tol`` relative,
+    at least bound (1 - tol), the positive-mass atoms to form exactly n+1
+    clusters of radius at most ``tol_geom`` with pairwise cluster distances
+    within ``tol_geom`` of d, and cluster masses within ``tol`` of 1/(n+1):
+    masses and the value's relative gap do not depend on the scale of d.
     """
     if tol_geom is None:
         tol_geom = 1e-3 * d
     bound = isodiametric_bound(n, d, cost)
-    if result.best_value < bound - tol:
+    if result.best_value < bound * (1.0 - tol):
         return False
     atoms, w = result.best_measure.support()
     found = _simplex_clusters(atoms, n, d, tol_geom, weights=w)

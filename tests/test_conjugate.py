@@ -20,6 +20,23 @@ def test_phi_cloud_non_atom_is_inf():
     assert phi(PointCloud([-1.0, 1.0]), [1.0]) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e8])
+def test_phi_cloud_atoms_match_at_any_scale(scale):
+    # an absolute 1e-12 counted every point of a cloud 1e-13 across as an
+    # atom: phi was -2.5e-27 at the midpoint of [[0, 0], [1e-13, 0]]
+    assert math.isinf(phi(Shape.cloud(PointCloud([[0.0, 0.0], [1e-13 * scale, 0.0]])),
+                          [5e-14 * scale, 0.0]))
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7], [-0.4, 0.2]])
+    P = scale * (base + [3.0, -2.0])
+    shape = Shape.cloud(PointCloud(P))
+    for i, x in enumerate(P):
+        assert phi(shape, x) == -float(x @ x)
+        # an atom whose coordinates are rounded by an ulp is still an atom
+        assert math.isfinite(phi(shape, np.nextafter(x, math.inf)))
+        for y in P[i + 1:]:
+            assert math.isinf(phi(shape, 0.5 * (x + y)))
+
+
 def test_conjugate_two_point_cloud():
     # by hand: max(-y + 1, y + 1) = |y| + 1
     cloud = PointCloud([-1.0, 1.0])

@@ -521,9 +521,9 @@ def test_min_enclosing_ball_carries_its_dual():
             _assert_dual(P[order], ball)
         # the search's guess at the support, certified, carries the weights
         # it certified with
-        guessed = isodiametric._guess_ball(P[order], ball.support, 2.0 * ball.radius)
-        assert guessed.support == ball.support
-        _assert_dual(P[order], guessed)
+        c, reach, lam, _ = isodiametric._guess_ball(P[order].tolist(), ball.support,
+                                                    2.0 * ball.radius)
+        _assert_dual(P[order], Ball(c, reach, ball.support, lam))
 
 
 def test_min_enclosing_ball_dual_on_refinement_and_singleton():
@@ -630,5 +630,5 @@ def test_float_sums_add_left_to_right():
     assert span.weights([1e16, 1.0, -1e16]) == [1.0, 1e16, 1.0, -1e16]
     # squared distances of 1e16 + 1 + 1 from the pair's midpoint: 1e16 left
     # to right, 1e16 + 2 compensated, whose root is one ulp above 1e8
-    ball = isodiametric._guess_ball(np.array([[0.0, 0.0, 0.0], [2e8, 2.0, 2.0]]), [0, 1], 1.0)
-    assert ball.radius == 1e8
+    c, reach, lam, d2 = isodiametric._guess_ball([[0.0, 0.0, 0.0], [2e8, 2.0, 2.0]], [0, 1], 1.0)
+    assert reach == 1e8 and d2 == [1e16, 1e16]

@@ -157,6 +157,19 @@ def test_verify_simplex_optimality_at_small_diameter():
     assert verify_simplex_optimality(res, 2, d, tol=1e-6)
 
 
+@pytest.mark.parametrize("d", [1e-9, 1.0, 1e9])
+def test_verify_simplex_optimality_value_test_is_relative(d):
+    # an absolute tol read the search's own maximizer, 5.4e-10 relative below
+    # the bound, as True at d = 1e-9 and 1 and as False at d = 1e9
+    res = search_max(SearchConfig(n=2, d=d, atom_count=6, restarts=6, seed=1))
+    bound = isodiametric_bound(2, d)
+    assert bound * (1 - 1e-9) <= res.best_value < bound * (1 - 1e-10)
+    assert verify_simplex_optimality(res, 2, d, tol=1e-6)
+    # the same measure with a value 2e-6 relative short of the bound fails
+    short = dataclasses.replace(res, best_value=bound * (1 - 2e-6))
+    assert not verify_simplex_optimality(short, 2, d, tol=1e-6)
+
+
 def test_tension_simplex_at_threshold():
     V = regular_simplex(2, 1.0).vertices
     rep = tension_check(PointCloud(V), jung_radius(2), tol=1e-9)
@@ -350,18 +363,23 @@ def test_guess_ball_matches_min_enclosing_ball(d):
             order = rng.permutation(ref.support).tolist()
             guesses = [rng.permutation(len(cand))[:k].tolist() for k in range(1, n + 2)]
             for first in [order] + guesses:
-                ball = isodiametric._guess_ball(cand, first, d)
+                guess = isodiametric._guess_ball(cand.tolist(), first, d)
                 tried += first is order
-                if ball is None:
+                if guess is None:
                     continue
                 certified += first is order
-                assert ball.support == first and sorted(first) == sorted(ref.support)
-                assert abs(ball.radius - ref.radius) <= 2 * isodiametric.EPS * d
-                assert np.linalg.norm(ball.center - ref.center) <= 8 * isodiametric.EPS * d
+                c, reach, lam, d2 = guess
+                assert sorted(first) == sorted(ref.support)
+                assert abs(reach - ref.radius) <= 2 * isodiametric.EPS * d
+                assert np.linalg.norm(c - ref.center) <= 8 * isodiametric.EPS * d
                 weight = dict(zip(ref.support, ref.weights))
-                assert np.allclose(ball.weights, [weight[i] for i in first], rtol=0, atol=1e-9)
-                assert min(ball.weights) >= 0.0
-                assert np.linalg.norm(cand - ball.center, axis=1).max() <= ball.radius
+                assert np.allclose(lam, [weight[i] for i in first], rtol=0, atol=1e-9)
+                assert min(lam) >= 0.0
+                offs = cand - c
+                # below n = 8 numpy adds each row's squares left to right too
+                assert d2 == np.add.reduce(offs * offs, axis=1).tolist()
+                assert math.sqrt(max(d2)) == reach
+                assert np.linalg.norm(offs, axis=1).max() <= reach
     assert certified == tried
 
 
@@ -371,7 +389,7 @@ def test_reach_degenerate_guess_never_certifies():
     # obtuse triangle (its circumcenter has a negative weight) and an atom
     # outside the guess's circumsphere
     def guess(cand, first):
-        return isodiametric._guess_ball(np.asarray(cand, dtype=float), first, 1.0)
+        return isodiametric._guess_ball(np.asarray(cand, dtype=float).tolist(), first, 1.0)
 
     inner = [[0.05, -0.02], [-0.03, 0.04]]
     degenerate = [([[0.3, 0.1], [0.3, 0.1], [-0.4, 0.2]] + inner, [0, 1]),
@@ -383,10 +401,10 @@ def test_reach_degenerate_guess_never_certifies():
     assert guess([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]], [0, 1]) is None
     obtuse = [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.1]] + inner
     assert guess(obtuse, [0, 1, 2]) is None
-    assert guess(obtuse, [0, 1]).support == [0, 1]
+    assert guess(obtuse, [0, 1]) is not None
     outside = [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5 + 1e-9]] + inner
     assert guess(outside, [0, 1]) is None
-    assert guess(outside, [0, 1, 2]).support == [0, 1, 2]
+    assert guess(outside, [0, 1, 2]) is not None
 
 
 def _search_or_error(cfg):
@@ -520,29 +538,101 @@ def _project_reference(atoms, w, d, by_square=False):
 
 
 def _outward_reference(atoms, ball, d):
-    """:func:`isodiametric._outward` with boolean masks over every atom: its
-    oracle."""
+    """:func:`isodiametric._outward` in numpy, on an array of atoms and a
+    :class:`Ball`, with boolean masks over every atom and the pair's chord
+    read by ``@``: its oracle, and the search's state before it stepped in
+    plain floats.  Each row's squares are added left to right by
+    ``np.cumsum``, as ``np.add.reduce`` adds them below n = 8; from n = 8
+    on, numpy's reduction adds them pairwise."""
     offs = atoms - ball.center
-    norms = np.sqrt(np.add.reduce(offs * offs, axis=1))
+    norms = np.sqrt(np.cumsum(offs * offs, axis=1)[:, -1])
     on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
     movable = on_bdry & (norms > 1e-12 * d)
     dirs = np.zeros(atoms.shape)
     dirs[movable] = offs[movable] / norms[movable, None]
     boundary = on_bdry.nonzero()[0].tolist()
-    return dirs, boundary, isodiametric._pair_certified(atoms, ball, boundary, d)
+    if len(boundary) != 2 or sorted(ball.support) != boundary:
+        return dirs, boundary, False
+    chord = atoms[boundary[0]] - atoms[boundary[1]]
+    return dirs, boundary, math.sqrt(float(chord @ chord)) >= d - isodiametric.EPS * d
+
+
+def _solved_outward(atoms, d):
+    """The smallest enclosing ball of ``atoms``, solved, and
+    :func:`isodiametric._outward` of the state it makes."""
+    rows = atoms.tolist()
+    c, R, support, lam, d2 = isodiametric._solved_ball(atoms, rows)
+    return geometry.Ball(c, R, support, lam), isodiametric._outward(rows, c, R, d2, support, d)
 
 
 def _outward_matches_reference(atoms, d):
-    ball = geometry.min_enclosing_ball(atoms)
-    dirs, boundary, certified = isodiametric._outward(atoms, ball, d)
+    ball, (dirs, boundary, certified) = _solved_outward(atoms, d)
     ref_dirs, ref_boundary, ref_certified = _outward_reference(atoms, ball, d)
     return (dirs.tobytes() == ref_dirs.tobytes() and boundary == ref_boundary
             and certified == ref_certified)
 
 
+def _search_one_reference(config, restart):
+    """:func:`isodiametric._search_one` as it stepped before its state went
+    to plain floats: a :class:`Ball` for every certified guess, and each
+    accepted state read again in numpy by :func:`_outward_reference`."""
+    rng = np.random.default_rng(config.seed + restart)
+    n, N, d = config.n, config.atom_count, config.d
+    w0 = np.full(N, 1.0 / N)
+    atoms = isodiametric._project_diameter(rng.uniform(-0.5 * d, 0.5 * d, (N, n)), w0, d)
+    ball = geometry.min_enclosing_ball(atoms)
+    step = config.step if config.step is not None else 0.25 * d
+    step_floor = 1e-9 * d
+    converged = False
+    dirs, first, certified = _outward_reference(atoms, ball, d)
+    for it in range(config.max_iters):
+        if certified and step <= d:
+            halvings = 1
+            while step * 0.5 ** halvings >= step_floor:
+                halvings += 1
+            converged = it + halvings <= config.max_iters
+            break
+        cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
+        guess = isodiametric._guess_ball(cand.tolist(), first, d)
+        if guess is None:
+            cand_ball = geometry.min_enclosing_ball(cand)
+        else:
+            cand_ball = geometry.Ball(guess[0], guess[1], list(first), guess[2])
+        if cand_ball.radius > ball.radius + 1e-15 * d:
+            atoms, ball = cand, cand_ball
+            dirs, first, certified = _outward_reference(atoms, ball, d)
+            continue
+        step *= 0.5
+        if step < step_floor:
+            converged = True
+            break
+    w, val = isodiametric._weights_at_atoms(atoms, ball, config.cost)
+    return atoms, w, val, converged
+
+
+def test_search_steps_match_the_numpy_reference():
+    # the plain-float steps are the numpy steps bit for bit: every restart
+    # ends on the same atoms, weights, value and outcome, within a tight
+    # budget too
+    outcomes = []
+    for (n, N), p, d, max_iters in itertools.product(
+            ((1, 4), (2, 6), (3, 8)), (1, 2, 3), (1.0, 3.7e-4, 123.4), (400, 29)):
+        config = SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=1,
+                              max_iters=max_iters, cost=RadialCost.power(p))
+        for r in range(config.restarts):
+            atoms, w, val, converged = isodiametric._search_one(config, r)
+            ref_atoms, ref_w, ref_val, ref_converged = _search_one_reference(config, r)
+            assert val == ref_val and converged == ref_converged
+            assert atoms.tobytes() == ref_atoms.tobytes() and w.tobytes() == ref_w.tobytes()
+            outcomes.append(converged)
+    assert len(outcomes) == 216 and 0 < sum(outcomes) < len(outcomes)
+
+
 def test_project_and_outward_match_their_references():
     # 2070 configurations; at n = 8 each squared distance is a sum of 8
-    # squares, which numpy's reduction adds pairwise, not left to right
+    # squares, which numpy's reduction adds pairwise, not left to right:
+    # the projection's reference adds them as numpy does, and _outward's
+    # left to right
     rng = np.random.default_rng(2024)
     for N, n, d in itertools.product(range(4, 10), [1, 2, 3, 4, 8], [1.0, 3.7e-4, 123.4]):
         for _ in range(23):
@@ -556,7 +646,7 @@ def test_project_and_outward_match_their_references():
     # every atom at the center: all on the sphere of radius 0, none moves
     same = np.full((5, 2), 0.25)
     assert _outward_matches_reference(same, 1.0)
-    assert not isodiametric._outward(same, geometry.min_enclosing_ball(same), 1.0)[0].any()
+    assert not _solved_outward(same, 1.0)[1][0].any()
 
 
 def test_project_diameter_pulls_the_first_pair_at_the_largest_root():
@@ -575,9 +665,8 @@ def test_project_diameter_pulls_the_first_pair_at_the_largest_root():
 @pytest.mark.parametrize("d", [1.0, 3.7e-4])
 def test_pair_certified(d):
     def certified(P):
-        P = np.asarray(P, dtype=float) * d
-        ball = geometry.min_enclosing_ball(P)
-        return isodiametric._outward(P, ball, d)[2], ball
+        ball, outward = _solved_outward(np.asarray(P, dtype=float) * d, d)
+        return outward[2], ball
 
     # a pair at distance d with atoms inside
     inner = [[0.0, 0.1], [0.05, -0.2], [-0.3, 0.0]]
@@ -603,8 +692,7 @@ def _pair_state(n, d, rng, half):
     inner = rng.uniform(-0.15 * d, 0.15 * d, (3, n))
     atoms = np.vstack([-half * e, half * e, inner])
     atoms -= np.full(len(atoms), 1.0 / len(atoms)) @ atoms
-    ball = geometry.min_enclosing_ball(atoms)
-    return atoms, ball, isodiametric._outward(atoms, ball, d)
+    return (atoms, *_solved_outward(atoms, d))
 
 
 def _steps_rejected(atoms, ball, dirs, d):
@@ -650,14 +738,14 @@ def test_pair_certificate_growth_stays_below_half_the_gain(monkeypatch):
     # the pair certificate's skip rests on a measured margin, not a proof:
     # in every state where it holds, no step of d, d / 2, ... down to the
     # floor may grow the radius by half the 1e-15 d = 9.007 u d (u = eps / 2)
-    # an accepted step must gain.  The largest growth here is 2.0 u d, as
+    # an accepted step must gain.  The largest growth here is 3.0 u d, as
     # on 40 seeds
     outward, states = isodiametric._outward, []
 
-    def spy(atoms, ball, d):
-        out = outward(atoms, ball, d)
+    def spy(rows, c, R, d2, support, d):
+        out = outward(rows, c, R, d2, support, d)
         if out[2]:
-            states.append((atoms, ball, out[0], d))
+            states.append((np.array(rows), R, out[0], d))
         return out
 
     monkeypatch.setattr(isodiametric, "_outward", spy)
@@ -665,13 +753,13 @@ def test_pair_certificate_growth_stays_below_half_the_gain(monkeypatch):
                                        (1.0, 3.7e-4, 123.4)):
         _search_or_error(SearchConfig(n=n, d=d, atom_count=N, restarts=8, seed=0))
     growth = []
-    for atoms, ball, dirs, d in states:
+    for atoms, R, dirs, d in states:
         w0 = np.full(len(atoms), 1.0 / len(atoms))
         step = d
         while step >= 1e-9 * d:
             cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
             radius = geometry.min_enclosing_ball(cand).radius
-            growth.append((radius - ball.radius) / (0.5 * isodiametric.EPS * d))
+            growth.append((radius - R) / (0.5 * isodiametric.EPS * d))
             step *= 0.5
     assert len(states) >= 50
     assert max(growth) <= 0.5 * 1e-15 / (0.5 * isodiametric.EPS)

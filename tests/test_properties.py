@@ -77,11 +77,11 @@ def _assert_meb_invariant(placed, max_points):
     slack = _slack(s, b0.radius, t)
     Q = s * P + t
     b1 = min_enclosing_ball(PointCloud(Q))
-    guessed = _guess_ball(Q, b1.support, diameter(PointCloud(Q)))
+    guessed = _guess_ball(Q.tolist(), b1.support, diameter(PointCloud(Q)))
     assert guessed is not None
-    for b in (b1, guessed):
-        assert abs(b.radius - s * b0.radius) <= slack
-        assert np.linalg.norm(b.center - (s * b0.center + t)) <= 1e3 * slack
+    for center, radius in ((b1.center, b1.radius), guessed[:2]):
+        assert abs(radius - s * b0.radius) <= slack
+        assert np.linalg.norm(center - (s * b0.center + t)) <= 1e3 * slack
 
 
 @SETTINGS
