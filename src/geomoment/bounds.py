@@ -117,17 +117,22 @@ def _interior_min_weight(points, target):
     """Largest m such that target = sum w_i x_i with w_i >= m, sum w = 1.
 
     Solved as an LP in (u, m) with w = u + m; returns -inf when the target
-    is not even in the hull.
+    is not even in the hull.  As in :func:`lp.hull_membership`, it is posed
+    on the offsets x_i - target divided by the largest of their norms, so
+    the LP's tolerances are relative to the points' spread around target.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     tgt = np.atleast_1d(np.asarray(target, dtype=float))
     N, n = X.shape
+    D = X - tgt
+    D = D / (np.linalg.norm(D, axis=1).max() or 1.0)  # 1 when every offset is 0
     A = np.zeros((n + 1, N + 1))
-    A[:n, :N] = X.T
-    A[:n, N] = X.sum(axis=0)
+    A[:n, :N] = D.T
+    A[:n, N] = D.sum(axis=0)
     A[n, :N] = 1.0
     A[n, N] = N
-    b = np.concatenate([tgt, [1.0]])
+    b = np.zeros(n + 1)
+    b[n] = 1.0
     c = np.zeros(N + 1)
     c[N] = -1.0
     sol = solve_lp(LpProblem(c, A, b))

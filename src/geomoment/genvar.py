@@ -14,6 +14,7 @@ program over convex combinations of the cuts, whose optimum certifies a
 lower bound and whose LP duals give the next cut point.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ class RadialCost:
     knots [(t, v(t)), ...] with nondecreasing, nonnegative slopes and a
     positive final slope (so sublevel sets stay compact).
     """
+
+    __slots__ = ("kind", "p", "knots", "_slopes")
 
     def __init__(self, kind, p=None, knots=None):
         self.kind = kind
@@ -68,7 +71,10 @@ class RadialCost:
             raise ValueError(f"unknown cost kind {kind!r}")
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def power(cls, p):
+        """The cost t^p.  No method changes a cost, so equal powers share
+        one instance."""
         return cls("power", p=p)
 
     @classmethod

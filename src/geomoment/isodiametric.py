@@ -13,15 +13,15 @@ import numpy as np
 from .bounds import AtomicMeasure
 from .errors import DomainError, NoConvergenceError
 from .genvar import RadialCost
-from .geometry import (CONTAIN_TOL, Ball, _Span, as_cloud, diameter, jung_radius, meb_support,
-                       min_enclosing_ball, regular_simplex)
+from .geometry import (CONTAIN_TOL, Ball, _dot, _Span, as_cloud, diameter, jung_radius,
+                       meb_support, min_enclosing_ball, regular_simplex)
 from .lp import hull_membership
 
 WEIGHT_FLOOR = 1e-12
 EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchConfig:
     n: int
     d: float
@@ -287,6 +287,114 @@ def _outward(rows, c, R, d2, support, d):
     return dirs, boundary, _pair_certified(rows, support, boundary, d)
 
 
+def _jung_floor(n, d):
+    """r_n d - 4.5 u d (u = eps / 2): the radius from which the Jung stop
+    holds."""
+    return jung_radius(n) * d - 2.25 * EPS * d
+
+
+def _jung_certified(R, n, d):
+    """Does the Jung stop hold: does the ascent reject every step from a
+    state of radius R?
+
+    By Jung's theorem, a corollary of the paper's, no candidate of
+    diameter at most d has an enclosing radius above r_n d, and an accepted
+    step must reach R + 1e-15 d = R + 9.007 u d.  From R >= r_n d - 4.5 u d
+    that is r_n d + 4.5 u d, which only rounding could give, and rounding
+    is not bounded here but measured: a test replays every state where the
+    stop holds on a grid of searches and fails when a step's cold-solved
+    radius passes R + 4.5 u d.
+    """
+    return R >= _jung_floor(n, d)
+
+
+def _solve_spd(G, r):
+    """y with G y = r for a small symmetric positive definite G (lists),
+    by Cholesky in plain floats, every sum added left to right; None if a
+    pivot is not positive."""
+    m = len(r)
+    C = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1):
+            t = G[i][j]
+            for k in range(j):
+                t -= C[i][k] * C[j][k]
+            if i == j:
+                if not t > 0.0:  # NaN fails too
+                    return None
+                C[i][i] = math.sqrt(t)
+            else:
+                C[i][j] = t / C[j][j]
+    y = [0.0] * m
+    for i in range(m):
+        t = r[i]
+        for k in range(i):
+            t -= C[i][k] * y[k]
+        y[i] = t / C[i][i]
+    for i in range(m - 1, -1, -1):
+        t = y[i]
+        for k in range(i + 1, m):
+            t -= C[k][i] * y[k]
+        y[i] = t / C[i][i]
+    return y
+
+
+def _finish(rows, first, R, d):
+    """The finish of a state near the regular n-simplex: its atoms as a
+    list of lists, to be projected and tested as a step's are, or None.
+
+    It applies when the state's sphere holds n + 1 atoms (``first``), every
+    two of them within 1e-2 d of d apart, and the Jung stop does not hold
+    yet.  Those atoms are the active diameter constraints of an active set
+    (Nocedal and Wright, *Numerical Optimization*, ch. 15-16): Gauss-Newton
+    (ibid., ch. 10) solves |x_i - x_j|^2 = d^2 for every pair of them.  Its
+    steps are least-norm, -J^T (J J^T)^-1 r, so they hold no rigid motion,
+    and it stops once every residual is within 4 eps d^2 of 0, or after
+    eight steps.  Every other atom lies off the sphere with weight 0 and
+    moves halfway toward the centroid of the n + 1: that keeps it in the
+    ball, so the value cannot change, and takes it off the diameter pairs
+    that the projection would otherwise pull back on every step.  The
+    search is not told the maximizer: nothing snaps to
+    :func:`geometry.regular_simplex`.  Plain floats, every sum added left
+    to right, so the finish rounds alike on every BLAS build.
+    """
+    n = len(rows[0])
+    if len(first) != n + 1 or R >= _jung_floor(n, d):
+        return None
+    P = [rows[i] for i in first]
+    pairs = [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
+    for a, b in pairs:
+        if not abs(math.sqrt(_sq_dists([P[a]], P[b])[0]) - d) <= 1e-2 * d:
+            return None
+    for _ in range(8):
+        E = [[x - y for x, y in zip(P[a], P[b])] for a, b in pairs]
+        r = [_dot(e, e) - d * d for e in E]
+        if max(abs(t) for t in r) <= 4.0 * EPS * d * d:
+            break
+        # (J J^T)_pq = 4 (e_p . e_q) sum_s sigma_p(s) sigma_q(s), where the
+        # pair p = (a, b) has sigma_p(a) = 1 and sigma_p(b) = -1
+        G = [[4.0 * _dot(ep, eq) * ((a == k) + (b == l) - (a == l) - (b == k))
+              for (k, l), eq in zip(pairs, E)] for (a, b), ep in zip(pairs, E)]
+        y = _solve_spd(G, r)
+        if y is None:
+            return None
+        step = [[0.0] * n for _ in P]
+        for (a, b), e, t in zip(pairs, E, y):
+            step[a] = [s - 2.0 * t * x for s, x in zip(step[a], e)]
+            step[b] = [s + 2.0 * t * x for s, x in zip(step[b], e)]
+        P = [[x + s for x, s in zip(p, q)] for p, q in zip(P, step)]
+    if not all(math.isfinite(x) for p in P for x in p):
+        return None
+    g = [0.0] * n
+    for p in P:
+        g = [s + x for s, x in zip(g, p)]
+    g = [s / (n + 1) for s in g]
+    out = [[0.5 * (x + y) for x, y in zip(row, g)] for row in rows]
+    for i, p in zip(first, P):
+        out[i] = p
+    return out
+
+
 def _search_one(config, restart):
     """One restart: ascend the enclosing-ball radius of the configuration
     under the diameter cap (boundary atoms step outward, worst pairs get
@@ -298,52 +406,33 @@ def _search_one(config, restart):
     inner minimization.
 
     Each step's enclosing ball is guessed to have the support of the
-    previous ball, the atoms the step pushed outward (``first``), and the
-    guess is certified by :func:`_guess_ball`.  By the duality of the
-    moment problem, the ball through the guess is the smallest enclosing
-    ball when it contains every atom and its center has nonnegative affine
-    weights on the guess; that is the test that ends
-    :func:`min_enclosing_ball`'s loop too.  Every step follows one rule: the
-    certified ball if there is one, else ``min_enclosing_ball(cand)``, and
-    then the step is taken if its radius grows by more than 1e-15 d.  On
-    three of the benchmark's search rounds at seed 1, 8414 of the 8449
-    steps' balls are certified and 35 are solved: with the 222 starting
-    balls, one per restart, 257 balls are solved where solving every ball
-    would take 8671.  The ball is unique, so the certificate changes only
-    its rounding.  Over 378 search configurations ((n, atoms) in {(1, 4),
-    (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)}, p in {1, 2, 3}, d in
-    {1, 3.7e-4, 123.4}, ``max_iters`` in {400, 29}, 4 restarts, 3 seeds),
-    solving every ball in its place gave the same outcomes and per-restart
-    values within 1e-15, and the 56799 certified balls had the solved
-    ball's support, its radius within 1.6 eps d and its center within
-    2.3 eps d.
-
-    Only the projection works on arrays.  Each step converts its projected
-    atoms to lists once, and the guess, the radius comparison and the next
-    state's :func:`_outward` work on them in plain floats: the state is the
-    atoms as an array and as lists, the ball's center (a list), radius,
-    support and weights.  The certified guess hands the squared distances
-    it summed to :func:`_outward`, and a rejected step builds no array
-    beyond its candidate and no :class:`Ball`; a ball is built only by
-    :func:`min_enclosing_ball`, for the restart's first ball and for the
-    guesses that fail, and once at the end, for :func:`_weights_at_atoms`.
-    On the grid above, values and outcomes are bit-identical to the search
-    that built a ball for every certified guess and read its atoms'
-    distances again with numpy.
+    previous ball plus the atoms the step pushed outward (``first``), and
+    :func:`_guess_ball` certifies the guess by the duality of the moment
+    problem, the test that ends :func:`min_enclosing_ball`'s loop too.
+    Every step follows one rule: the certified ball if there is one, else
+    ``min_enclosing_ball(cand)``, and the step is taken if its radius
+    grows by more than 1e-15 d.  The ball is unique, so the certificate
+    changes only its rounding.  Only the projection works on arrays: each
+    candidate is converted to lists once, and the guess, the radius test
+    and the next state's :func:`_outward` run in plain floats.  A
+    :class:`Ball` is built only by :func:`min_enclosing_ball`, for the
+    first ball and the guesses that fail, and once at the end.
 
     A rejected step changes neither the atoms nor the ball, so each state's
-    boundary atoms, outward directions, support guess and pair certificate
-    (:func:`_pair_certified`) are computed once, when the state is
-    accepted, and serve all of its halvings.  Lower-dimensional regular
-    simplices are stationary for the ascent, and many restarts settle
-    within a step or two on one diameter pair, then halve a step that the
-    projection undoes every time.  In a certified state every step of at
-    most d is rejected, so the restart halves to the floor without taking
-    them, and converges exactly when those halvings fit within
-    ``max_iters``.  On three of the benchmark's search rounds at seed 1
-    this skips the ends of 83 of 222 restarts, 21% of all steps.  Every
-    tolerance is relative to d + R (or to d), so the search
-    does not depend on the scale of the diameter cap.
+    boundary atoms, outward directions, support guess, stops and finish are
+    computed once, when it is accepted, and serve all of its halvings.
+    Where a stop holds, every step of at most d would be rejected, so the
+    restart halves to the floor without taking them and converges exactly
+    when those halvings fit within ``max_iters``.  There are two stops:
+    :func:`_pair_certified`, for restarts that settle on one diameter pair
+    (a stationary lower-dimensional simplex), and :func:`_jung_certified`,
+    for restarts at Jung's bound r_n d.  A state near the regular n-simplex
+    first tries its :func:`_finish`, as one iteration that is projected and
+    tested like a step and, if rejected, leaves the step as it is: the
+    finish closes in one iteration the gap that halving steps would crawl,
+    since its off-sphere atoms no longer sit on diameter pairs that the
+    projection pulls back.  Every tolerance is relative to d + R (or to d),
+    so the search does not depend on the scale of the diameter cap.
     """
     rng = np.random.default_rng(config.seed + restart)
     n, N, d, cost = config.n, config.atom_count, config.d, config.cost
@@ -356,15 +445,20 @@ def _search_one(config, restart):
     step_floor = 1e-9 * d
     converged = False
     dirs, first, certified = _outward(rows, c, R, d2, support, d)
+    stop = certified or _jung_certified(R, n, d)
+    finish = None if stop else _finish(rows, first, R, d)
     for it in range(config.max_iters):
-        if certified and step <= d:
+        if stop and step <= d:
             # this halving and every later one would be rejected
             halvings = 1
             while step * 0.5 ** halvings >= step_floor:
                 halvings += 1
             converged = it + halvings <= config.max_iters
             break
-        cand = _project_diameter(atoms + step * dirs, w0, d)
+        if finish is None:
+            cand = _project_diameter(atoms + step * dirs, w0, d)
+        else:
+            cand = _project_diameter(np.array(finish), w0, d)
         cand_rows = cand.tolist()
         guess = _guess_ball(cand_rows, first, d)
         if guess is None:
@@ -374,6 +468,11 @@ def _search_one(config, restart):
         if reach > R + 1e-15 * d:
             atoms, rows, c, R, support, lam = cand, cand_rows, cand_c, reach, cand_support, cand_lam
             dirs, first, certified = _outward(rows, c, R, d2, support, d)
+            stop = certified or _jung_certified(R, n, d)
+            finish = None if stop else _finish(rows, first, R, d)
+            continue
+        if finish is not None:  # a rejected finish leaves the step as it is
+            finish = None
             continue
         step *= 0.5
         if step < step_floor:
@@ -388,23 +487,27 @@ def search_max(config):
     diameter cap.  Deterministic for a fixed seed; restarts use derived
     seeds and the best restart wins.  Restarts that exhaust the iteration
     budget are recorded, not fatal; only all of them failing is an error.
+
+    Values within 1e-12 relative of the largest tie, and the first restart
+    among them wins: restarts that end at the bound agree to a few ulps,
+    and another numpy/BLAS build rounds the ascent differently by as much.
     """
     t0 = time.perf_counter()
-    per_restart = []
-    best = None
+    per_restart, ends = [], []
     converged_count = 0
     for r in range(config.restarts):
         atoms, w, val, converged = _search_one(config, r)
         per_restart.append(val)
+        ends.append((atoms, w))
         converged_count += bool(converged)
-        if best is None or val > best[2]:
-            best = (atoms, w, val)
     if converged_count == 0:
         raise NoConvergenceError(
             f"no restart converged within {config.max_iters} iterations",
             cap=config.max_iters,
         )
-    atoms, w, val = best
+    top = max(per_restart)
+    best = next(r for r, val in enumerate(per_restart) if val >= top - 1e-12 * abs(top))
+    (atoms, w), val = ends[best], per_restart[best]
     keep = w > WEIGHT_FLOOR
     measure = AtomicMeasure(atoms[keep], w[keep] / w[keep].sum())
     support, _ = measure.support()

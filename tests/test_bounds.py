@@ -378,6 +378,24 @@ def test_in_hull_interior_surrogate():
     assert not in_hull_interior(V, V[0])  # a vertex is not interior
 
 
+def test_interior_min_weight_is_scale_free():
+    # posed on raw coordinates, the LP's absolute tolerances read the min
+    # weight up to 4.5x wrong at scale 1e-10 and 7.4e-9 relative off at
+    # offset 1e7 (against the same rounded points moved back, exactly)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        N = int(rng.integers(n + 2, 12))
+        X = rng.normal(size=(N, n))
+        t = rng.dirichlet(np.ones(N)) @ X
+        m = bounds._interior_min_weight(X, t)
+        assert m > 0
+        assert bounds._interior_min_weight(X * 1e-10, t * 1e-10) == pytest.approx(m, rel=1e-9)
+        Xo, to = X + 1e7, t + 1e7
+        moved_back = bounds._interior_min_weight(Xo - 1e7, to - 1e7)
+        assert bounds._interior_min_weight(Xo, to) == pytest.approx(moved_back, rel=1e-9)
+
+
 def test_measure_json_round_trip(tmp_path):
     mu = AtomicMeasure([[0.1, 0.2], [0.3, -0.4]], [0.25, 0.75])
     path = tmp_path / "measure.json"

@@ -126,6 +126,26 @@ def test_search_never_beats_bound_and_random_measures_obey_it():
             assert r1.value <= bound1 + 1e-6
 
 
+def test_search_best_restart_does_not_turn_on_rounding(monkeypatch):
+    # restarts that end at the bound agree to a few ulps, and another
+    # numpy/BLAS build rounds them differently by as much: values within
+    # 1e-12 of the largest tie, and the first restart among them wins, so
+    # nudging each value by a few ulps picks the same measure
+    config = SearchConfig(n=2, d=1.0, atom_count=6, restarts=8, seed=1)
+    res = search_max(config)
+    bound = isodiametric_bound(2, 1.0)
+    assert sum(abs(v - bound) <= 1e-12 * bound for v in res.per_restart_values) >= 2
+    search_one = isodiametric._search_one
+    for sign in (1, -1):
+        def nudged(config, restart):
+            atoms, w, val, converged = search_one(config, restart)
+            return atoms, w, val * (1 + sign * (-1) ** restart * 4 * isodiametric.EPS), converged
+
+        monkeypatch.setattr(isodiametric, "_search_one", nudged)
+        again = search_max(config).best_measure.atoms.points
+        assert np.array_equal(again, res.best_measure.atoms.points)
+
+
 def test_verify_simplex_optimality_on_exact_maximizer():
     mu = simplex_maximizer(2, 1.0)
     res = SearchResult(mu, variance(mu), [variance(mu)], 0.0, 1, 0.0)
@@ -159,12 +179,13 @@ def test_verify_simplex_optimality_at_small_diameter():
 
 @pytest.mark.parametrize("d", [1e-9, 1.0, 1e9])
 def test_verify_simplex_optimality_value_test_is_relative(d):
-    # an absolute tol read the search's own maximizer, 5.4e-10 relative below
-    # the bound, as True at d = 1e-9 and 1 and as False at d = 1e9
+    # an absolute tol read a maximizer 5.4e-10 relative below the bound, as
+    # the search's own ended before its finish, as True at d = 1e-9 and 1
+    # and as False at d = 1e9
     res = search_max(SearchConfig(n=2, d=d, atom_count=6, restarts=6, seed=1))
     bound = isodiametric_bound(2, d)
-    assert bound * (1 - 1e-9) <= res.best_value < bound * (1 - 1e-10)
-    assert verify_simplex_optimality(res, 2, d, tol=1e-6)
+    near = dataclasses.replace(res, best_value=bound * (1 - 5.4e-10))
+    assert verify_simplex_optimality(near, 2, d, tol=1e-6)
     # the same measure with a value 2e-6 relative short of the bound fails
     short = dataclasses.replace(res, best_value=bound * (1 - 2e-6))
     assert not verify_simplex_optimality(short, 2, d, tol=1e-6)
@@ -418,13 +439,25 @@ def _search_or_error(cfg):
     return res.per_restart_values, res.converged_restarts, res.best_measure.atoms.points
 
 
+_STOPS = {name: getattr(isodiametric, name) for name in ("_pair_certified", "_jung_certified")}
+
+
+def _take_every_step(monkeypatch, take=True):
+    """Switch the search's two stops, the pair certificate and the Jung
+    stop, off (``take``) or back on."""
+    for name in _STOPS:
+        monkeypatch.setattr(isodiametric, name,
+                            (lambda *args: False) if take else _STOPS[name])
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
-    # a restart stalled on one diameter pair halves its step to the floor
-    # without taking the halvings; taking them must end it where it ends.
-    # From 0.25 d, 28 halvings reach the floor, and the restarts that stall
-    # settle within two accepted steps: with max_iters = 29 some cascades
-    # would overrun the budget and must leave their restart unconverged
+    # a restart stalled on one diameter pair, or at Jung's bound, halves its
+    # step to the floor without taking the halvings; taking them must end it
+    # where it ends.  From 0.25 d, 28 halvings reach the floor, and the
+    # restarts that stall settle within two accepted steps: with
+    # max_iters = 29 some cascades would overrun the budget and must leave
+    # their restart unconverged
     configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
                             max_iters=max_iters, cost=RadialCost.power(p))
                for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)
@@ -453,9 +486,9 @@ def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
     short = [_search_or_error(cfg) for cfg in configs]
     short_steps = len(steps)
     steps.clear()
-    monkeypatch.setattr(isodiametric, "_pair_certified", lambda *args: False)
+    _take_every_step(monkeypatch)
     stepped = [_search_or_error(cfg) for cfg in configs]
-    assert short_steps < len(steps)  # the certificate fired
+    assert short_steps < len(steps)  # the stops fired
     assert (True, True) in restarts and (True, False) in restarts
     for a, b in zip(short, stepped):
         if isinstance(a, str) or isinstance(b, str):
@@ -467,31 +500,34 @@ def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
 
 
 def test_search_pair_certificate_converges_at_the_exact_budget(monkeypatch):
-    # a certified restart that takes k steps when it takes every one
-    # converges with max_iters = k and not with k - 1, with or without the
-    # certificate
-    project, pair_certified = isodiametric._project_diameter, isodiametric._pair_certified
-    calls, certified = [], []
+    # a restart that stops, on a pair certificate or at Jung's bound, and
+    # takes k steps when it takes every one converges with max_iters = k and
+    # not with k - 1, with or without the stops
+    project = isodiametric._project_diameter
+    calls, stopped = [], []
 
     def count(*args):
         calls.append(None)
         return project(*args)
 
-    def spy(*args):
-        certified.append(pair_certified(*args))
-        return certified[-1]
+    def spy(name):
+        def stop(*args):
+            stopped.append(_STOPS[name](*args))
+            return stopped[-1]
+        return stop
 
     monkeypatch.setattr(isodiametric, "_project_diameter", count)
     checked = 0
     for n, N in ((1, 4), (2, 6)):
         config = SearchConfig(n=n, d=1.0, atom_count=N, seed=5)
         for r in range(10):
-            monkeypatch.setattr(isodiametric, "_pair_certified", spy)
-            certified.clear()
+            for name in _STOPS:
+                monkeypatch.setattr(isodiametric, name, spy(name))
+            stopped.clear()
             isodiametric._search_one(config, r)
-            if not any(certified):
+            if not any(stopped):
                 continue
-            monkeypatch.setattr(isodiametric, "_pair_certified", lambda *args: False)
+            _take_every_step(monkeypatch)
             calls.clear()
             full = isodiametric._search_one(config, r)
             k = len(calls) - 1  # the first projection is the start's
@@ -499,9 +535,9 @@ def test_search_pair_certificate_converges_at_the_exact_budget(monkeypatch):
             for budget, converged in ((k, True), (k - 1, False)):
                 budgeted = dataclasses.replace(config, max_iters=budget)
                 stepped = isodiametric._search_one(budgeted, r)
-                monkeypatch.setattr(isodiametric, "_pair_certified", pair_certified)
+                _take_every_step(monkeypatch, take=False)
                 short = isodiametric._search_one(budgeted, r)
-                monkeypatch.setattr(isodiametric, "_pair_certified", lambda *args: False)
+                _take_every_step(monkeypatch)
                 assert stepped[3] is short[3] is converged
                 assert stepped[2] == short[2]
                 assert np.array_equal(stepped[0], short[0])
@@ -572,10 +608,13 @@ def _outward_matches_reference(atoms, d):
             and certified == ref_certified)
 
 
-def _search_one_reference(config, restart):
+def _search_one_reference(config, restart, finish=True, jung_stop=True):
     """:func:`isodiametric._search_one` as it stepped before its state went
     to plain floats: a :class:`Ball` for every certified guess, and each
-    accepted state read again in numpy by :func:`_outward_reference`."""
+    accepted state read again in numpy by :func:`_outward_reference`.
+    ``finish`` tries :func:`isodiametric._finish` once per accepted state,
+    and ``jung_stop`` stops a state whose radius is within 4.5 u d of
+    Jung's bound r_n d (u = eps / 2)."""
     rng = np.random.default_rng(config.seed + restart)
     n, N, d = config.n, config.atom_count, config.d
     w0 = np.full(N, 1.0 / N)
@@ -584,15 +623,25 @@ def _search_one_reference(config, restart):
     step = config.step if config.step is not None else 0.25 * d
     step_floor = 1e-9 * d
     converged = False
-    dirs, first, certified = _outward_reference(atoms, ball, d)
+
+    def state(atoms, ball):
+        dirs, first, certified = _outward_reference(atoms, ball, d)
+        stop = certified or (jung_stop and ball.radius >= isodiametric._jung_floor(n, d))
+        move = None
+        if finish and not stop:
+            move = isodiametric._finish(atoms.tolist(), first, ball.radius, d)
+        return dirs, first, stop, move
+
+    dirs, first, stop, move = state(atoms, ball)
     for it in range(config.max_iters):
-        if certified and step <= d:
+        if stop and step <= d:
             halvings = 1
             while step * 0.5 ** halvings >= step_floor:
                 halvings += 1
             converged = it + halvings <= config.max_iters
             break
-        cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
+        moved = atoms + step * dirs if move is None else np.array(move)
+        cand = isodiametric._project_diameter(moved, w0, d)
         guess = isodiametric._guess_ball(cand.tolist(), first, d)
         if guess is None:
             cand_ball = geometry.min_enclosing_ball(cand)
@@ -600,7 +649,10 @@ def _search_one_reference(config, restart):
             cand_ball = geometry.Ball(guess[0], guess[1], list(first), guess[2])
         if cand_ball.radius > ball.radius + 1e-15 * d:
             atoms, ball = cand, cand_ball
-            dirs, first, certified = _outward_reference(atoms, ball, d)
+            dirs, first, stop, move = state(atoms, ball)
+            continue
+        if move is not None:
+            move = None
             continue
         step *= 0.5
         if step < step_floor:
@@ -626,6 +678,23 @@ def test_search_steps_match_the_numpy_reference():
             assert atoms.tobytes() == ref_atoms.tobytes() and w.tobytes() == ref_w.tobytes()
             outcomes.append(converged)
     assert len(outcomes) == 216 and 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("finish", [True, False])
+def test_search_jung_stop_matches_the_reference_that_takes_every_step(finish, monkeypatch):
+    # the Jung stop skips only steps that the ascent would reject, with the
+    # finish and without it: the numpy reference that takes them ends every
+    # restart on the same atoms, weights, value and outcome
+    if not finish:
+        monkeypatch.setattr(isodiametric, "_finish", lambda *args: None)
+    for (n, N), d, max_iters in itertools.product(
+            ((1, 4), (2, 6), (3, 8)), (1.0, 3.7e-4, 123.4), (400, 29)):
+        config = SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=1, max_iters=max_iters)
+        for r in range(config.restarts):
+            atoms, w, val, converged = isodiametric._search_one(config, r)
+            ref = _search_one_reference(config, r, finish=finish, jung_stop=False)
+            assert val == ref[2] and converged == ref[3]
+            assert atoms.tobytes() == ref[0].tobytes() and w.tobytes() == ref[1].tobytes()
 
 
 def test_project_and_outward_match_their_references():
@@ -734,24 +803,35 @@ def test_pair_certified_at_band_edge_rejects_every_step(n, d):
     assert not certified and not _steps_rejected(atoms, ball, dirs, d)
 
 
-def test_pair_certificate_growth_stays_below_half_the_gain(monkeypatch):
-    # the pair certificate's skip rests on a measured margin, not a proof:
-    # in every state where it holds, no step of d, d / 2, ... down to the
-    # floor may grow the radius by half the 1e-15 d = 9.007 u d (u = eps / 2)
-    # an accepted step must gain.  The largest growth here is 3.0 u d, as
-    # on 40 seeds
-    outward, states = isodiametric._outward, []
+@pytest.fixture(scope="module")
+def stopped_states():
+    """Every accepted state of 8 restarts at seed 0 of each (n, atoms) in
+    {(1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)} and d in {1,
+    3.7e-4, 123.4} where a stop holds, as (atoms, R, dirs, d): those of the
+    pair certificate under "pair", those of the Jung stop under "jung"."""
+    outward, states = isodiametric._outward, {"pair": [], "jung": []}
 
     def spy(rows, c, R, d2, support, d):
         out = outward(rows, c, R, d2, support, d)
+        state = (np.array(rows), R, out[0], d)
         if out[2]:
-            states.append((np.array(rows), R, out[0], d))
+            states["pair"].append(state)
+        if isodiametric._jung_certified(R, len(c), d):
+            states["jung"].append(state)
         return out
 
-    monkeypatch.setattr(isodiametric, "_outward", spy)
-    for (n, N), d in itertools.product(((1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)),
-                                       (1.0, 3.7e-4, 123.4)):
-        _search_or_error(SearchConfig(n=n, d=d, atom_count=N, restarts=8, seed=0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isodiametric, "_outward", spy)
+        for (n, N), d in itertools.product(((1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)),
+                                           (1.0, 3.7e-4, 123.4)):
+            _search_or_error(SearchConfig(n=n, d=d, atom_count=N, restarts=8, seed=0))
+    return states
+
+
+def _largest_growth(states):
+    """The most any step of d, d / 2, ... down to the search's floor from
+    one of the states grows its radius, with each ball solved cold, in
+    units of u d (u = eps / 2)."""
     growth = []
     for atoms, R, dirs, d in states:
         w0 = np.full(len(atoms), 1.0 / len(atoms))
@@ -761,8 +841,53 @@ def test_pair_certificate_growth_stays_below_half_the_gain(monkeypatch):
             radius = geometry.min_enclosing_ball(cand).radius
             growth.append((radius - R) / (0.5 * isodiametric.EPS * d))
             step *= 0.5
+    return max(growth)
+
+
+# half the 1e-15 d = 9.007 u d an accepted step must gain
+HALF_THE_GAIN = 0.5 * 1e-15 / (0.5 * isodiametric.EPS)
+
+
+def test_pair_certificate_growth_stays_below_half_the_gain(stopped_states):
+    # the pair certificate's skip rests on a measured margin, not a proof:
+    # in every state where it holds, no step of d, d / 2, ... down to the
+    # floor may grow the radius by half the gain an accepted step must make.
+    # The largest growth here is 3.0 u d, as on 40 seeds
+    assert len(stopped_states["pair"]) >= 50
+    assert _largest_growth(stopped_states["pair"]) <= HALF_THE_GAIN
+
+
+def test_jung_stop_growth_stays_below_half_the_gain(stopped_states):
+    # the Jung stop rests on a measured margin too: a state within 4.5 u d
+    # of r_n d is a regular n-simplex up to rounding, and no step from it may
+    # grow the radius by half the gain.  Each state's radius is within a few
+    # u d of r_n d
+    states = stopped_states["jung"]
     assert len(states) >= 50
-    assert max(growth) <= 0.5 * 1e-15 / (0.5 * isodiametric.EPS)
+    assert {len(dirs[0]) for _, _, dirs, _ in states} == {1, 2, 3, 4}
+    offsets = [(R - jung_radius(len(dirs[0])) * d) / (0.5 * isodiametric.EPS * d)
+               for _, R, dirs, d in states]
+    assert -4.5 <= min(offsets) and max(offsets) <= 4.5
+    assert _largest_growth(states) <= HALF_THE_GAIN
+
+
+def test_search_restarts_at_the_bound_end_on_it():
+    # the finish and the Jung stop end every restart that gets near the bound
+    # on it, up to rounding: on the 378 configurations, each restart within
+    # 1e-3 of the bound ends within [bound (1 - 1e-12), bound (1 + 4 eps)]
+    near = 0
+    for (n, N), p, d, max_iters, seed in itertools.product(
+            ((1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)), (1, 2, 3),
+            (1.0, 3.7e-4, 123.4), (400, 29), (1, 7, 23)):
+        config = SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=seed,
+                              max_iters=max_iters, cost=RadialCost.power(p))
+        bound = isodiametric_bound(n, d, config.cost)
+        for r in range(config.restarts):
+            val = isodiametric._search_one(config, r)[2]
+            if abs(val - bound) <= 1e-3 * bound:
+                near += 1
+                assert bound * (1 - 1e-12) <= val <= bound * (1 + 4 * isodiametric.EPS)
+    assert near >= 500
 
 
 @pytest.mark.parametrize("p", [1, 3])
