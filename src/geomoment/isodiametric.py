@@ -13,8 +13,8 @@ import numpy as np
 from .bounds import AtomicMeasure
 from .errors import DomainError, NoConvergenceError
 from .genvar import RadialCost
-from .geometry import (CONTAIN_TOL, Ball, _dot, _Span, as_cloud, diameter, jung_radius,
-                       meb_support, min_enclosing_ball, regular_simplex)
+from .geometry import (CONTAIN_TOL, RANK_TOL, Ball, _dot, _Span, as_cloud, diameter,
+                       jung_radius, meb_support, min_enclosing_ball, regular_simplex)
 from .lp import hull_membership
 
 WEIGHT_FLOOR = 1e-12
@@ -174,45 +174,6 @@ def _sq_dists(rows, c):
     return d2
 
 
-def _pair_certified(rows, support, boundary, d):
-    """Does the pair certificate hold: does the ascent reject every step
-    of at most d from this state?
-
-    It holds when the ball's support is one pair and its atoms are the only
-    ones within 1e-7 (d + R) of the sphere (``boundary``), and the pair
-    reads at least d - eps d apart: the 1-simplex, a stationary point of
-    the ascent.  A step t <= d moves the pair apart along its chord, to
-    |x_i - x_j| + 2 t, and leaves the others, at most m < R from the
-    center, where they are.  Each other pair is then at most R + t + m
-    apart, shorter, so the projection pulls the stepped pair back to d
-    along the stepped chord and stops: after the pull-back every other
-    pair is at most R + m, at least 1e-7 (d + R) below d.  Rounding in the step moves
-    the pair's midpoint by a few eps (d + t), far inside the band that
-    keeps the others in the pair's ball.  So the candidate's ball is the
-    pair's, and its radius exceeds R by half the pair's lengthening plus
-    rounding.
-
-    That this rounding stays below the 1e-15 d = 9.007 u d (u = eps / 2) an
-    accepted step must gain is measured, not proved.  Bounded term by term,
-    in units of u d, the growth is at most: about 1 from the band; n / 4 + 1
-    from the projection's exit test, which reads the pair at most d; 0.75
-    from the recentring; n / 4 + 1 from the state's own chord reading; 2.5
-    from the new center; and n / 4 + 1 from each radius reading.  That is
-    n + 8.25, above 9.007 for every n, so it proves nothing.  The errors do
-    not align at their bounds: over the 28980 steps of d, d / 2, ... down to
-    1e-9 d from the 966 certified states of 40 seeds of 4 restarts at (n,
-    atoms) in {(1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)} and
-    d in {1, 3.7e-4, 123.4}, the radius grew by at most 3.0 u d.  A test
-    replays such states and fails when the growth passes 4.5 u d, half the
-    gain.  The chord is read off ``rows``, the state's atoms as lists, with
-    its squares added left to right.
-    """
-    if len(boundary) != 2 or sorted(support) != boundary:
-        return False
-    i, j = boundary
-    return math.sqrt(_sq_dists([rows[i]], rows[j])[0]) >= d - EPS * d
-
-
 def _guess_ball(rows, first, d):
     """The smallest enclosing ball of the atoms ``rows`` (a list of lists)
     if ``first``, a guess at its support, can be certified to carry it, as
@@ -266,16 +227,15 @@ def _solved_ball(cand, rows):
     return c, ball.radius, ball.support, ball.weights, _sq_dists(rows, c)
 
 
-def _outward(rows, c, R, d2, support, d):
+def _outward(rows, c, R, d2, d):
     """What a search state's steps need, for atoms ``rows`` in the ball of
-    center c and radius R with the given support, d2 holding each atom's
-    squared distance to c: each atom's unit direction from c if it lies on
-    the ball's sphere (within 1e-7 (d + R)) and off the center, else 0, as
-    an (N, n) array; the indices of the atoms on the sphere, as a list, the
-    guess at the next ball's support; and whether the state's
-    :func:`_pair_certified` holds.  Plain floats throughout: below n = 8,
-    numpy adds a row's squares left to right too, so this is numpy's
-    arithmetic on the same numbers."""
+    center c and radius R, d2 holding each atom's squared distance to c:
+    each atom's unit direction from c if it lies on the ball's sphere
+    (within 1e-7 (d + R)) and off the center, else 0, as an (N, n) array;
+    and the indices of the atoms on the sphere, as a list, the guess at the
+    next ball's support.  Plain floats throughout: below n = 8, numpy adds a
+    row's squares left to right too, so this is numpy's arithmetic on the
+    same numbers."""
     band, floor = 1e-7 * (d + R), 1e-12 * d
     dirs, boundary = np.zeros((len(rows), len(c))), []
     for i, t in enumerate(d2):
@@ -284,7 +244,7 @@ def _outward(rows, c, R, d2, support, d):
             boundary.append(i)
             if norm > floor:
                 dirs[i] = [(a - b) / norm for a, b in zip(rows[i], c)]
-    return dirs, boundary, _pair_certified(rows, support, boundary, d)
+    return dirs, boundary
 
 
 def _jung_floor(n, d):
@@ -340,29 +300,39 @@ def _solve_spd(G, r):
 
 
 def _finish(rows, first, R, d):
-    """The finish of a state near the regular n-simplex: its atoms as a
-    list of lists, to be projected and tested as a step's are, or None.
+    """The finish of a state near a regular k-simplex: its atoms as a list
+    of lists, to be projected and tested as a step's are, with the guess at
+    their ball's support; or None.
 
-    It applies when the state's sphere holds n + 1 atoms (``first``), every
-    two of them within 1e-2 d of d apart, and the Jung stop does not hold
-    yet.  Those atoms are the active diameter constraints of an active set
-    (Nocedal and Wright, *Numerical Optimization*, ch. 15-16): Gauss-Newton
-    (ibid., ch. 10) solves |x_i - x_j|^2 = d^2 for every pair of them.  Its
-    steps are least-norm, -J^T (J J^T)^-1 r, so they hold no rigid motion,
-    and it stops once every residual is within 4 eps d^2 of 0, or after
-    eight steps.  Every other atom lies off the sphere with weight 0 and
-    moves halfway toward the centroid of the n + 1: that keeps it in the
-    ball, so the value cannot change, and takes it off the diameter pairs
-    that the projection would otherwise pull back on every step.  The
-    search is not told the maximizer: nothing snaps to
-    :func:`geometry.regular_simplex`.  Plain floats, every sum added left
-    to right, so the finish rounds alike on every BLAS build.
+    It applies when the state's sphere holds k + 1 atoms (``first``), 1 <= k
+    <= n, every two of them within 1e-2 d of d apart, and the Jung stop does
+    not hold yet.  Those atoms are the active diameter constraints of an
+    active set (Nocedal and Wright, *Numerical Optimization*, ch. 15-16):
+    Gauss-Newton (ibid., ch. 10) solves |x_i - x_j|^2 = d^2 for every pair
+    of them.  Its steps are least-norm, -J^T (J J^T)^-1 r, so they hold no
+    rigid motion, and it stops once every residual is within 4 eps d^2 of 0,
+    or after eight steps.  Every other atom lies off the sphere with weight
+    0 and moves halfway toward the centroid of the k + 1: that keeps it in
+    the ball, so the value cannot change, and takes it off the diameter
+    pairs that the projection would otherwise pull back on every step.
+
+    For k < n the state is stationary but not maximal: by the paper's
+    theorem only the regular n-simplex maximizes, and no step leaves the
+    k-flat of the sphere's atoms.  So the finish also lifts the off-sphere
+    atom farthest from that flat to c + h u, where u is its unit normal
+    from the flat (any unit normal if no atom is more than RANK_TOL d off
+    it), c the simplex's circumcenter and h = sqrt(d^2 - |x_0 - c|^2): at
+    distance d from every vertex, so the atoms make a regular
+    (k + 1)-simplex, with a larger circumradius.  The search is not told
+    the maximizer: nothing snaps to :func:`geometry.regular_simplex`.
+    Plain floats, every sum added left to right, so the finish rounds alike
+    on every BLAS build.
     """
-    n = len(rows[0])
-    if len(first) != n + 1 or R >= _jung_floor(n, d):
+    n, m = len(rows[0]), len(first)
+    if not 2 <= m <= n + 1 or R >= _jung_floor(n, d):
         return None
     P = [rows[i] for i in first]
-    pairs = [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     for a, b in pairs:
         if not abs(math.sqrt(_sq_dists([P[a]], P[b])[0]) - d) <= 1e-2 * d:
             return None
@@ -388,11 +358,29 @@ def _finish(rows, first, R, d):
     g = [0.0] * n
     for p in P:
         g = [s + x for s, x in zip(g, p)]
-    g = [s / (n + 1) for s in g]
+    g = [s / m for s in g]
     out = [[0.5 * (x + y) for x, y in zip(row, g)] for row in rows]
     for i, p in zip(first, P):
         out[i] = p
-    return out
+    if m == n + 1:
+        return out, first
+    span = _Span(P)
+    if not all(span.push(i) for i in range(m)):
+        return None
+    offs = {i: span.project(rows[i])[1] for i in range(len(rows)) if i not in first}
+    top = max(offs, key=lambda i: _dot(offs[i], offs[i]))
+    u = offs[top]
+    if not _dot(u, u) > (RANK_TOL * d) ** 2:  # every atom is on the flat
+        axes = [span.project([x + d * (j == k) for k, x in enumerate(span.p0)])[1]
+                for j in range(n)]
+        u = max(axes, key=lambda v: _dot(v, v))
+    c = span.circumcenter()
+    h2 = d * d - _sq_dists([P[0]], c)[0]
+    if not h2 > 0.0:  # Gauss-Newton left the simplex too wide to lift
+        return None
+    h = math.sqrt(h2) / math.sqrt(_dot(u, u))
+    out[top] = [a + h * b for a, b in zip(c, u)]
+    return out, first + [top]
 
 
 def _search_one(config, restart):
@@ -419,20 +407,20 @@ def _search_one(config, restart):
     first ball and the guesses that fail, and once at the end.
 
     A rejected step changes neither the atoms nor the ball, so each state's
-    boundary atoms, outward directions, support guess, stops and finish are
-    computed once, when it is accepted, and serve all of its halvings.
-    Where a stop holds, every step of at most d would be rejected, so the
-    restart halves to the floor without taking them and converges exactly
-    when those halvings fit within ``max_iters``.  There are two stops:
-    :func:`_pair_certified`, for restarts that settle on one diameter pair
-    (a stationary lower-dimensional simplex), and :func:`_jung_certified`,
-    for restarts at Jung's bound r_n d.  A state near the regular n-simplex
-    first tries its :func:`_finish`, as one iteration that is projected and
-    tested like a step and, if rejected, leaves the step as it is: the
-    finish closes in one iteration the gap that halving steps would crawl,
-    since its off-sphere atoms no longer sit on diameter pairs that the
-    projection pulls back.  Every tolerance is relative to d + R (or to d),
-    so the search does not depend on the scale of the diameter cap.
+    boundary atoms, outward directions, support guess, stop and finish are
+    computed once, when it is accepted, and serve all of its halvings.  A
+    state whose sphere holds a near-regular k-simplex first tries its
+    :func:`_finish`, as one iteration that is projected and tested like a
+    step, with the lifted atom added to the support guess, and, if
+    rejected, leaves the step as it is.  For k < n the finish lifts the
+    restart off the stationary k-simplex, where steps alone stall, to a
+    (k + 1)-simplex; for k = n it closes in one iteration the gap that
+    halving steps would crawl.  Where the Jung stop (:func:`_jung_certified`)
+    holds, every step of at most d would be rejected, so the restart halves
+    to the floor without taking them and converges exactly when those
+    halvings fit within ``max_iters``.  Every tolerance is relative to
+    d + R (or to d), so the search does not depend on the scale of the
+    diameter cap.
     """
     rng = np.random.default_rng(config.seed + restart)
     n, N, d, cost = config.n, config.atom_count, config.d, config.cost
@@ -444,8 +432,8 @@ def _search_one(config, restart):
     step = config.step if config.step is not None else 0.25 * d
     step_floor = 1e-9 * d
     converged = False
-    dirs, first, certified = _outward(rows, c, R, d2, support, d)
-    stop = certified or _jung_certified(R, n, d)
+    dirs, first = _outward(rows, c, R, d2, d)
+    stop = _jung_certified(R, n, d)
     finish = None if stop else _finish(rows, first, R, d)
     for it in range(config.max_iters):
         if stop and step <= d:
@@ -456,19 +444,19 @@ def _search_one(config, restart):
             converged = it + halvings <= config.max_iters
             break
         if finish is None:
-            cand = _project_diameter(atoms + step * dirs, w0, d)
+            cand, cand_first = _project_diameter(atoms + step * dirs, w0, d), first
         else:
-            cand = _project_diameter(np.array(finish), w0, d)
+            cand, cand_first = _project_diameter(np.array(finish[0]), w0, d), finish[1]
         cand_rows = cand.tolist()
-        guess = _guess_ball(cand_rows, first, d)
+        guess = _guess_ball(cand_rows, cand_first, d)
         if guess is None:
             cand_c, reach, cand_support, cand_lam, d2 = _solved_ball(cand, cand_rows)
         else:
-            (cand_c, reach, cand_lam, d2), cand_support = guess, first
+            (cand_c, reach, cand_lam, d2), cand_support = guess, cand_first
         if reach > R + 1e-15 * d:
             atoms, rows, c, R, support, lam = cand, cand_rows, cand_c, reach, cand_support, cand_lam
-            dirs, first, certified = _outward(rows, c, R, d2, support, d)
-            stop = certified or _jung_certified(R, n, d)
+            dirs, first = _outward(rows, c, R, d2, d)
+            stop = _jung_certified(R, n, d)
             finish = None if stop else _finish(rows, first, R, d)
             continue
         if finish is not None:  # a rejected finish leaves the step as it is
@@ -510,8 +498,11 @@ def search_max(config):
     (atoms, w), val = ends[best], per_restart[best]
     keep = w > WEIGHT_FLOOR
     measure = AtomicMeasure(atoms[keep], w[keep] / w[keep].sum())
+    # the atoms' distances as the projection reads them: the Gram identity
+    # of geometry.diameter reads sides left at d one ulp above it
     support, _ = measure.support()
-    residual = max(0.0, diameter(support) - config.d)
+    diff = support[:, None, :] - support[None, :, :]
+    residual = max(0.0, float(np.sqrt(np.add.reduce(diff * diff, axis=2)).max()) - config.d)
     return SearchResult(measure, val, per_restart, residual,
                         converged_count, time.perf_counter() - t0)
 

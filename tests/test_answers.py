@@ -14,8 +14,12 @@ takes a step or not on comparisons of such sums, so its entries may not
 reproduce on another build.  A change that moves answers on purpose writes
 the file again and says by how much they moved:
 
-    python tests/test_answers.py          # print the largest differences
-    python tests/test_answers.py --write  # write the corpus again
+    python tests/test_answers.py                  # print the largest differences
+    python tests/test_answers.py --write          # write the corpus again
+    python tests/test_answers.py --write search   # write only these record kinds
+
+Writing only the kinds a change moves keeps the other records as they were
+written, so a build that rounds them differently does not rewrite them.
 """
 
 import importlib.util
@@ -162,15 +166,34 @@ def test_answers_match_corpus():
     assert not bad, f"{len(bad)} fields differ from tests/answers.json by more than {REL}"
 
 
+def _merge(old, new, kinds):
+    """The corpus ``old`` with its records of the given kinds taken from
+    ``new``; both must hold the same records in the same order."""
+    known = {record["kind"] for records in old.values() for record in records}
+    if not kinds <= known:
+        sys.exit(f"unknown record kinds: {' '.join(sorted(kinds - known))}")
+    merged = {}
+    for workload, records in old.items():
+        fresh = new.get(workload, [])
+        if [r["kind"] for r in records] != [r["kind"] for r in fresh]:
+            sys.exit(f"{workload}: the records no longer match the corpus; write them all")
+        merged[workload] = [b if a["kind"] in kinds else a for a, b in zip(records, fresh)]
+    return merged
+
+
 def _main(argv):
-    if argv == ["--write"]:
+    if argv[:1] == ["--write"]:
+        corpus = answers()
+        if argv[1:]:
+            with open(CORPUS) as fh:
+                corpus = _merge(json.load(fh), corpus, set(argv[1:]))
         with open(CORPUS, "w") as fh:
-            json.dump(answers(), fh, indent=1)
+            json.dump(corpus, fh, indent=1)
             fh.write("\n")
         print(f"wrote {CORPUS}")
         return 0
     if argv:
-        sys.exit("usage: test_answers.py [--write]")
+        sys.exit("usage: test_answers.py [--write [KIND ...]]")
     with open(CORPUS) as fh:
         worst = compare(json.load(fh), answers())
     print(_table(worst))

@@ -439,31 +439,26 @@ def _search_or_error(cfg):
     return res.per_restart_values, res.converged_restarts, res.best_measure.atoms.points
 
 
-_STOPS = {name: getattr(isodiametric, name) for name in ("_pair_certified", "_jung_certified")}
+_JUNG_STOP = isodiametric._jung_certified
 
 
 def _take_every_step(monkeypatch, take=True):
-    """Switch the search's two stops, the pair certificate and the Jung
-    stop, off (``take``) or back on."""
-    for name in _STOPS:
-        monkeypatch.setattr(isodiametric, name,
-                            (lambda *args: False) if take else _STOPS[name])
+    """Switch the search's Jung stop off (``take``) or back on."""
+    monkeypatch.setattr(isodiametric, "_jung_certified",
+                        (lambda *args: False) if take else _JUNG_STOP)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
-    # a restart stalled on one diameter pair, or at Jung's bound, halves its
-    # step to the floor without taking the halvings; taking them must end it
-    # where it ends.  From 0.25 d, 28 halvings reach the floor, and the
-    # restarts that stall settle within two accepted steps: with
-    # max_iters = 29 some cascades would overrun the budget and must leave
-    # their restart unconverged
+def test_search_jung_stop_matches_taking_every_step(p, monkeypatch):
+    # a restart at Jung's bound halves its step to the floor without taking
+    # the halvings; taking them must end it where it ends.  From 0.25 d, 28
+    # halvings reach the floor: with max_iters = 29 some cascades would
+    # overrun the budget and must leave their restart unconverged
     configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
                             max_iters=max_iters, cost=RadialCost.power(p))
                for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)
                for max_iters in (400, 29)]
     project, search_one = isodiametric._project_diameter, isodiametric._search_one
-    pair_certified = isodiametric._pair_certified
     steps, certified, restarts = [], [], []
 
     def count(*args):
@@ -471,17 +466,17 @@ def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
         return project(*args)
 
     def spy(*args):
-        certified.append(pair_certified(*args))
+        certified.append(_JUNG_STOP(*args))
         return certified[-1]
 
-    def one(config, restart):  # (a pair certificate held, converged)
+    def one(config, restart):  # (the Jung stop held, converged)
         certified.clear()
         out = search_one(config, restart)
         restarts.append((any(certified), out[3]))
         return out
 
     monkeypatch.setattr(isodiametric, "_project_diameter", count)
-    monkeypatch.setattr(isodiametric, "_pair_certified", spy)
+    monkeypatch.setattr(isodiametric, "_jung_certified", spy)
     monkeypatch.setattr(isodiametric, "_search_one", one)
     short = [_search_or_error(cfg) for cfg in configs]
     short_steps = len(steps)
@@ -499,10 +494,10 @@ def test_search_pair_certificate_matches_taking_every_step(p, monkeypatch):
         assert np.array_equal(a[2], b[2])
 
 
-def test_search_pair_certificate_converges_at_the_exact_budget(monkeypatch):
-    # a restart that stops, on a pair certificate or at Jung's bound, and
-    # takes k steps when it takes every one converges with max_iters = k and
-    # not with k - 1, with or without the stops
+def test_search_jung_stop_converges_at_the_exact_budget(monkeypatch):
+    # a restart that stops at Jung's bound and takes k steps when it takes
+    # every one converges with max_iters = k and not with k - 1, with or
+    # without the stop
     project = isodiametric._project_diameter
     calls, stopped = [], []
 
@@ -510,19 +505,16 @@ def test_search_pair_certificate_converges_at_the_exact_budget(monkeypatch):
         calls.append(None)
         return project(*args)
 
-    def spy(name):
-        def stop(*args):
-            stopped.append(_STOPS[name](*args))
-            return stopped[-1]
-        return stop
+    def spy(*args):
+        stopped.append(_JUNG_STOP(*args))
+        return stopped[-1]
 
     monkeypatch.setattr(isodiametric, "_project_diameter", count)
     checked = 0
     for n, N in ((1, 4), (2, 6)):
         config = SearchConfig(n=n, d=1.0, atom_count=N, seed=5)
         for r in range(10):
-            for name in _STOPS:
-                monkeypatch.setattr(isodiametric, name, spy(name))
+            monkeypatch.setattr(isodiametric, "_jung_certified", spy)
             stopped.clear()
             isodiametric._search_one(config, r)
             if not any(stopped):
@@ -575,22 +567,18 @@ def _project_reference(atoms, w, d, by_square=False):
 
 def _outward_reference(atoms, ball, d):
     """:func:`isodiametric._outward` in numpy, on an array of atoms and a
-    :class:`Ball`, with boolean masks over every atom and the pair's chord
-    read by ``@``: its oracle, and the search's state before it stepped in
-    plain floats.  Each row's squares are added left to right by
-    ``np.cumsum``, as ``np.add.reduce`` adds them below n = 8; from n = 8
-    on, numpy's reduction adds them pairwise."""
+    :class:`Ball`, with boolean masks over every atom: its oracle, and the
+    search's state before it stepped in plain floats.  Each row's squares
+    are added left to right by ``np.cumsum``, as ``np.add.reduce`` adds
+    them below n = 8; from n = 8 on, numpy's reduction adds them
+    pairwise."""
     offs = atoms - ball.center
     norms = np.sqrt(np.cumsum(offs * offs, axis=1)[:, -1])
     on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
     movable = on_bdry & (norms > 1e-12 * d)
     dirs = np.zeros(atoms.shape)
     dirs[movable] = offs[movable] / norms[movable, None]
-    boundary = on_bdry.nonzero()[0].tolist()
-    if len(boundary) != 2 or sorted(ball.support) != boundary:
-        return dirs, boundary, False
-    chord = atoms[boundary[0]] - atoms[boundary[1]]
-    return dirs, boundary, math.sqrt(float(chord @ chord)) >= d - isodiametric.EPS * d
+    return dirs, on_bdry.nonzero()[0].tolist()
 
 
 def _solved_outward(atoms, d):
@@ -598,23 +586,23 @@ def _solved_outward(atoms, d):
     :func:`isodiametric._outward` of the state it makes."""
     rows = atoms.tolist()
     c, R, support, lam, d2 = isodiametric._solved_ball(atoms, rows)
-    return geometry.Ball(c, R, support, lam), isodiametric._outward(rows, c, R, d2, support, d)
+    return geometry.Ball(c, R, support, lam), isodiametric._outward(rows, c, R, d2, d)
 
 
 def _outward_matches_reference(atoms, d):
-    ball, (dirs, boundary, certified) = _solved_outward(atoms, d)
-    ref_dirs, ref_boundary, ref_certified = _outward_reference(atoms, ball, d)
-    return (dirs.tobytes() == ref_dirs.tobytes() and boundary == ref_boundary
-            and certified == ref_certified)
+    ball, (dirs, boundary) = _solved_outward(atoms, d)
+    ref_dirs, ref_boundary = _outward_reference(atoms, ball, d)
+    return dirs.tobytes() == ref_dirs.tobytes() and boundary == ref_boundary
 
 
-def _search_one_reference(config, restart, finish=True, jung_stop=True):
+def _search_one_reference(config, restart, finish=True, jung_stop=True, lift=True):
     """:func:`isodiametric._search_one` as it stepped before its state went
     to plain floats: a :class:`Ball` for every certified guess, and each
     accepted state read again in numpy by :func:`_outward_reference`.
     ``finish`` tries :func:`isodiametric._finish` once per accepted state,
-    and ``jung_stop`` stops a state whose radius is within 4.5 u d of
-    Jung's bound r_n d (u = eps / 2)."""
+    ``lift`` lets it lift a k-simplex with k < n (without it, the finish is
+    tried on n-simplices only), and ``jung_stop`` stops a state whose
+    radius is within 4.5 u d of Jung's bound r_n d (u = eps / 2)."""
     rng = np.random.default_rng(config.seed + restart)
     n, N, d = config.n, config.atom_count, config.d
     w0 = np.full(N, 1.0 / N)
@@ -625,10 +613,10 @@ def _search_one_reference(config, restart, finish=True, jung_stop=True):
     converged = False
 
     def state(atoms, ball):
-        dirs, first, certified = _outward_reference(atoms, ball, d)
-        stop = certified or (jung_stop and ball.radius >= isodiametric._jung_floor(n, d))
+        dirs, first = _outward_reference(atoms, ball, d)
+        stop = jung_stop and ball.radius >= isodiametric._jung_floor(n, d)
         move = None
-        if finish and not stop:
+        if finish and not stop and (lift or len(first) == n + 1):
             move = isodiametric._finish(atoms.tolist(), first, ball.radius, d)
         return dirs, first, stop, move
 
@@ -640,13 +628,16 @@ def _search_one_reference(config, restart, finish=True, jung_stop=True):
                 halvings += 1
             converged = it + halvings <= config.max_iters
             break
-        moved = atoms + step * dirs if move is None else np.array(move)
+        if move is None:
+            moved, guess_first = atoms + step * dirs, first
+        else:
+            moved, guess_first = np.array(move[0]), move[1]
         cand = isodiametric._project_diameter(moved, w0, d)
-        guess = isodiametric._guess_ball(cand.tolist(), first, d)
+        guess = isodiametric._guess_ball(cand.tolist(), guess_first, d)
         if guess is None:
             cand_ball = geometry.min_enclosing_ball(cand)
         else:
-            cand_ball = geometry.Ball(guess[0], guess[1], list(first), guess[2])
+            cand_ball = geometry.Ball(guess[0], guess[1], list(guess_first), guess[2])
         if cand_ball.radius > ball.radius + 1e-15 * d:
             atoms, ball = cand, cand_ball
             dirs, first, stop, move = state(atoms, ball)
@@ -697,6 +688,24 @@ def test_search_jung_stop_matches_the_reference_that_takes_every_step(finish, mo
             assert atoms.tobytes() == ref[0].tobytes() and w.tobytes() == ref[1].tobytes()
 
 
+def test_search_lift_takes_stalled_restarts_to_the_bound():
+    # without the lift, the reference leaves restarts on regular k-simplices
+    # with k < n, which are stationary for its steps; every restart that it
+    # ends at the bound ends there with the lift too, and more of them do
+    for n, N in ((2, 6), (3, 8), (4, 8)):
+        config = SearchConfig(n=n, d=1.0, atom_count=N, restarts=12, seed=1)
+        bound = isodiametric_bound(n, 1.0)
+
+        def at_bound(search):
+            return [abs(search(config, r)[2] - bound) <= 1e-12 * bound
+                    for r in range(config.restarts)]
+
+        lifted = at_bound(isodiametric._search_one)
+        stalled = at_bound(lambda config, r: _search_one_reference(config, r, lift=False))
+        assert all(a or not b for a, b in zip(lifted, stalled))
+        assert sum(lifted) > sum(stalled)
+
+
 def test_project_and_outward_match_their_references():
     # 2070 configurations; at n = 8 each squared distance is a sum of 8
     # squares, which numpy's reduction adds pairwise, not left to right:
@@ -731,93 +740,17 @@ def test_project_diameter_pulls_the_first_pair_at_the_largest_root():
     assert got.tobytes() != _project_reference(atoms, w, 0.9, by_square=True).tobytes()
 
 
-@pytest.mark.parametrize("d", [1.0, 3.7e-4])
-def test_pair_certified(d):
-    def certified(P):
-        ball, outward = _solved_outward(np.asarray(P, dtype=float) * d, d)
-        return outward[2], ball
-
-    # a pair at distance d with atoms inside
-    inner = [[0.0, 0.1], [0.05, -0.2], [-0.3, 0.0]]
-    got, ball = certified([[-0.5, 0.0], [0.5, 0.0]] + inner)
-    assert sorted(ball.support) == [0, 1] and got
-    # an inner atom in the 1e-7 (d + R) band at the sphere steps too
-    got, ball = certified([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5 * (1 - 1e-9)]] + inner)
-    assert sorted(ball.support) == [0, 1] and not got
-    # a pair d (1 - 1e-9) apart still gains radius from a step
-    half = 0.5 * (1 - 1e-9)
-    assert not certified([[-half, 0.0], [half, 0.0]] + inner)[0]
-    # a support of three atoms: an equilateral triangle of side d
-    got, ball = certified(regular_simplex(2, 1.0).vertices.tolist() + [[0.0, 0.0]])
-    assert len(ball.support) == 3 and not got
-
-
-def _pair_state(n, d, rng, half):
-    """A recentred search state: a pair 2 half apart along a random
-    direction and three atoms well inside its ball, with the state's ball
-    and :func:`isodiametric._outward`."""
-    e = rng.normal(size=n)
-    e /= np.linalg.norm(e)
-    inner = rng.uniform(-0.15 * d, 0.15 * d, (3, n))
-    atoms = np.vstack([-half * e, half * e, inner])
-    atoms -= np.full(len(atoms), 1.0 / len(atoms)) @ atoms
-    return (atoms, *_solved_outward(atoms, d))
-
-
-def _steps_rejected(atoms, ball, dirs, d):
-    """Is every step of d, d / 2, ... down to the search's floor rejected,
-    as the search would reject it, with each ball solved cold?"""
-    w0 = np.full(len(atoms), 1.0 / len(atoms))
-    step = d
-    while step >= 1e-9 * d:
-        cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
-        if not ball.contains(cand):
-            if geometry.min_enclosing_ball(cand).radius > ball.radius + 1e-15 * d:
-                return False
-        step *= 0.5
-    return True
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
-def test_pair_certified_at_band_edge_rejects_every_step(n, d):
-    # a pair that reads as short as the band allows: one ulp shorter and the
-    # certificate no longer holds.  Every step it skips is still rejected
-    rng = np.random.default_rng(17 * n)
-    for _ in range(4):
-        state = rng.bit_generator.state
-        half, edge = 0.5 * d * (1 + 4 * isodiametric.EPS), None
-        while True:
-            rng.bit_generator.state = state
-            atoms, ball, (dirs, first, certified) = _pair_state(n, d, rng, half)
-            if not certified:
-                break
-            edge = atoms, ball, dirs, first
-            half = np.nextafter(half, 0.0)
-        assert edge is not None
-        atoms, ball, dirs, first = edge
-        assert sorted(ball.support) == first == [0, 1]
-        assert _steps_rejected(atoms, ball, dirs, d)
-    # the same steps from a pair 1e-9 d short of the cap are taken
-    atoms, ball, (dirs, first, certified) = _pair_state(n, d, rng, 0.5 * d * (1 - 1e-9))
-    assert not certified and not _steps_rejected(atoms, ball, dirs, d)
-
-
 @pytest.fixture(scope="module")
 def stopped_states():
     """Every accepted state of 8 restarts at seed 0 of each (n, atoms) in
     {(1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)} and d in {1,
-    3.7e-4, 123.4} where a stop holds, as (atoms, R, dirs, d): those of the
-    pair certificate under "pair", those of the Jung stop under "jung"."""
-    outward, states = isodiametric._outward, {"pair": [], "jung": []}
+    3.7e-4, 123.4} where the Jung stop holds, as (atoms, R, dirs, d)."""
+    outward, states = isodiametric._outward, []
 
-    def spy(rows, c, R, d2, support, d):
-        out = outward(rows, c, R, d2, support, d)
-        state = (np.array(rows), R, out[0], d)
-        if out[2]:
-            states["pair"].append(state)
+    def spy(rows, c, R, d2, d):
+        out = outward(rows, c, R, d2, d)
         if isodiametric._jung_certified(R, len(c), d):
-            states["jung"].append(state)
+            states.append((np.array(rows), R, out[0], d))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -848,21 +781,12 @@ def _largest_growth(states):
 HALF_THE_GAIN = 0.5 * 1e-15 / (0.5 * isodiametric.EPS)
 
 
-def test_pair_certificate_growth_stays_below_half_the_gain(stopped_states):
-    # the pair certificate's skip rests on a measured margin, not a proof:
-    # in every state where it holds, no step of d, d / 2, ... down to the
-    # floor may grow the radius by half the gain an accepted step must make.
-    # The largest growth here is 3.0 u d, as on 40 seeds
-    assert len(stopped_states["pair"]) >= 50
-    assert _largest_growth(stopped_states["pair"]) <= HALF_THE_GAIN
-
-
 def test_jung_stop_growth_stays_below_half_the_gain(stopped_states):
     # the Jung stop rests on a measured margin too: a state within 4.5 u d
     # of r_n d is a regular n-simplex up to rounding, and no step from it may
     # grow the radius by half the gain.  Each state's radius is within a few
     # u d of r_n d
-    states = stopped_states["jung"]
+    states = stopped_states
     assert len(states) >= 50
     assert {len(dirs[0]) for _, _, dirs, _ in states} == {1, 2, 3, 4}
     offsets = [(R - jung_radius(len(dirs[0])) * d) / (0.5 * isodiametric.EPS * d)
@@ -888,6 +812,77 @@ def test_search_restarts_at_the_bound_end_on_it():
                 near += 1
                 assert bound * (1 - 1e-12) <= val <= bound * (1 + 4 * isodiametric.EPS)
     assert near >= 500
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_search_finds_the_simplex_in_every_dimension(n):
+    # only the regular n-simplex maximizes; lower-dimensional regular
+    # simplices are stationary, and restarts that settle on one are lifted
+    # off it.  So the best of the default 50 restarts is the maximizer, up
+    # to n = 8, and no restart passes the bound by more than rounding
+    res = search_max(SearchConfig(n=n, d=1.0, atom_count=max(6, n + 4), seed=1))
+    assert verify_simplex_optimality(res, n, 1.0, tol=1e-6)
+    assert max(res.per_restart_values) <= isodiametric_bound(n, 1.0) * (1 + 4 * isodiametric.EPS)
+
+
+def _sides(P):
+    return np.linalg.norm(P[:, None] - P[None], axis=2)[np.triu_indices(len(P), 1)]
+
+
+@pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
+def test_lift_turns_a_regular_triangle_into_a_regular_tetrahedron(d):
+    # a triangle in R^3 with sides within 1e-3 d of d, turned at random, and
+    # three atoms inside its ball: Gauss-Newton makes it regular, the atom
+    # farthest from its plane is lifted to distance d from every vertex, on
+    # its own side, and the others move halfway to the triangle's centroid
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    tri = np.hstack([regular_simplex(2, d).vertices, np.zeros((3, 1))])
+    tri = (tri + rng.uniform(-2e-4 * d, 2e-4 * d, tri.shape)) @ Q.T
+    inner = np.array([[0.05, 0.02, 0.1], [-0.03, 0.01, -0.2], [0.1, -0.05, 0.05]]) * d @ Q.T
+    rows = np.vstack([tri, inner]).tolist()
+    R = geometry.min_enclosing_ball(np.array(rows)).radius
+    out, first = isodiametric._finish(rows, [0, 1, 2], R, d)
+    assert first == [0, 1, 2, 4]
+    out = np.array(out)
+    assert np.abs(_sides(out[first]) - d).max() <= 8 * isodiametric.EPS * d
+    assert np.abs(_sides(out[:3]) - d).max() < np.abs(_sides(tri) - d).max()
+    normal = np.cross(out[1] - out[0], out[2] - out[0])
+    assert np.sign((out[4] - out[0]) @ normal) == np.sign((inner[1] - out[0]) @ normal)
+    g = out[:3].mean(axis=0)
+    for i in (3, 5):
+        assert np.allclose(out[i], 0.5 * (np.array(rows[i]) + g), rtol=0, atol=4 * isodiametric.EPS * d)
+
+
+def test_lift_with_no_atom_off_the_flat():
+    # a pair of side d in R^2 whose other atoms lie on its line: no atom is
+    # off the 1-flat, so the first of them is lifted along a unit normal,
+    # to an equilateral triangle; the others stay on the line, halfway to
+    # the pair's midpoint
+    d = 3.7e-4
+    rows = [[-0.5 * d, 0.0], [0.5 * d, 0.0], [0.1 * d, 0.0], [-0.2 * d, 0.0]]
+    out, first = isodiametric._finish(rows, [0, 1], 0.5 * d, d)
+    assert first == [0, 1, 2]
+    out = np.array(out)
+    assert np.abs(_sides(out[first]) - d).max() <= 4 * isodiametric.EPS * d
+    assert out[2, 0] == 0.0 and out[3].tolist() == [-0.1 * d, 0.0]
+    # the pair itself, or a state at Jung's bound, is not lifted
+    assert isodiametric._finish([[-0.5 * d], [0.5 * d], [0.0]], [0, 1], 0.5 * d, d) is None
+
+
+def test_search_diameter_residual_reads_pairwise_distances():
+    # geometry.diameter reads |x - y|^2 as |x|^2 + |y|^2 - 2 x.y, which reads
+    # sides that the projection left at d one ulp above it: diameter_residual
+    # read 2.2e-16 where the atoms' own differences read at most d
+    gram_above = 0
+    for seed in range(40):
+        res = search_max(SearchConfig(n=2, d=1.0, atom_count=6, restarts=3, seed=seed))
+        P, _ = res.best_measure.support()
+        diff = P[:, None] - P[None]
+        pairwise = float(np.sqrt(np.add.reduce(diff * diff, axis=2)).max())
+        assert res.diameter_residual == max(0.0, pairwise - 1.0)
+        gram_above += diameter(P) > 1.0 >= pairwise
+    assert gram_above >= 1
 
 
 @pytest.mark.parametrize("p", [1, 3])
