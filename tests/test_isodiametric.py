@@ -740,6 +740,116 @@ def test_project_diameter_pulls_the_first_pair_at_the_largest_root():
     assert got.tobytes() != _project_reference(atoms, w, 0.9, by_square=True).tobytes()
 
 
+def _pair_at_cap(atoms, ball, boundary, d):
+    """A stalled pair state: the ball's support is one pair, its atoms are
+    the only ones on the sphere, and it reads at least d - eps d apart.
+    The search once stopped on such states; now the Jung stop ends them at
+    n = 1 and the finish lifts them at n >= 2."""
+    if len(boundary) != 2 or sorted(ball.support) != boundary:
+        return False
+    chord = atoms[boundary[0]] - atoms[boundary[1]]
+    return math.sqrt(float(np.cumsum(chord * chord)[-1])) >= d - isodiametric.EPS * d
+
+
+def _lift_taken(atoms, ball, first, d):
+    """Does :func:`isodiametric._finish` lift the state to a (k + 1)-simplex
+    whose candidate, projected and solved cold, the search would accept?"""
+    move = isodiametric._finish(atoms.tolist(), first, ball.radius, d)
+    if move is None or len(move[1]) != len(first) + 1:
+        return False
+    cand = isodiametric._project_diameter(np.array(move[0]), np.full(len(atoms), 1.0 / len(atoms)), d)
+    return geometry.min_enclosing_ball(cand).radius > ball.radius + 1e-15 * d
+
+
+@pytest.mark.parametrize("d", [1.0, 3.7e-4])
+def test_pair_certified(d):
+    # the states a pair at the cap makes, and their neighbours, end where
+    # the search can still end them
+    def state(P):
+        atoms = np.asarray(P, dtype=float) * d
+        ball, (dirs, first) = _solved_outward(atoms, d)
+        return atoms, ball, dirs, first
+
+    # a pair at distance d with atoms inside: lifted at n = 2, where plain
+    # steps stall, and stopped by Jung's bound at n = 1
+    inner = [[0.0, 0.1], [0.05, -0.2], [-0.3, 0.0]]
+    atoms, ball, dirs, first = state([[-0.5, 0.0], [0.5, 0.0]] + inner)
+    assert sorted(ball.support) == first == [0, 1] and _pair_at_cap(atoms, ball, first, d)
+    assert _steps_rejected(atoms, ball, dirs, d) and _lift_taken(atoms, ball, first, d)
+    atoms, ball, _, first = state([[-0.5], [0.5], [0.1], [-0.2], [0.0]])
+    assert _pair_at_cap(atoms, ball, first, d) and isodiametric._jung_certified(ball.radius, 1, d)
+    # an inner atom in the 1e-7 (d + R) band at the sphere: no regular
+    # simplex to finish, and a step is taken
+    atoms, ball, dirs, first = state([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5 * (1 - 1e-9)]] + inner)
+    assert sorted(ball.support) == [0, 1] and not _pair_at_cap(atoms, ball, first, d)
+    assert isodiametric._finish(atoms.tolist(), first, ball.radius, d) is None
+    assert not _steps_rejected(atoms, ball, dirs, d)
+    # a pair d (1 - 1e-9) apart is lifted too
+    half = 0.5 * (1 - 1e-9)
+    atoms, ball, _, first = state([[-half, 0.0], [half, 0.0]] + inner)
+    assert not _pair_at_cap(atoms, ball, first, d) and _lift_taken(atoms, ball, first, d)
+    # a support of three atoms, an equilateral triangle of side d, is at
+    # Jung's bound: it stops and is not finished
+    atoms, ball, _, first = state(regular_simplex(2, 1.0).vertices.tolist() + [[0.0, 0.0]])
+    assert len(ball.support) == 3 and not _pair_at_cap(atoms, ball, first, d)
+    assert isodiametric._jung_certified(ball.radius, 2, d)
+    assert isodiametric._finish(atoms.tolist(), first, ball.radius, d) is None
+
+
+def _pair_state(n, d, rng, half):
+    """A recentred search state: a pair 2 half apart along a random
+    direction and three atoms well inside its ball, with the state's ball
+    and :func:`isodiametric._outward`."""
+    e = rng.normal(size=n)
+    e /= np.linalg.norm(e)
+    inner = rng.uniform(-0.15 * d, 0.15 * d, (3, n))
+    atoms = np.vstack([-half * e, half * e, inner])
+    atoms -= np.full(len(atoms), 1.0 / len(atoms)) @ atoms
+    return (atoms, *_solved_outward(atoms, d))
+
+
+def _steps_rejected(atoms, ball, dirs, d):
+    """Is every step of d, d / 2, ... down to the search's floor rejected,
+    as the search would reject it, with each ball solved cold?"""
+    w0 = np.full(len(atoms), 1.0 / len(atoms))
+    step = d
+    while step >= 1e-9 * d:
+        cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
+        if not ball.contains(cand):
+            if geometry.min_enclosing_ball(cand).radius > ball.radius + 1e-15 * d:
+                return False
+        step *= 0.5
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
+def test_pair_certified_at_band_edge_rejects_every_step(n, d):
+    # a pair that reads as short as a pair at the cap can: one ulp shorter
+    # and it reads below d - eps d.  Every plain step from it is rejected,
+    # so only the Jung stop (n = 1) or the lift (n >= 2) ends it, and they do
+    rng = np.random.default_rng(17 * n)
+    for _ in range(4):
+        state = rng.bit_generator.state
+        half, edge = 0.5 * d * (1 + 4 * isodiametric.EPS), None
+        while True:
+            rng.bit_generator.state = state
+            atoms, ball, (dirs, first) = _pair_state(n, d, rng, half)
+            if not _pair_at_cap(atoms, ball, first, d):
+                break
+            edge = atoms, ball, dirs, first
+            half = np.nextafter(half, 0.0)
+        assert edge is not None
+        atoms, ball, dirs, first = edge
+        assert sorted(ball.support) == first == [0, 1]
+        assert _steps_rejected(atoms, ball, dirs, d)
+        assert isodiametric._jung_certified(ball.radius, n, d) == (n == 1)
+        assert n == 1 or _lift_taken(atoms, ball, first, d)
+    # the same steps from a pair 1e-9 d short of the cap are taken
+    atoms, ball, (dirs, first) = _pair_state(n, d, rng, 0.5 * d * (1 - 1e-9))
+    assert not _pair_at_cap(atoms, ball, first, d) and not _steps_rejected(atoms, ball, dirs, d)
+
+
 @pytest.fixture(scope="module")
 def stopped_states():
     """Every accepted state of 8 restarts at seed 0 of each (n, atoms) in
