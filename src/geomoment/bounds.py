@@ -14,7 +14,7 @@ from . import report
 from .conjugate import scaled_envelope_lp
 from .errors import DomainError, ParseError
 from .geometry import Ball, Shape, as_cloud, min_enclosing_ball, shape_sample
-from .lp import LpProblem, LpStatus, solve_lp
+from .lp import LpProblem, LpStatus, hull_membership, solve_lp
 
 INTERIOR_MARGIN = 1e-6
 ELLIPSE_RESOLUTION = 256
@@ -113,38 +113,12 @@ def popoviciu(k_lo, k_hi):
     return 0.25 * (k_hi - k_lo) ** 2
 
 
-def _interior_min_weight(points, target):
-    """Largest m such that target = sum w_i x_i with w_i >= m, sum w = 1.
-
-    Solved as an LP in (u, m) with w = u + m; returns -inf when the target
-    is not even in the hull.  As in :func:`lp.hull_membership`, it is posed
-    on the offsets x_i - target divided by the largest of their norms, so
-    the LP's tolerances are relative to the points' spread around target.
-    """
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    tgt = np.atleast_1d(np.asarray(target, dtype=float))
-    N, n = X.shape
-    D = X - tgt
-    D = D / (np.linalg.norm(D, axis=1).max() or 1.0)  # 1 when every offset is 0
-    A = np.zeros((n + 1, N + 1))
-    A[:n, :N] = D.T
-    A[:n, N] = D.sum(axis=0)
-    A[n, :N] = 1.0
-    A[n, N] = N
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    c = np.zeros(N + 1)
-    c[N] = -1.0
-    sol = solve_lp(LpProblem(c, A, b))
-    if sol.status is not LpStatus.OPTIMAL:
-        return -math.inf
-    return float(sol.solution[N])
-
-
 def in_hull_interior(points, target):
     """Quantitative surrogate for interior membership: the max-min-weight
-    representation must keep every weight at least INTERIOR_MARGIN."""
-    return _interior_min_weight(points, target) >= INTERIOR_MARGIN
+    representation (:func:`lp.hull_membership`) must keep every weight at
+    least INTERIOR_MARGIN."""
+    w = hull_membership(points, target)
+    return w is not None and float(w.min()) >= INTERIOR_MARGIN
 
 
 def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed=0):
@@ -251,14 +225,10 @@ def max_variance(cloud):
 
 def primal_lp_value(cloud):
     """Exact optimum of: maximize sum w_i |x_i|^2 over zero-mean weights,
-    solved at unit scale (:func:`conjugate.scaled_envelope_lp`)."""
+    the envelope bound at 0 (:func:`bhatia_davis_bound`), solved at unit
+    scale."""
     cloud = as_cloud(cloud)
-    sol, s = scaled_envelope_lp(cloud.points, np.zeros(cloud.dim))
-    if sol.status is LpStatus.INFEASIBLE:
-        u, c = sol.certificate[:-1], sol.certificate[-1]
-        raise DomainError("origin not in the convex hull of the atoms",
-                          certificate=np.append(u, s * c))
-    return -sol.value * s * s
+    return _bd_bound_cloud(cloud, np.zeros(cloud.dim))
 
 
 def duality_gap(cloud):

@@ -28,7 +28,6 @@ class SearchConfig:
     atom_count: int
     restarts: int = 50
     max_iters: int = 400
-    step: float | None = None
     seed: int = 0
     cost: RadialCost = field(default_factory=lambda: RadialCost.power(2))
 
@@ -39,8 +38,6 @@ class SearchConfig:
             raise ValueError("need at least n+1 atoms")
         if not 0 < self.d < math.inf:
             raise ValueError("diameter bound must be positive and finite")
-        if self.step is not None and not 0 < self.step < math.inf:
-            raise ValueError("step must be positive and finite")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if self.max_iters < 1:
@@ -61,7 +58,7 @@ class SearchResult:
             "config": {
                 "n": config.n, "d": config.d, "atom_count": config.atom_count,
                 "restarts": config.restarts, "max_iters": config.max_iters,
-                "step": config.step, "seed": config.seed,
+                "seed": config.seed,
                 "cost": config.cost.to_spec(),
             },
             "per_restart_values": self.per_restart_values,
@@ -112,16 +109,19 @@ def simplex_maximizer(n, d):
     return AtomicMeasure(spec.vertices, np.full(n + 1, 1.0 / (n + 1)))
 
 
-def _project_diameter(atoms, w, d):
+def _project_diameter(atoms, d):
     """Restore diameter <= d by pulling the worst-separated pair together
     along its chord, repeatedly; this rearranges angles and is what lets
-    atoms coalesce into clusters.  The pair pulled is the first, in
-    row-major order, at the largest rounded distance (distinct squared
-    distances can share a root); both its rows of a copy of ``atoms``
-    move in place, each by half the excess.  A global contraction toward
-    the weighted centroid is the fallback if pair repair cycles."""
-    atoms = atoms.copy()
+    atoms coalesce into clusters.  The atoms are recentred on their mean on
+    entry, which makes the copy the pulls act on: a pull moves two rows by
+    +-half, so it keeps the mean, and nothing moves the atoms after the
+    exit test has read every pair at most d apart.  The pair pulled is the
+    first, in row-major order, at the largest rounded distance (distinct
+    squared distances can share a root); both its rows move in place, each
+    by half the excess.  A contraction toward the mean is the fallback if
+    pair repair cycles."""
     N = atoms.shape[0]
+    atoms = atoms - np.add.reduce(atoms, axis=0) / N
     col, row = atoms[:, None, :], atoms[None, :, :]  # views: they see each pull
     for _ in range(10 * N + 20):
         diff = col - row
@@ -133,16 +133,15 @@ def _project_diameter(atoms, w, d):
         k = int(D.argmax())
         dij = D.item(k)
         if dij <= d:
-            return atoms - (w @ atoms)
+            return atoms
         a, b = atoms[k // N], atoms[k % N]  # row views, pulled in place
         half = (0.5 * (dij - d)) * ((b - a) / dij)
         a += half
         b -= half
     dia = diameter(atoms)
     if dia > d:
-        centroid = w @ atoms
-        atoms = centroid + (atoms - centroid) * (d / dia)
-    return atoms - (w @ atoms)
+        atoms *= d / dia
+    return atoms
 
 
 def _weights_at_atoms(atoms, ball, cost):
@@ -249,13 +248,7 @@ def _outward(rows, c, R, d2, d):
 
 def _jung_floor(n, d):
     """r_n d - 4.5 u d (u = eps / 2): the radius from which the Jung stop
-    holds."""
-    return jung_radius(n) * d - 2.25 * EPS * d
-
-
-def _jung_certified(R, n, d):
-    """Does the Jung stop hold: does the ascent reject every step from a
-    state of radius R?
+    holds, where the ascent rejects every step.
 
     By Jung's theorem, a corollary of the paper's, no candidate of
     diameter at most d has an enclosing radius above r_n d, and an accepted
@@ -265,7 +258,7 @@ def _jung_certified(R, n, d):
     stop holds on a grid of searches and fails when a step's cold-solved
     radius passes R + 4.5 u d.
     """
-    return R >= _jung_floor(n, d)
+    return jung_radius(n) * d - 2.25 * EPS * d
 
 
 def _solve_spd(G, r):
@@ -415,28 +408,27 @@ def _search_one(config, restart):
     rejected, leaves the step as it is.  For k < n the finish lifts the
     restart off the stationary k-simplex, where steps alone stall, to a
     (k + 1)-simplex; for k = n it closes in one iteration the gap that
-    halving steps would crawl.  Where the Jung stop (:func:`_jung_certified`)
-    holds, every step of at most d would be rejected, so the restart halves
-    to the floor without taking them and converges exactly when those
-    halvings fit within ``max_iters``.  Every tolerance is relative to
-    d + R (or to d), so the search does not depend on the scale of the
-    diameter cap.
+    halving steps would crawl.  Where the Jung stop holds (R at least
+    :func:`_jung_floor`), every step would be rejected, so the restart
+    halves to the floor without taking them and converges exactly when
+    those halvings fit within ``max_iters``.  The first step is d / 4, each
+    rejected step halves it, and a restart converges when it falls below
+    1e-9 d.  Every tolerance is relative to d + R (or to d), so the search
+    does not depend on the scale of the diameter cap.
     """
     rng = np.random.default_rng(config.seed + restart)
     n, N, d, cost = config.n, config.atom_count, config.d, config.cost
 
-    w0 = np.full(N, 1.0 / N)
-    atoms = _project_diameter(rng.uniform(-0.5 * d, 0.5 * d, (N, n)), w0, d)
+    atoms = _project_diameter(rng.uniform(-0.5 * d, 0.5 * d, (N, n)), d)
     rows = atoms.tolist()
     c, R, support, lam, d2 = _solved_ball(atoms, rows)
-    step = config.step if config.step is not None else 0.25 * d
-    step_floor = 1e-9 * d
+    step, step_floor, jung_floor = 0.25 * d, 1e-9 * d, _jung_floor(n, d)
     converged = False
     dirs, first = _outward(rows, c, R, d2, d)
-    stop = _jung_certified(R, n, d)
+    stop = R >= jung_floor
     finish = None if stop else _finish(rows, first, R, d)
     for it in range(config.max_iters):
-        if stop and step <= d:
+        if stop:
             # this halving and every later one would be rejected
             halvings = 1
             while step * 0.5 ** halvings >= step_floor:
@@ -444,9 +436,9 @@ def _search_one(config, restart):
             converged = it + halvings <= config.max_iters
             break
         if finish is None:
-            cand, cand_first = _project_diameter(atoms + step * dirs, w0, d), first
+            cand, cand_first = _project_diameter(atoms + step * dirs, d), first
         else:
-            cand, cand_first = _project_diameter(np.array(finish[0]), w0, d), finish[1]
+            cand, cand_first = _project_diameter(np.array(finish[0]), d), finish[1]
         cand_rows = cand.tolist()
         guess = _guess_ball(cand_rows, cand_first, d)
         if guess is None:
@@ -456,7 +448,7 @@ def _search_one(config, restart):
         if reach > R + 1e-15 * d:
             atoms, rows, c, R, support, lam = cand, cand_rows, cand_c, reach, cand_support, cand_lam
             dirs, first = _outward(rows, c, R, d2, d)
-            stop = _jung_certified(R, n, d)
+            stop = R >= jung_floor
             finish = None if stop else _finish(rows, first, R, d)
             continue
         if finish is not None:  # a rejected finish leaves the step as it is

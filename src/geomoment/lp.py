@@ -247,11 +247,14 @@ def solve_lp(problem, feas_tol=FEAS_TOL, max_iters=None, basis=None):
 
 
 def hull_membership(points, target):
-    """Convex-combination weights expressing ``target`` over ``points``.
+    """Convex-combination weights expressing ``target`` over ``points``,
+    the ones whose smallest weight is largest.
 
     Returns weights w >= 0 with sum 1 and ``w @ points = target``, or None
     when target is outside the convex hull of ``points``, an (N, n)
-    array-like (phase-1 infeasibility).  The program is posed on the offsets
+    array-like (phase-1 infeasibility).  The program writes w = u + m 1
+    with u >= 0 and maximizes m, so ``w.min()`` says how deep inside the
+    hull target lies: 0 on its boundary.  It is posed on the offsets
     ``target - x_i`` divided by the largest of their norms, so its
     feasibility tolerance is relative to the points' spread around target,
     and in an orthonormal basis of their span: one row per direction whose
@@ -268,10 +271,13 @@ def hull_membership(points, target):
     D = D / (np.linalg.norm(D, axis=1).max() or 1.0)  # 1 when every offset is 0
     U, s, _ = np.linalg.svd(D, full_matrices=False)
     span = s > FEAS_TOL * s[0]  # none when every offset is 0
-    A = np.vstack([(U[:, span] * s[span]).T, np.ones((1, N))])
+    M = (U[:, span] * s[span]).T
+    A = np.vstack([np.hstack([M, M.sum(axis=1, keepdims=True)]), np.append(np.ones(N), N)])
     b = np.concatenate([np.zeros(int(span.sum())), [1.0]])
-    sol = solve_lp(LpProblem(np.zeros(N), A, b))
+    c = np.zeros(N + 1)
+    c[N] = -1.0
+    sol = solve_lp(LpProblem(c, A, b))
     if sol.status is not LpStatus.OPTIMAL:
         return None
-    w = np.clip(sol.solution, 0.0, None)
+    w = np.clip(sol.solution[:N] + sol.solution[N], 0.0, None)
     return w / w.sum()

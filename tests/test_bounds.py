@@ -347,6 +347,13 @@ def test_bound_on_a_cloud_whose_squares_overflow_raises():
         bhatia_davis_bound(Shape.cloud(PointCloud(P)), np.zeros(2))
 
 
+def test_primal_lp_value_on_a_cloud_whose_squares_overflow_raises():
+    # primal_lp_value solved its own copy of the bound's envelope LP,
+    # without the bound's overflow check, and returned inf at 1e200
+    with pytest.raises(ValueError, match="square its offsets"):
+        primal_lp_value(PointCloud([[1e200], [-1e200]]))
+
+
 @pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
 def test_equality_case_tolerances_are_relative(s):
     # at s = 1e-8 the absolute tol (1 + |bound|) took a measure with 0.6 of
@@ -388,12 +395,12 @@ def test_interior_min_weight_is_scale_free():
         N = int(rng.integers(n + 2, 12))
         X = rng.normal(size=(N, n))
         t = rng.dirichlet(np.ones(N)) @ X
-        m = bounds._interior_min_weight(X, t)
+        m = lp.hull_membership(X, t).min()
         assert m > 0
-        assert bounds._interior_min_weight(X * 1e-10, t * 1e-10) == pytest.approx(m, rel=1e-9)
+        assert lp.hull_membership(X * 1e-10, t * 1e-10).min() == pytest.approx(m, rel=1e-9)
         Xo, to = X + 1e7, t + 1e7
-        moved_back = bounds._interior_min_weight(Xo - 1e7, to - 1e7)
-        assert bounds._interior_min_weight(Xo, to) == pytest.approx(moved_back, rel=1e-9)
+        moved_back = lp.hull_membership(Xo - 1e7, to - 1e7).min()
+        assert lp.hull_membership(Xo, to).min() == pytest.approx(moved_back, rel=1e-9)
 
 
 def test_measure_json_round_trip(tmp_path):

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from geomoment import (AtomicMeasure, DomainError, NoConvergenceError,
-                       PointCloud, RadialCost, SearchConfig, diameter,
-                       generalized_variance,
+from geomoment import (AtomicMeasure, DomainError, PointCloud, RadialCost,
+                       SearchConfig, diameter, generalized_variance,
                        isodiametric_bound, jung_radius, jung_verify,
                        regular_simplex, search_max, simplex_maximizer,
                        tension_check, variance, verify_simplex_optimality)
@@ -48,11 +47,6 @@ def test_search_config_validation():
     for d in (math.nan, math.inf):
         with pytest.raises(ValueError):
             SearchConfig(n=1, d=d, atom_count=3)
-    # a step of 0 or below used to report every restart converged below
-    # the sharp bound
-    for step in (0.0, -0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            SearchConfig(n=1, d=1.0, atom_count=3, step=step)
     # no iteration at all used to fail every restart: "no restart converged
     # within -5 iterations", exit 4
     for max_iters in (0, -5):
@@ -276,9 +270,8 @@ def test_search_scaling_power1():
     assert scaled.best_value / base.best_value == pytest.approx(3.0, rel=1e-5)
 
 
-def test_search_with_explicit_step_and_iters():
-    cfg = SearchConfig(n=1, d=1.0, atom_count=3, restarts=4, seed=2,
-                       max_iters=200, step=0.1)
+def test_search_with_explicit_iters():
+    cfg = SearchConfig(n=1, d=1.0, atom_count=3, restarts=4, seed=2, max_iters=200)
     res = search_max(cfg)
     assert res.best_value == pytest.approx(0.25, abs=1e-8)
 
@@ -333,21 +326,152 @@ def test_search_measure_genvar_at_large_scale(tol):
     assert gv.value == pytest.approx(res.best_value, rel=1e-9)
 
 
+def _project_reference(atoms, d, by_square=False):
+    """The pull loop of :func:`isodiametric._project_diameter` with
+    whole-array indexing and numpy scalars throughout: the oracle its
+    rewritten loop must match bit for bit.  ``by_square`` pulls the pair
+    with the largest squared distance instead of the first pair at the
+    largest root."""
+    N = atoms.shape[0]
+    atoms = atoms - np.add.reduce(atoms, axis=0) / N
+    for _ in range(10 * N + 20):
+        diff = atoms[:, None, :] - atoms[None, :, :]
+        S = np.add.reduce(diff * diff, axis=2)
+        D = np.sqrt(S)
+        i, j = divmod(int((S if by_square else D).argmax()), N)
+        dij = D[i, j]
+        if dij <= d:
+            return atoms
+        u = (atoms[j] - atoms[i]) / dij
+        excess = dij - d
+        half = 0.5 * excess * u
+        atoms[i] += half
+        atoms[j] -= half
+    dia = diameter(atoms)
+    if dia > d:
+        atoms = atoms * (d / dia)
+    return atoms
+
+
+def _outward_reference(atoms, ball, d):
+    """:func:`isodiametric._outward` in numpy, on an array of atoms and a
+    :class:`Ball`, with boolean masks over every atom: its oracle, and the
+    search's state before it stepped in plain floats.  Each row's squares
+    are added left to right by ``np.cumsum``, as ``np.add.reduce`` adds
+    them below n = 8; from n = 8 on, numpy's reduction adds them
+    pairwise."""
+    offs = atoms - ball.center
+    norms = np.sqrt(np.cumsum(offs * offs, axis=1)[:, -1])
+    on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
+    movable = on_bdry & (norms > 1e-12 * d)
+    dirs = np.zeros(atoms.shape)
+    dirs[movable] = offs[movable] / norms[movable, None]
+    return dirs, on_bdry.nonzero()[0].tolist()
+
+
+def _solved_outward(atoms, d):
+    """The smallest enclosing ball of ``atoms``, solved, and
+    :func:`isodiametric._outward` of the state it makes."""
+    rows = atoms.tolist()
+    c, R, support, lam, d2 = isodiametric._solved_ball(atoms, rows)
+    return geometry.Ball(c, R, support, lam), isodiametric._outward(rows, c, R, d2, d)
+
+
+def _outward_matches_reference(atoms, d):
+    ball, (dirs, boundary) = _solved_outward(atoms, d)
+    ref_dirs, ref_boundary = _outward_reference(atoms, ball, d)
+    return dirs.tobytes() == ref_dirs.tobytes() and boundary == ref_boundary
+
+
+def _search_one_reference(config, restart, *, guess=True, finish=True, lift=True,
+                          jung_stop=True, log=None):
+    """:func:`isodiametric._search_one` as it stepped before its state went
+    to plain floats, a :class:`Ball` for every candidate and each accepted
+    state read again in numpy by :func:`_outward_reference`, with one
+    switch per shortcut of the ascent:
+
+    - ``guess`` certifies each candidate's guessed ball by
+      :func:`isodiametric._guess_ball`; without it, every candidate's ball
+      is solved by ``min_enclosing_ball``;
+    - ``finish`` tries :func:`isodiametric._finish` once per accepted
+      state, and ``lift`` lets it lift a k-simplex with k < n (without it,
+      the finish is tried on n-simplices only);
+    - ``jung_stop`` stops a state whose radius is within 4.5 u d of Jung's
+      bound r_n d (u = eps / 2); without it, every halving is taken.
+
+    ``log``, a dict, gathers across calls every projection's output under
+    "projections", whether each guess was certified under "guesses", and
+    each accepted state where the stop holds, taken or not, as (atoms, R,
+    dirs, d) under "stopped"."""
+    rng = np.random.default_rng(config.seed + restart)
+    n, N, d = config.n, config.atom_count, config.d
+
+    def note(key, value):
+        if log is not None:
+            log.setdefault(key, []).append(value)
+
+    def project(moved):
+        cand = isodiametric._project_diameter(moved, d)
+        note("projections", cand)
+        return cand
+
+    def state(atoms, ball):
+        dirs, first = _outward_reference(atoms, ball, d)
+        held = ball.radius >= isodiametric._jung_floor(n, d)
+        if held:
+            note("stopped", (atoms, ball.radius, dirs, d))
+        move = None
+        if finish and (lift or len(first) == n + 1):
+            move = isodiametric._finish(atoms.tolist(), first, ball.radius, d)
+        return dirs, first, jung_stop and held, move
+
+    atoms = project(rng.uniform(-0.5 * d, 0.5 * d, (N, n)))
+    ball = geometry.min_enclosing_ball(atoms)
+    step, step_floor = 0.25 * d, 1e-9 * d
+    converged = False
+    dirs, first, stop, move = state(atoms, ball)
+    for it in range(config.max_iters):
+        if stop:
+            halvings = 1
+            while step * 0.5 ** halvings >= step_floor:
+                halvings += 1
+            converged = it + halvings <= config.max_iters
+            break
+        if move is None:
+            cand, cand_first = project(atoms + step * dirs), first
+        else:
+            cand, cand_first = project(np.array(move[0])), move[1]
+        certified = None
+        if guess:
+            certified = isodiametric._guess_ball(cand.tolist(), cand_first, d)
+            note("guesses", certified is not None)
+        if certified is None:
+            cand_ball = geometry.min_enclosing_ball(cand)
+        else:
+            cand_ball = geometry.Ball(certified[0], certified[1], list(cand_first), certified[2])
+        if cand_ball.radius > ball.radius + 1e-15 * d:
+            atoms, ball = cand, cand_ball
+            dirs, first, stop, move = state(atoms, ball)
+            continue
+        if move is not None:
+            move = None
+            continue
+        step *= 0.5
+        if step < step_floor:
+            converged = True
+            break
+    w, val = isodiametric._weights_at_atoms(atoms, ball, config.cost)
+    return atoms, w, val, converged
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_search_warm_start_matches_cold_start(p, monkeypatch):
+def test_search_warm_start_matches_cold_start(p):
     # the enclosing ball is unique, so guessing it from the previous support
     # changes only its rounding.  Almost every step's ball is the certified
-    # ball of its guess; the cold search certifies no guess and solves every
-    # ball.  Both end each restart alike at any scale of d and within a
-    # tight budget
-    balls = []
-    guess_ball = isodiametric._guess_ball
-
-    def certified(cand, first, d):
-        ball = guess_ball(cand, first, d)
-        balls.append(ball is not None)
-        return ball
-
+    # ball of its guess (the reference with the guess ends every restart as
+    # the search does, bit for bit); the cold reference certifies no guess
+    # and solves every ball.  Both end each restart alike at any scale of d
+    # and within a tight budget
     configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
                             cost=RadialCost.power(p))
                for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)]
@@ -355,19 +479,17 @@ def test_search_warm_start_matches_cold_start(p, monkeypatch):
                              max_iters=max_iters, cost=RadialCost.power(p))
                 for n, N in ((1, 4), (2, 6), (3, 8)) for d in (1.0, 3.7e-4, 123.4)
                 for seed in (3, 11) for max_iters in (400, 29)]
-    monkeypatch.setattr(isodiametric, "_guess_ball", certified)
-    ws = [_search_or_error(cfg) for cfg in configs]
-    assert sum(balls) > 0.9 * len(balls)
-    monkeypatch.setattr(isodiametric, "_guess_ball", lambda *args: None)
-    cs = [_search_or_error(cfg) for cfg in configs]
-    # the tight budget leaves restarts unconverged
-    assert any(w[1] < cfg.restarts for w, cfg in zip(ws, configs) if not isinstance(w, str))
-    for w, c in zip(ws, cs):
-        if isinstance(w, str) or isinstance(c, str):
-            assert w == c
-            continue
-        assert np.allclose(w[0], c[0], rtol=1e-12, atol=0)
-        assert w[1] == c[1]
+    log, outcomes = {}, []
+    for config in configs:
+        for r in range(config.restarts):
+            _, _, val, converged = isodiametric._search_one(config, r)
+            warm = _search_one_reference(config, r, log=log)
+            cold = _search_one_reference(config, r, guess=False)
+            assert warm[2] == val and warm[3] == converged
+            assert np.isclose(cold[2], val, rtol=1e-12, atol=0) and cold[3] == converged
+            outcomes.append(converged)
+    assert sum(log["guesses"]) > 0.9 * len(log["guesses"])
+    assert not all(outcomes)  # the tight budget leaves restarts unconverged
 
 
 @pytest.mark.parametrize("d", [1.0, 3.7e-4, 123.4])
@@ -428,229 +550,29 @@ def test_reach_degenerate_guess_never_certifies():
     assert guess(outside, [0, 1, 2]) is not None
 
 
-def _search_or_error(cfg):
-    """(per-restart values, converged restarts, best atoms), or the message
-    of the NoConvergenceError that a budget too small for every restart
-    raises."""
-    try:
-        res = search_max(cfg)
-    except NoConvergenceError as exc:
-        return str(exc)
-    return res.per_restart_values, res.converged_restarts, res.best_measure.atoms.points
-
-
-_JUNG_STOP = isodiametric._jung_certified
-
-
-def _take_every_step(monkeypatch, take=True):
-    """Switch the search's Jung stop off (``take``) or back on."""
-    monkeypatch.setattr(isodiametric, "_jung_certified",
-                        (lambda *args: False) if take else _JUNG_STOP)
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_search_jung_stop_matches_taking_every_step(p, monkeypatch):
-    # a restart at Jung's bound halves its step to the floor without taking
-    # the halvings; taking them must end it where it ends.  From 0.25 d, 28
-    # halvings reach the floor: with max_iters = 29 some cascades would
-    # overrun the budget and must leave their restart unconverged
-    configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
-                            max_iters=max_iters, cost=RadialCost.power(p))
-               for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)
-               for max_iters in (400, 29)]
-    project, search_one = isodiametric._project_diameter, isodiametric._search_one
-    steps, certified, restarts = [], [], []
-
-    def count(*args):
-        steps.append(None)
-        return project(*args)
-
-    def spy(*args):
-        certified.append(_JUNG_STOP(*args))
-        return certified[-1]
-
-    def one(config, restart):  # (the Jung stop held, converged)
-        certified.clear()
-        out = search_one(config, restart)
-        restarts.append((any(certified), out[3]))
-        return out
-
-    monkeypatch.setattr(isodiametric, "_project_diameter", count)
-    monkeypatch.setattr(isodiametric, "_jung_certified", spy)
-    monkeypatch.setattr(isodiametric, "_search_one", one)
-    short = [_search_or_error(cfg) for cfg in configs]
-    short_steps = len(steps)
-    steps.clear()
-    _take_every_step(monkeypatch)
-    stepped = [_search_or_error(cfg) for cfg in configs]
-    assert short_steps < len(steps)  # the stops fired
-    assert (True, True) in restarts and (True, False) in restarts
-    for a, b in zip(short, stepped):
-        if isinstance(a, str) or isinstance(b, str):
-            assert a == b
-            continue
-        assert a[0] == b[0]
-        assert a[1] == b[1]
-        assert np.array_equal(a[2], b[2])
-
-
-def test_search_jung_stop_converges_at_the_exact_budget(monkeypatch):
+def test_search_jung_stop_converges_at_the_exact_budget():
     # a restart that stops at Jung's bound and takes k steps when it takes
     # every one converges with max_iters = k and not with k - 1, with or
     # without the stop
-    project = isodiametric._project_diameter
-    calls, stopped = [], []
-
-    def count(*args):
-        calls.append(None)
-        return project(*args)
-
-    def spy(*args):
-        stopped.append(_JUNG_STOP(*args))
-        return stopped[-1]
-
-    monkeypatch.setattr(isodiametric, "_project_diameter", count)
     checked = 0
     for n, N in ((1, 4), (2, 6)):
         config = SearchConfig(n=n, d=1.0, atom_count=N, seed=5)
         for r in range(10):
-            monkeypatch.setattr(isodiametric, "_jung_certified", spy)
-            stopped.clear()
-            isodiametric._search_one(config, r)
-            if not any(stopped):
+            log = {}
+            full = _search_one_reference(config, r, jung_stop=False, log=log)
+            if not log.get("stopped"):
                 continue
-            _take_every_step(monkeypatch)
-            calls.clear()
-            full = isodiametric._search_one(config, r)
-            k = len(calls) - 1  # the first projection is the start's
+            k = len(log["projections"]) - 1  # the first projection is the start's
             assert full[3] and k < config.max_iters
             for budget, converged in ((k, True), (k - 1, False)):
                 budgeted = dataclasses.replace(config, max_iters=budget)
-                stepped = isodiametric._search_one(budgeted, r)
-                _take_every_step(monkeypatch, take=False)
+                stepped = _search_one_reference(budgeted, r, jung_stop=False)
                 short = isodiametric._search_one(budgeted, r)
-                _take_every_step(monkeypatch)
                 assert stepped[3] is short[3] is converged
                 assert stepped[2] == short[2]
                 assert np.array_equal(stepped[0], short[0])
             checked += 1
     assert checked >= 3
-
-
-def _project_reference(atoms, w, d, by_square=False):
-    """The pull loop of :func:`isodiametric._project_diameter` with
-    whole-array indexing and numpy scalars throughout: the oracle its
-    rewritten loop must match bit for bit.  ``by_square`` pulls the pair
-    with the largest squared distance instead of the first pair at the
-    largest root."""
-    atoms = atoms.copy()
-    N = atoms.shape[0]
-    for _ in range(10 * N + 20):
-        diff = atoms[:, None, :] - atoms[None, :, :]
-        S = np.add.reduce(diff * diff, axis=2)
-        D = np.sqrt(S)
-        i, j = divmod(int((S if by_square else D).argmax()), N)
-        dij = D[i, j]
-        if dij <= d:
-            return atoms - (w @ atoms)
-        u = (atoms[j] - atoms[i]) / dij
-        excess = dij - d
-        half = 0.5 * excess * u
-        atoms[i] += half
-        atoms[j] -= half
-    dia = diameter(atoms)
-    if dia > d:
-        centroid = w @ atoms
-        atoms = centroid + (atoms - centroid) * (d / dia)
-    return atoms - (w @ atoms)
-
-
-def _outward_reference(atoms, ball, d):
-    """:func:`isodiametric._outward` in numpy, on an array of atoms and a
-    :class:`Ball`, with boolean masks over every atom: its oracle, and the
-    search's state before it stepped in plain floats.  Each row's squares
-    are added left to right by ``np.cumsum``, as ``np.add.reduce`` adds
-    them below n = 8; from n = 8 on, numpy's reduction adds them
-    pairwise."""
-    offs = atoms - ball.center
-    norms = np.sqrt(np.cumsum(offs * offs, axis=1)[:, -1])
-    on_bdry = np.abs(norms - ball.radius) <= 1e-7 * (d + ball.radius)
-    movable = on_bdry & (norms > 1e-12 * d)
-    dirs = np.zeros(atoms.shape)
-    dirs[movable] = offs[movable] / norms[movable, None]
-    return dirs, on_bdry.nonzero()[0].tolist()
-
-
-def _solved_outward(atoms, d):
-    """The smallest enclosing ball of ``atoms``, solved, and
-    :func:`isodiametric._outward` of the state it makes."""
-    rows = atoms.tolist()
-    c, R, support, lam, d2 = isodiametric._solved_ball(atoms, rows)
-    return geometry.Ball(c, R, support, lam), isodiametric._outward(rows, c, R, d2, d)
-
-
-def _outward_matches_reference(atoms, d):
-    ball, (dirs, boundary) = _solved_outward(atoms, d)
-    ref_dirs, ref_boundary = _outward_reference(atoms, ball, d)
-    return dirs.tobytes() == ref_dirs.tobytes() and boundary == ref_boundary
-
-
-def _search_one_reference(config, restart, finish=True, jung_stop=True, lift=True):
-    """:func:`isodiametric._search_one` as it stepped before its state went
-    to plain floats: a :class:`Ball` for every certified guess, and each
-    accepted state read again in numpy by :func:`_outward_reference`.
-    ``finish`` tries :func:`isodiametric._finish` once per accepted state,
-    ``lift`` lets it lift a k-simplex with k < n (without it, the finish is
-    tried on n-simplices only), and ``jung_stop`` stops a state whose
-    radius is within 4.5 u d of Jung's bound r_n d (u = eps / 2)."""
-    rng = np.random.default_rng(config.seed + restart)
-    n, N, d = config.n, config.atom_count, config.d
-    w0 = np.full(N, 1.0 / N)
-    atoms = isodiametric._project_diameter(rng.uniform(-0.5 * d, 0.5 * d, (N, n)), w0, d)
-    ball = geometry.min_enclosing_ball(atoms)
-    step = config.step if config.step is not None else 0.25 * d
-    step_floor = 1e-9 * d
-    converged = False
-
-    def state(atoms, ball):
-        dirs, first = _outward_reference(atoms, ball, d)
-        stop = jung_stop and ball.radius >= isodiametric._jung_floor(n, d)
-        move = None
-        if finish and not stop and (lift or len(first) == n + 1):
-            move = isodiametric._finish(atoms.tolist(), first, ball.radius, d)
-        return dirs, first, stop, move
-
-    dirs, first, stop, move = state(atoms, ball)
-    for it in range(config.max_iters):
-        if stop and step <= d:
-            halvings = 1
-            while step * 0.5 ** halvings >= step_floor:
-                halvings += 1
-            converged = it + halvings <= config.max_iters
-            break
-        if move is None:
-            moved, guess_first = atoms + step * dirs, first
-        else:
-            moved, guess_first = np.array(move[0]), move[1]
-        cand = isodiametric._project_diameter(moved, w0, d)
-        guess = isodiametric._guess_ball(cand.tolist(), guess_first, d)
-        if guess is None:
-            cand_ball = geometry.min_enclosing_ball(cand)
-        else:
-            cand_ball = geometry.Ball(guess[0], guess[1], list(guess_first), guess[2])
-        if cand_ball.radius > ball.radius + 1e-15 * d:
-            atoms, ball = cand, cand_ball
-            dirs, first, stop, move = state(atoms, ball)
-            continue
-        if move is not None:
-            move = None
-            continue
-        step *= 0.5
-        if step < step_floor:
-            converged = True
-            break
-    w, val = isodiametric._weights_at_atoms(atoms, ball, config.cost)
-    return atoms, w, val, converged
 
 
 def test_search_steps_match_the_numpy_reference():
@@ -672,20 +594,39 @@ def test_search_steps_match_the_numpy_reference():
 
 
 @pytest.mark.parametrize("finish", [True, False])
-def test_search_jung_stop_matches_the_reference_that_takes_every_step(finish, monkeypatch):
-    # the Jung stop skips only steps that the ascent would reject, with the
-    # finish and without it: the numpy reference that takes them ends every
-    # restart on the same atoms, weights, value and outcome
-    if not finish:
-        monkeypatch.setattr(isodiametric, "_finish", lambda *args: None)
-    for (n, N), d, max_iters in itertools.product(
-            ((1, 4), (2, 6), (3, 8)), (1.0, 3.7e-4, 123.4), (400, 29)):
-        config = SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=1, max_iters=max_iters)
+def test_search_jung_stop_matches_the_reference_that_takes_every_step(finish):
+    # a restart at Jung's bound halves its step to the floor without taking
+    # the halvings; the reference that takes them ends every restart on the
+    # same atoms, weights, value and outcome, with the finish and without
+    # it (where the reference with the stop stands in for the search).
+    # From 0.25 d, 28 halvings reach the floor: with max_iters = 29 some
+    # cascades would overrun the budget and must leave their restart
+    # unconverged
+    configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
+                            max_iters=max_iters, cost=RadialCost.power(p))
+               for p in (1, 2, 3) for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20))
+               for seed in (1, 7, 23) for max_iters in (400, 29)]
+    configs += [SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=1, max_iters=max_iters)
+                for (n, N), d, max_iters in itertools.product(
+                    ((1, 4), (2, 6), (3, 8)), (1.0, 3.7e-4, 123.4), (400, 29))]
+    restarts, skipped = [], 0
+    for config in configs:
         for r in range(config.restarts):
-            atoms, w, val, converged = isodiametric._search_one(config, r)
-            ref = _search_one_reference(config, r, finish=finish, jung_stop=False)
-            assert val == ref[2] and converged == ref[3]
-            assert atoms.tobytes() == ref[0].tobytes() and w.tobytes() == ref[1].tobytes()
+            log, short_log = {}, {}
+            stepped = _search_one_reference(config, r, finish=finish, jung_stop=False, log=log)
+            if finish:
+                short = isodiametric._search_one(config, r)
+            else:
+                short = _search_one_reference(config, r, finish=False, log=short_log)
+                skipped += len(log["projections"]) - len(short_log["projections"])
+            assert short[2] == stepped[2] and short[3] == stepped[3]
+            assert short[0].tobytes() == stepped[0].tobytes()
+            assert short[1].tobytes() == stepped[1].tobytes()
+            restarts.append((bool(log.get("stopped")), stepped[3]))
+    # (the stop held, converged): a restart that converges where the stop
+    # holds takes halvings that the stop skips
+    assert (True, True) in restarts and (True, False) in restarts
+    assert finish or skipped > 0
 
 
 def test_search_lift_takes_stalled_restarts_to_the_bound():
@@ -716,10 +657,10 @@ def test_project_and_outward_match_their_references():
         for _ in range(23):
             atoms = rng.uniform(-1.0, 1.0, (N, n)) * (rng.uniform(0.3, 1.5) * d)
             given = atoms.copy()
-            w = rng.dirichlet(np.ones(N))
-            got = isodiametric._project_diameter(atoms, w, d)
-            assert got.tobytes() == _project_reference(atoms, w, d).tobytes()
+            got = isodiametric._project_diameter(atoms, d)
+            assert got.tobytes() == _project_reference(atoms, d).tobytes()
             assert atoms.tobytes() == given.tobytes()  # the pulls act on a copy
+            assert _longest_side(got) <= d
             assert _outward_matches_reference(got, d)
     # every atom at the center: all on the sphere of radius 0, none moves
     same = np.full((5, 2), 0.25)
@@ -734,10 +675,9 @@ def test_project_diameter_pulls_the_first_pair_at_the_largest_root():
     atoms = np.array([[0.0, 0.0], [1.0, 0.0], [0.95532880527733, 0.29554504531016823]])
     sq = np.add.reduce(atoms * atoms, axis=1)
     assert sq[1] < sq[2] and np.sqrt(sq[1]) == np.sqrt(sq[2]) == 1.0
-    w = np.full(3, 1.0 / 3.0)
-    got = isodiametric._project_diameter(atoms, w, 0.9)
-    assert got.tobytes() == _project_reference(atoms, w, 0.9).tobytes()
-    assert got.tobytes() != _project_reference(atoms, w, 0.9, by_square=True).tobytes()
+    got = isodiametric._project_diameter(atoms, 0.9)
+    assert got.tobytes() == _project_reference(atoms, 0.9).tobytes()
+    assert got.tobytes() != _project_reference(atoms, 0.9, by_square=True).tobytes()
 
 
 def _pair_at_cap(atoms, ball, boundary, d):
@@ -757,7 +697,7 @@ def _lift_taken(atoms, ball, first, d):
     move = isodiametric._finish(atoms.tolist(), first, ball.radius, d)
     if move is None or len(move[1]) != len(first) + 1:
         return False
-    cand = isodiametric._project_diameter(np.array(move[0]), np.full(len(atoms), 1.0 / len(atoms)), d)
+    cand = isodiametric._project_diameter(np.array(move[0]), d)
     return geometry.min_enclosing_ball(cand).radius > ball.radius + 1e-15 * d
 
 
@@ -777,7 +717,7 @@ def test_pair_certified(d):
     assert sorted(ball.support) == first == [0, 1] and _pair_at_cap(atoms, ball, first, d)
     assert _steps_rejected(atoms, ball, dirs, d) and _lift_taken(atoms, ball, first, d)
     atoms, ball, _, first = state([[-0.5], [0.5], [0.1], [-0.2], [0.0]])
-    assert _pair_at_cap(atoms, ball, first, d) and isodiametric._jung_certified(ball.radius, 1, d)
+    assert _pair_at_cap(atoms, ball, first, d) and ball.radius >= isodiametric._jung_floor(1, d)
     # an inner atom in the 1e-7 (d + R) band at the sphere: no regular
     # simplex to finish, and a step is taken
     atoms, ball, dirs, first = state([[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5 * (1 - 1e-9)]] + inner)
@@ -792,7 +732,7 @@ def test_pair_certified(d):
     # Jung's bound: it stops and is not finished
     atoms, ball, _, first = state(regular_simplex(2, 1.0).vertices.tolist() + [[0.0, 0.0]])
     assert len(ball.support) == 3 and not _pair_at_cap(atoms, ball, first, d)
-    assert isodiametric._jung_certified(ball.radius, 2, d)
+    assert ball.radius >= isodiametric._jung_floor(2, d)
     assert isodiametric._finish(atoms.tolist(), first, ball.radius, d) is None
 
 
@@ -808,18 +748,21 @@ def _pair_state(n, d, rng, half):
     return (atoms, *_solved_outward(atoms, d))
 
 
+def _cold_radii(atoms, dirs, d):
+    """The radius of each step of d, d / 2, ... down to the search's floor
+    from a state, its candidate projected and its ball solved cold."""
+    radii, step = [], d
+    while step >= 1e-9 * d:
+        cand = isodiametric._project_diameter(atoms + step * dirs, d)
+        radii.append(geometry.min_enclosing_ball(cand).radius)
+        step *= 0.5
+    return radii
+
+
 def _steps_rejected(atoms, ball, dirs, d):
     """Is every step of d, d / 2, ... down to the search's floor rejected,
     as the search would reject it, with each ball solved cold?"""
-    w0 = np.full(len(atoms), 1.0 / len(atoms))
-    step = d
-    while step >= 1e-9 * d:
-        cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
-        if not ball.contains(cand):
-            if geometry.min_enclosing_ball(cand).radius > ball.radius + 1e-15 * d:
-                return False
-        step *= 0.5
-    return True
+    return max(_cold_radii(atoms, dirs, d)) <= ball.radius + 1e-15 * d
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -843,7 +786,7 @@ def test_pair_certified_at_band_edge_rejects_every_step(n, d):
         atoms, ball, dirs, first = edge
         assert sorted(ball.support) == first == [0, 1]
         assert _steps_rejected(atoms, ball, dirs, d)
-        assert isodiametric._jung_certified(ball.radius, n, d) == (n == 1)
+        assert (ball.radius >= isodiametric._jung_floor(n, d)) == (n == 1)
         assert n == 1 or _lift_taken(atoms, ball, first, d)
     # the same steps from a pair 1e-9 d short of the cap are taken
     atoms, ball, (dirs, first) = _pair_state(n, d, rng, 0.5 * d * (1 - 1e-9))
@@ -855,36 +798,21 @@ def stopped_states():
     """Every accepted state of 8 restarts at seed 0 of each (n, atoms) in
     {(1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)} and d in {1,
     3.7e-4, 123.4} where the Jung stop holds, as (atoms, R, dirs, d)."""
-    outward, states = isodiametric._outward, []
-
-    def spy(rows, c, R, d2, d):
-        out = outward(rows, c, R, d2, d)
-        if isodiametric._jung_certified(R, len(c), d):
-            states.append((np.array(rows), R, out[0], d))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(isodiametric, "_outward", spy)
-        for (n, N), d in itertools.product(((1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)),
-                                           (1.0, 3.7e-4, 123.4)):
-            _search_or_error(SearchConfig(n=n, d=d, atom_count=N, restarts=8, seed=0))
-    return states
+    log = {}
+    for (n, N), d in itertools.product(((1, 4), (2, 5), (2, 6), (2, 8), (3, 6), (3, 8), (4, 8)),
+                                       (1.0, 3.7e-4, 123.4)):
+        config = SearchConfig(n=n, d=d, atom_count=N, restarts=8, seed=0)
+        for r in range(config.restarts):
+            _search_one_reference(config, r, log=log)
+    return log["stopped"]
 
 
 def _largest_growth(states):
     """The most any step of d, d / 2, ... down to the search's floor from
     one of the states grows its radius, with each ball solved cold, in
     units of u d (u = eps / 2)."""
-    growth = []
-    for atoms, R, dirs, d in states:
-        w0 = np.full(len(atoms), 1.0 / len(atoms))
-        step = d
-        while step >= 1e-9 * d:
-            cand = isodiametric._project_diameter(atoms + step * dirs, w0, d)
-            radius = geometry.min_enclosing_ball(cand).radius
-            growth.append((radius - R) / (0.5 * isodiametric.EPS * d))
-            step *= 0.5
-    return max(growth)
+    return max((radius - R) / (0.5 * isodiametric.EPS * d)
+               for atoms, R, dirs, d in states for radius in _cold_radii(atoms, dirs, d))
 
 
 # half the 1e-15 d = 9.007 u d an accepted step must gain
@@ -980,6 +908,13 @@ def test_lift_with_no_atom_off_the_flat():
     assert isodiametric._finish([[-0.5 * d], [0.5 * d], [0.0]], [0, 1], 0.5 * d, d) is None
 
 
+def _longest_side(P):
+    """The largest distance between two rows of P, read as the projection
+    reads it: the root of each pair's squares added by ``np.add.reduce``."""
+    diff = P[:, None] - P[None]
+    return float(np.sqrt(np.add.reduce(diff * diff, axis=2)).max())
+
+
 def test_search_diameter_residual_reads_pairwise_distances():
     # geometry.diameter reads |x - y|^2 as |x|^2 + |y|^2 - 2 x.y, which reads
     # sides that the projection left at d one ulp above it: diameter_residual
@@ -988,11 +923,23 @@ def test_search_diameter_residual_reads_pairwise_distances():
     for seed in range(40):
         res = search_max(SearchConfig(n=2, d=1.0, atom_count=6, restarts=3, seed=seed))
         P, _ = res.best_measure.support()
-        diff = P[:, None] - P[None]
-        pairwise = float(np.sqrt(np.add.reduce(diff * diff, axis=2)).max())
-        assert res.diameter_residual == max(0.0, pairwise - 1.0)
-        gram_above += diameter(P) > 1.0 >= pairwise
+        assert res.diameter_residual == max(0.0, _longest_side(P) - 1.0)
+        gram_above += diameter(P) > 1.0 >= _longest_side(P)
     assert gram_above >= 1
+
+
+def test_projections_read_their_own_sides_at_most_d():
+    # the projection recentred its output after its exit test had read every
+    # side at most d, and the recentring's rounding lengthened sides: 201 of
+    # 5074 projections on this grid read a side of 1 + 2.2e-16.  It recentres
+    # its input now, and a pull keeps the mean
+    log = {}
+    for (n, N), seed in itertools.product(((2, 6), (3, 8)), range(40)):
+        config = SearchConfig(n=n, d=1.0, atom_count=N, restarts=3, seed=seed)
+        for r in range(config.restarts):
+            _search_one_reference(config, r, log=log)
+    assert len(log["projections"]) > 4000
+    assert max(_longest_side(P) for P in log["projections"]) <= 1.0
 
 
 @pytest.mark.parametrize("p", [1, 3])
