@@ -593,22 +593,24 @@ def test_search_steps_match_the_numpy_reference():
     assert len(outcomes) == 216 and 0 < sum(outcomes) < len(outcomes)
 
 
-@pytest.mark.parametrize("finish", [True, False])
-def test_search_jung_stop_matches_the_reference_that_takes_every_step(finish):
-    # a restart at Jung's bound halves its step to the floor without taking
-    # the halvings; the reference that takes them ends every restart on the
-    # same atoms, weights, value and outcome, with the finish and without
-    # it (where the reference with the stop stands in for the search).
-    # From 0.25 d, 28 halvings reach the floor: with max_iters = 29 some
-    # cascades would overrun the budget and must leave their restart
-    # unconverged
-    configs = [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
-                            max_iters=max_iters, cost=RadialCost.power(p))
-               for p in (1, 2, 3) for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20))
-               for seed in (1, 7, 23) for max_iters in (400, 29)]
-    configs += [SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=1, max_iters=max_iters)
-                for (n, N), d, max_iters in itertools.product(
-                    ((1, 4), (2, 6), (3, 8)), (1.0, 3.7e-4, 123.4), (400, 29))]
+def _power_grid(p):
+    """The configurations at cost power ``p`` on which the Jung stop is
+    checked against the ascent that takes every step.  From 0.25 d, 28
+    halvings reach the floor: with max_iters = 29 some cascades would
+    overrun the budget and must leave their restart unconverged."""
+    return [SearchConfig(n=n, d=1.0, atom_count=N, restarts=r, seed=seed,
+                         max_iters=max_iters, cost=RadialCost.power(p))
+            for n, N, r in ((1, 4, 10), (2, 6, 20), (3, 8, 20)) for seed in (1, 7, 23)
+            for max_iters in (400, 29)]
+
+
+def _jung_stop_parity(configs, finish):
+    """Run every restart of ``configs`` with the Jung stop and with the
+    reference that takes every halving, with the finish or without it
+    (where the reference with the stop stands in for the search), and check
+    that both end on the same atoms, weights, value and outcome.  Returns
+    (the stop held, converged) for each restart and the count of
+    projections that the stop skipped."""
     restarts, skipped = [], 0
     for config in configs:
         for r in range(config.restarts):
@@ -623,8 +625,31 @@ def test_search_jung_stop_matches_the_reference_that_takes_every_step(finish):
             assert short[0].tobytes() == stepped[0].tobytes()
             assert short[1].tobytes() == stepped[1].tobytes()
             restarts.append((bool(log.get("stopped")), stepped[3]))
-    # (the stop held, converged): a restart that converges where the stop
-    # holds takes halvings that the stop skips
+    return restarts, skipped
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_search_jung_stop_matches_taking_every_step(p):
+    # a restart at Jung's bound halves its step to the floor without taking
+    # the halvings; taking them must end it where it ends.  A restart that
+    # converges where the stop held is one where the stop skipped halvings;
+    # on the budget of 29 some such restarts do not converge
+    restarts, _ = _jung_stop_parity(_power_grid(p), finish=True)
+    assert (True, True) in restarts and (True, False) in restarts
+
+
+@pytest.mark.parametrize("finish", [True, False])
+def test_search_jung_stop_matches_the_reference_that_takes_every_step(finish):
+    # the Jung stop skips only steps that the ascent would reject, with the
+    # finish and without it, over three scales.  Without the finish the
+    # power grids run here too, as their own test runs the search, which
+    # finishes
+    configs = [SearchConfig(n=n, d=d, atom_count=N, restarts=4, seed=1, max_iters=max_iters)
+               for (n, N), d, max_iters in itertools.product(
+                   ((1, 4), (2, 6), (3, 8)), (1.0, 3.7e-4, 123.4), (400, 29))]
+    if not finish:
+        configs += [config for p in (1, 2, 3) for config in _power_grid(p)]
+    restarts, skipped = _jung_stop_parity(configs, finish)
     assert (True, True) in restarts and (True, False) in restarts
     assert finish or skipped > 0
 
