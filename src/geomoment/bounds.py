@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report
-from .conjugate import scaled_envelope_lp
+from .conjugate import envelope_lp
 from .errors import DomainError, ParseError
-from .geometry import Ball, Shape, as_cloud, min_enclosing_ball, shape_sample
+from .geometry import (Ball, Shape, _frame, _rounding, _unframe, as_cloud, min_enclosing_ball,
+                       shape_sample)
 from .lp import LpProblem, LpStatus, hull_membership, solve_lp
 
 INTERIOR_MARGIN = 1e-6
@@ -93,17 +94,17 @@ def mean(measure):
 
 
 def variance(measure):
-    """Centered second moment sum w_i |x_i - mean|^2."""
-    m = mean(measure)
-    d = measure.atoms.points - m
-    return float(measure.weights @ (d * d).sum(axis=1))
+    """Centered second moment sum w_i |x_i - mean|^2, in the mean's frame."""
+    d, s = _frame(measure.atoms.points, mean(measure))
+    return _unframe(measure.weights @ (d * d).sum(axis=1), s, 2)
 
 
 def bd_1d(k_lo, k_hi, xbar):
     """One-dimensional mean-constrained variance bound (k_hi - xbar)(xbar - k_lo)."""
     if not k_lo <= xbar <= k_hi:
         raise DomainError(f"mean {xbar} outside [{k_lo}, {k_hi}]")
-    return (k_hi - xbar) * (xbar - k_lo)
+    (lo, hi, x), s = _frame(np.array([k_lo, k_hi, xbar], dtype=float), 0.0)
+    return _unframe((hi - x) * (x - lo), s, 2)
 
 
 def popoviciu(k_lo, k_hi):
@@ -127,9 +128,10 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
 
     Closed forms for interval, ball, box and diamond supports; clouds (a
     PointCloud or a raw (N, n) array), and the ellipse via a boundary mesh,
-    go through the envelope LP.  Raises
-    DomainError, carrying a separating certificate when one is available,
-    if ``xbar`` lies outside the support's convex hull.
+    go through the envelope LP, each in a frame (:func:`geometry._frame`).
+    Raises DomainError, carrying a separating certificate when one is
+    available, if ``xbar`` lies outside the support's convex hull, and
+    ValueError if the bound is not a finite float.
     """
     xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
     if not np.isfinite(xbar).all():
@@ -143,12 +145,12 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
     if shape.kind == Shape.INTERVAL:
         return bd_1d(p["k_lo"], p["k_hi"], float(xbar[0]))
     if shape.kind == Shape.BALL:
-        R = p["radius"]
-        nx = float(xbar @ xbar)
-        if nx > R * R * (1 + 1e-12):
-            raise DomainError(f"mean with |x|={math.sqrt(nx)} outside ball of radius {R}",
-                              certificate=xbar / max(math.sqrt(nx), 1e-300))
-        return R * R - nx
+        y, s = _frame(np.append(xbar, p["radius"]), 0.0)
+        y, r, nx = y[:-1], y[-1], float(y[:-1] @ y[:-1])
+        if nx > r * r * (1 + 1e-12):
+            raise DomainError(f"mean with |x|={s * math.sqrt(nx)} outside ball of radius "
+                              f"{p['radius']}", certificate=y / max(math.sqrt(nx), 1e-300))
+        return _unframe(r * r - nx, s, 2)
     if shape.kind == Shape.BOX:
         a = p["a"]
         if (np.abs(xbar) > a).any():
@@ -157,15 +159,17 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
             cert[i] = math.copysign(1.0, xbar[i])
             raise DomainError(f"mean coordinate {i + 1} outside [-{a[i]}, {a[i]}]",
                               certificate=cert)
-        return float(a @ a) - float(xbar @ xbar)
+        y, s = _frame(np.concatenate([a, xbar]), 0.0)
+        return _unframe(float(y[:a.size] @ y[:a.size]) - float(y[a.size:] @ y[a.size:]), s, 2)
     if shape.kind == Shape.DIAMOND:
         a1, a2 = p["a1"], p["a2"]
         if abs(xbar[0]) / a1 + abs(xbar[1]) / a2 > 1:
             cert = np.array([math.copysign(1.0 / a1, xbar[0]),
                              math.copysign(1.0 / a2, xbar[1])])
             raise DomainError("mean outside the diamond", certificate=cert)
-        envelope = a1 * a1 - (a1 * a1 - a2 * a2) / a2 * abs(float(xbar[1]))
-        return envelope - float(xbar @ xbar)
+        y, s = _frame(np.append([a1, a2], xbar), 0.0)
+        a1, a2, y = y[0], y[1], y[2:]
+        return _unframe(a1 * a1 - (a1 * a1 - a2 * a2) / a2 * abs(float(y[1])) - float(y @ y), s, 2)
     if shape.kind == Shape.ELLIPSE:
         mesh = shape_sample(shape, resolution, seed=seed)
         return _bd_bound_cloud(mesh, xbar)
@@ -176,28 +180,20 @@ def bhatia_davis_bound(shape_or_cloud, xbar, resolution=ELLIPSE_RESOLUTION, seed
 
 def _bd_bound_cloud(cloud, xbar):
     """The envelope bound at xbar: the largest variance about xbar, the
-    envelope program at 0 on the offsets x_i - xbar, solved at unit scale
-    (:func:`conjugate.scaled_envelope_lp`), so neither the scale nor the
-    position of the cloud changes the answer.  A separating certificate
-    (u, -c) of 0 from the offsets, u.(x_i - xbar) <= c, maps back to
-    u.x_i <= c + u.xbar.  Offsets too large for their squares to be finite,
-    those where n max |x_ij - xbar_j|^2 overflows, raise ValueError before
-    any of them is squared.
+    envelope program at 0 on the cloud in the frame of xbar
+    (:func:`geometry._frame`), so neither the scale nor the position of the
+    cloud changes the answer.  A separating certificate (u, -c) of 0 from
+    the offsets, u.(x_i - xbar) <= s c, maps back to u.x_i <= s c + u.xbar.
     """
     if xbar.size != cloud.dim:
         raise ValueError(f"mean has dimension {xbar.size}, cloud has {cloud.dim}")
-    Y = cloud.points - xbar
-    top = float(np.abs(Y).max())
-    if not cloud.dim * top * top < math.inf:
-        raise ValueError("point cloud is too far from xbar to square its offsets")
-    if top == 0.0:  # every atom at xbar
-        return 0.0
-    sol, s = scaled_envelope_lp(Y, np.zeros(cloud.dim))
+    Y, s = _frame(cloud.points, xbar)
+    sol = envelope_lp(Y, np.zeros(cloud.dim))
     if sol.status is LpStatus.INFEASIBLE:
         u, c = sol.certificate[:-1], sol.certificate[-1]
         raise DomainError("mean outside the convex hull of the atoms",
                           certificate=np.append(u, s * c - u @ xbar))
-    return -sol.value * s * s
+    return _unframe(-sol.value, s, 2)
 
 
 def max_variance(cloud):
@@ -208,7 +204,7 @@ def max_variance(cloud):
     weights on its support, nonnegative and summing to 1, whose barycenter
     is its center, so that their variance is R^2 (weight 1 on a single
     point).  No LP is solved.  Both are computed on the cloud recentred on
-    its mean, so the center keeps its precision far from the origin.
+    its mean, so the center's shift back does not round the radius.
     """
     cloud = as_cloud(cloud)
     shift = cloud.points.mean(axis=0)
@@ -217,7 +213,7 @@ def max_variance(cloud):
     w[ball.support] = ball.weights
     maximizer = AtomicMeasure(cloud, w)
     primal = variance(maximizer)
-    dual = ball.radius ** 2
+    dual = _unframe(ball.radius * ball.radius)
     center = ball.center + shift
     return DualityReport(primal, dual, abs(primal - dual), center,
                          Ball(center, ball.radius), maximizer)
@@ -266,25 +262,27 @@ def zero_mean_dual_center(cloud):
     Returns (q, dual value R(q)^2 - |q|^2).
     """
     cloud = as_cloud(cloud)
-    ball = _dual_ball_for_mean(cloud, np.zeros(cloud.dim))
+    ball, value = _dual_ball_for_mean(cloud, np.zeros(cloud.dim))
     if ball is None:
         raise DomainError("dual program unbounded: origin not interior to the hull")
-    return ball.center, ball.radius ** 2 - float(ball.center @ ball.center)
+    return ball.center, value
 
 
 def _dual_ball_for_mean(cloud, m):
-    """Smallest enclosing ball whose center solves the recentered dual.
+    """Smallest enclosing ball whose center solves the recentered dual,
+    with the dual value R(q)^2 - |q - m|^2; (None, None) without an optimum.
 
-    Minimizes max_i (|x_i|^2 - 2 q . (x_i - m)) over q: a linear epigraph
-    program whose optimizer is the dual center for barycenter m.
+    A linear epigraph program, min over p = 2 q of max_i (|y_i|^2 - p.y_i),
+    on the offsets y_i from m in their frame (:func:`geometry._frame`), so
+    its tolerances are relative to the spread about m; its columns for p
+    are the offsets, with entries below 1 as in its other columns.
     """
-    P = cloud.points
+    P, s = _frame(cloud.points, m)
     N, n = P.shape
-    # variables: q+ (n), q- (n), h+, h-, surplus (N)
+    # variables: p+ (n), p- (n), h+, h-, surplus (N)
     A = np.zeros((N, 2 * n + 2 + N))
-    D = 2.0 * (P - m)
-    A[:, :n] = D
-    A[:, n:2 * n] = -D
+    A[:, :n] = P
+    A[:, n:2 * n] = -P
     A[:, 2 * n] = 1.0
     A[:, 2 * n + 1] = -1.0
     A[:, 2 * n + 2:] = -np.eye(N)
@@ -294,10 +292,10 @@ def _dual_ball_for_mean(cloud, m):
     c[2 * n + 1] = -1.0
     sol = solve_lp(LpProblem(c, A, b))
     if sol.status is not LpStatus.OPTIMAL:
-        return None
-    q = sol.solution[:n] - sol.solution[n:2 * n]
-    r2 = sol.value - 2.0 * float(q @ m) + float(q @ q)
-    return Ball(q, math.sqrt(max(r2, 0.0)))
+        return None, None
+    q = 0.5 * (sol.solution[:n] - sol.solution[n:2 * n])
+    r = math.sqrt(max(sol.value + float(q @ q), 0.0))
+    return Ball(m + s * q, _unframe(r, s, 1)), _unframe(sol.value, s, 2)
 
 
 def equality_case(measure, cloud, tol=1e-9):
@@ -310,18 +308,14 @@ def equality_case(measure, cloud, tol=1e-9):
     on the hull boundary return ``is_equality=None`` (indeterminate): the
     supporting-sphere criterion degenerates there and is out of scope.
     Every tolerance is relative to the bound or to the cloud's spread, plus
-    the rounding of a distance computed from the coordinates, 16 eps
-    max_i |x_i| as in :func:`geometry.meb_support`, so neither a small
-    cloud nor a far one changes the answer.
+    the coordinates' rounding (:func:`geometry._rounding`).
     """
     cloud = as_cloud(cloud)
     P = cloud.points
     atoms, w = measure.support()
-    spread = float(np.linalg.norm(P - P.mean(axis=0), axis=1).max())
-    rnd = 16.0 * np.finfo(float).eps * float(np.linalg.norm(P, axis=1).max())
-    for a in atoms:
-        if np.min(np.linalg.norm(P - a, axis=1)) > 1e-9 * spread + rnd:
-            raise ValueError("measure has an atom that is not a cloud point")
+    if not all(Shape.cloud(cloud).contains(a, tol=1e-9) for a in atoms):
+        raise ValueError("measure has an atom that is not a cloud point")
+    rnd = _rounding(P)
     m = mean(measure)
     if not in_hull_interior(P, m):
         return EqualityCase(None, None)
@@ -331,7 +325,7 @@ def equality_case(measure, cloud, tol=1e-9):
     is_eq = var >= bound - tol * bound - 2.0 * rnd * math.sqrt(max(bound, 0.0))
     if not is_eq:
         return EqualityCase(False, None, bound=bound, variance=var)
-    witness = _dual_ball_for_mean(cloud, m)
+    witness = _dual_ball_for_mean(cloud, m)[0]
     if witness is not None and not witness.contains(P, tol=1e-7 * witness.radius + rnd):
         witness = None
     return EqualityCase(True, witness, bound=bound, variance=var)

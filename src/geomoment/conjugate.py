@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import NoConvergenceError
-from .geometry import Shape, as_cloud
+from .geometry import Shape, _frame, _unframe, as_cloud
 from .lp import LpProblem, LpStatus, solve_lp
 
 
@@ -23,7 +23,8 @@ def phi(shape, x):
         shape = Shape.cloud(as_cloud(shape))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if shape.contains(x):
-        return -float(x @ x)
+        y, s = _frame(x, 0.0)
+        return -_unframe(y @ y, s, 2)
     return math.inf
 
 
@@ -54,29 +55,13 @@ def envelope_lp(cloud, x):
     return sol
 
 
-def scaled_envelope_lp(points, x):
-    """:func:`envelope_lp` at x, solved on the points and x divided by s, a
-    power of two near the points' largest |coordinate| (1 when every one is
-    0): (solution, s).
-
-    The division is exact, and the LP's absolute tolerances see a cloud of
-    unit size, so its answers do not depend on the scale of the cloud.  The
-    value at x is s^2 times the solution's value, the weights are the
-    solution's own, and a separating certificate (u, c) maps back to
-    (u, s c).  x must lie within twice the points' largest |coordinate|,
-    so that x / s stays below 2.
-    """
-    s = math.ldexp(1.0, math.frexp(float(np.abs(points).max()))[1])
-    return envelope_lp(points / s, x / s), s
-
-
 def biconjugate_at(cloud, x):
     """Convex envelope of phi over the cloud, evaluated at x.
 
-    The value of :func:`envelope_lp` at x, solved at unit scale
-    (:func:`scaled_envelope_lp`); +inf when x lies outside the convex hull
-    of the atoms, without a solve when a coordinate of x exceeds twice the
-    atoms' largest |coordinate|.
+    The value of :func:`envelope_lp` at x, solved in the atoms' frame
+    about the origin (:func:`geometry._frame`); +inf when x lies outside
+    the convex hull of the atoms, without a solve when a coordinate of x
+    exceeds twice the atoms' largest |coordinate|.
     """
     cloud = as_cloud(cloud)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -84,10 +69,11 @@ def biconjugate_at(cloud, x):
         raise ValueError(f"point has dimension {x.size}, cloud has {cloud.dim}")
     if float(np.abs(x).max()) > 2.0 * float(np.abs(cloud.points).max()):
         return math.inf
-    sol, s = scaled_envelope_lp(cloud.points, x)
+    Y, s = _frame(cloud.points, 0.0)
+    sol = envelope_lp(Y, x / s)
     if sol.status is LpStatus.INFEASIBLE:
         return math.inf
-    return sol.value * s * s
+    return _unframe(sol.value, s, 2)
 
 
 def translated_biconjugate_zero(cloud, w):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError, ParseError
-from .geometry import as_cloud, min_enclosing_ball
+from .geometry import _frame, _unframe, as_cloud, min_enclosing_ball
 from .lp import LpProblem, LpStatus, solve_lp
 
 DEFAULT_TOL_CLOSED = 1e-8
@@ -266,15 +266,15 @@ def chebyshev_level(cloud, cost, tol=None):
     Since v is nondecreasing, min_z max_i v(|x_i - z|) = v(R) for the
     smallest enclosing ball (radius R), attained at its center z: the
     returned level is the cost that z actually attains.  The ball is solved
-    once, on the cloud recentred on its mean (:func:`min_enclosing_ball`),
-    and its loop stops on the ball's optimality condition: the center's
-    affine weights w on points of the sphere are nonnegative.  That
-    measure, the ball's dual, certifies the level from below, because every
+    once, on the cloud recentred on its mean, and its loop stops when the
+    center's affine weights w on points of the sphere are nonnegative.
+    That measure, the ball's dual, certifies the level from below: every
     center has max_i |x_i - z|^2 >= sum w_i |x_i - z|^2 >= var(w), and
     var(w) = R^2 up to rounding; a certified bracket [v(sqrt(var(w))),
     lambda = v(r)] wider than ``tol`` plus the rounding of lambda,
-    v(r + 8 eps (r + max|x_i|)) - v(r), raises NoConvergenceError.  No LP
-    is solved.  The cloud may be a PointCloud or a raw (N, n) array.
+    v(r + 8 eps (r + max|x_i|)) - v(r), raises NoConvergenceError, and a
+    var(w) or lambda that is not a finite float ValueError.  No LP is
+    solved.  The cloud may be a PointCloud or a raw (N, n) array.
     """
     if tol is None:
         tol = DEFAULT_TOL_ITER
@@ -285,13 +285,14 @@ def chebyshev_level(cloud, cost, tol=None):
     Q = P - shift
     ball = min_enclosing_ball(Q)
     z = ball.center + shift
-    r = float(np.linalg.norm(P - z, axis=1).max())
-    lam = float(cost(r))
-    X = Q[ball.support]
-    D = X - ball.weights @ X
-    lower = float(cost(math.sqrt(ball.weights @ (D * D).sum(axis=1))))
-    # a few ulps of r and of the coordinates, through v
-    rounding = float(cost(r + 8.0 * EPS * (r + float(np.abs(P).max())))) - lam
+    D, s = _frame(P, z)
+    r = _unframe(np.linalg.norm(D, axis=1).max(), s, 1)
+    D, s = _frame(Q[ball.support], ball.weights @ Q[ball.support])
+    with np.errstate(over="ignore"):  # v overflows to inf, which lambda is checked for
+        lower = float(cost(math.sqrt(_unframe(ball.weights @ (D * D).sum(axis=1), s, 2))))
+        lam = _unframe(cost(r))
+        # a few ulps of r and of the coordinates, through v
+        rounding = float(cost(r + 8.0 * EPS * (r + float(np.abs(P).max())))) - lam
     if lam - lower > tol + rounding:
         raise NoConvergenceError(
             f"minimax level bracket [{lower}, {lam}] is wider than tol={tol}",
@@ -316,7 +317,7 @@ def _weiszfeld(P, w, tol, max_iters=5000):
     for _ in range(max_iters):
         d = np.linalg.norm(P - z, axis=1)
         j = int(np.argmin(d))
-        if d[j] < collision:
+        if d[j] <= collision:
             mask = np.arange(P.shape[0]) != j
             dm = d[mask]
             if not mask.any() or not (dm > 0).all():
@@ -346,7 +347,9 @@ def generalized_variance(measure, cost, tol=None):
 
     Quadratic cost: exact (center is the mean, value the variance).
     First-power cost: Weiszfeld with an atom-collision safeguard.  Other
-    costs: cutting planes with a two-sided certificate.
+    costs: cutting planes with a two-sided certificate.  Those work in the
+    atoms' units: ValueError if their bounding box's squared diagonal, or
+    the cost there, is no finite float.
     """
     if tol is None:
         tol = DEFAULT_TOL_CLOSED if (cost.kind == "power" and cost.p == 2) else DEFAULT_TOL_ITER
@@ -355,6 +358,9 @@ def generalized_variance(measure, cost, tol=None):
     P, w = measure.support()
     n = P.shape[1]
     unique = cost.strictly_convex or P.shape[0] == 1
+    Y, s = _frame(P.max(axis=0), P.min(axis=0))
+    with np.errstate(over="ignore"):
+        _unframe(cost(math.sqrt(_unframe(Y @ Y, s, 2))))
 
     if cost.kind == "power" and cost.p == 2:
         z = w @ P

@@ -82,6 +82,37 @@ def _as_points(cloud):
     return P
 
 
+def _frame(P, origin):
+    """(P - origin) / s and s, the power of two above the offsets' largest
+    |coordinate| (1 if all are 0, at most 2^1023); the division is exact, so
+    answers scaled back (:func:`_unframe`) are P's where its squares are normal."""
+    with np.errstate(over="ignore"):
+        Y = P - origin
+    top = float(np.abs(Y).max())
+    if not top < math.inf:  # nan fails too
+        raise ValueError("the points' offsets from their origin are not finite")
+    s = math.ldexp(1.0, min(math.frexp(top)[1], 1023))
+    return Y / s, s
+
+
+def _unframe(value, s=1.0, p=0):
+    """value s^p, an answer of degree p (1 for a length, 2 for a variance)
+    computed in a frame of scale s; ValueError if it is no finite float."""
+    out = float(value)
+    for _ in range(p):
+        out *= s
+    if not math.isfinite(out):
+        raise ValueError(f"the answer is not representable: it reads {out!r}")
+    return out
+
+
+def _rounding(P):
+    """16 eps times the largest norm of the points P, measured in a frame:
+    the rounding of a distance computed from their coordinates."""
+    Z, s = _frame(P, 0.0)
+    return _unframe(16.0 * np.finfo(float).eps * np.linalg.norm(Z, axis=1).max(), s, 1)
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed ball with center q and radius R >= 0.
@@ -111,9 +142,9 @@ class Ball:
             raise ValueError("support and weights come together, one weight per index")
 
     def contains(self, points, tol=0.0):
-        d = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
+        d, s = _frame(np.atleast_2d(np.asarray(points, dtype=float)), self.center)
         # np.linalg.norm's arithmetic for real input, without its dispatch
-        return bool((np.sqrt(np.add.reduce(d * d, axis=1)) <= self.radius + tol).all())
+        return bool((np.sqrt(np.add.reduce(d * d, axis=1)) <= (self.radius + tol) / s).all())
 
 
 @dataclass(frozen=True)
@@ -227,11 +258,9 @@ class Shape:
 
     def contains(self, x, tol=CONTAIN_TOL):
         """Closed membership; curved boundaries get a relative tolerance,
-        polytopes are exact.  A cloud contains its atoms: the points within
-        ``tol`` times the cloud's spread (the largest distance of an atom
-        from the atoms' mean) of one, plus 16 eps times the largest atom
-        norm for the rounding of the coordinates, so the match does not
-        depend on the cloud's scale or offset."""
+        polytopes are exact.  A cloud contains the points within ``tol``
+        times its spread (the largest distance of an atom from their mean)
+        of an atom, plus the coordinates' rounding (:func:`_rounding`)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size != self.dim:
             raise ValueError(f"point has dimension {x.size}, shape has {self.dim}")
@@ -239,8 +268,8 @@ class Shape:
         if self.kind == self.INTERVAL:
             return bool(p["k_lo"] <= x[0] <= p["k_hi"])
         if self.kind == self.BALL:
-            r = p["radius"]
-            return bool(np.linalg.norm(x) <= r * (1 + tol))
+            y, s = _frame(x, 0.0)
+            return bool(np.linalg.norm(y) <= p["radius"] * (1 + tol) / s)
         if self.kind == self.ELLIPSE:
             q = (x[0] / p["a"]) ** 2 + (x[1] / p["b"]) ** 2
             return bool(q <= 1 + tol)
@@ -249,22 +278,22 @@ class Shape:
         if self.kind == self.DIAMOND:
             return bool(abs(x[0]) / p["a1"] + abs(x[1]) / p["a2"] <= 1)
         pts = p["cloud"].points
-        spread = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
-        rnd = 16.0 * np.finfo(float).eps * float(np.linalg.norm(pts, axis=1).max())
-        return bool(np.min(np.linalg.norm(pts - x, axis=1)) <= tol * spread + rnd)
+        (y, s), (d, t) = _frame(pts, pts.mean(axis=0)), _frame(pts, x)
+        return bool(t * float(np.linalg.norm(d, axis=1).min())
+                    <= tol * s * float(np.linalg.norm(y, axis=1).max()) + _rounding(pts))
 
 
 def diameter(cloud):
     """Largest pairwise Euclidean distance; 0 for a singleton.
 
-    The cloud is recentred on its mean first, so that the Gram identity
-    |x - y|^2 = |x|^2 + |y|^2 - 2 x.y does not cancel far from the origin.
+    Measured in the frame of the mean (:func:`_frame`), where the Gram
+    identity |x - y|^2 = |x|^2 + |y|^2 - 2 x.y neither cancels nor overflows.
     """
     P = _as_points(cloud)
     N = P.shape[0]
     if N == 1:
         return 0.0
-    P = P - P.mean(axis=0)
+    P, s = _frame(P, P.mean(axis=0))
     sq = (P * P).sum(axis=1)
     best = 0.0
     step = max(1, int(2e6 / max(N, 1)))
@@ -272,7 +301,7 @@ def diameter(cloud):
         blk = P[i0:i0 + step]
         d2 = sq[i0:i0 + step, None] + sq[None, :] - 2.0 * (blk @ P.T)
         best = max(best, float(d2.max()))
-    return math.sqrt(max(best, 0.0))
+    return _unframe(math.sqrt(max(best, 0.0)), s, 1)
 
 
 def jung_radius(n):
@@ -413,9 +442,10 @@ def min_enclosing_ball(cloud):
 
     The loop of Fischer, Gärtner and Kutz ("Fast Smallest-Enclosing-Ball
     Computation in High Dimensions", ESA 2003); nothing is random.  On the
-    cloud recentred on its mean, it keeps a center c and a support T of
-    affinely independent points at one distance r from c, such that B(c, r)
-    contains the cloud; it starts at the mean with T the farthest point.
+    cloud in the frame of its mean (:func:`_frame`), it keeps a center c
+    and a support T of affinely independent points at one distance r from
+    c, such that B(c, r) contains the cloud; it starts at the mean with T
+    the farthest point.
     While |T| <= dim and c lies off the affine hull of T by more than
     RANK_TOL r, c walks toward its projection onto the hull, which keeps T
     on the shrinking sphere, until a vectorized ratio test finds the first
@@ -428,22 +458,15 @@ def min_enclosing_ball(cloud):
     distance from its mean: a point that rounding let out (one too near the
     hull of T to stop a walk) starts T afresh.  A loop still running after
     64 (dim + 1) rounds raises NoConvergenceError.  The radius returned is
-    the largest distance from the center to a point of the cloud, measured
-    on the original points, so the ball contains the cloud.
+    the largest distance from the center to an original point, so the ball
+    contains the cloud.
 
     The ball carries ``support``, the indices of T, and ``weights``, the
     center's affine weights on them, nonnegative where the loop stops and
     never clipped: a measure on the sphere with the center as barycenter,
     whose variance R^2 certifies the radius from below, the variance
     maximizer over measures on the cloud.  A singleton gives support [0]
-    with weight 1.
-
-    Empty, ragged or non-finite input raises ValueError, as PointCloud
-    does, and so does a cloud whose squared spread is not representable:
-    one where 64 n times the largest squared coordinate of a point's offset
-    from the mean overflows.  That bounds the squared spread with the
-    margin the loop needs, since no square it forms exceeds 20 times the
-    squared spread, and the check runs before any square is formed.
+    with weight 1.  Bad input raises ValueError, as PointCloud does.
     """
     P = _as_points(cloud)
     N, n = P.shape
@@ -452,10 +475,7 @@ def min_enclosing_ball(cloud):
     # P.mean's arithmetic, without its dispatch: np.add.reduce is
     # ndarray.sum's own ufunc, in its order, without the Python-level wrapper
     mean = np.add.reduce(P, axis=0) / N
-    Q = P - mean
-    top = float(np.abs(Q).max())
-    if not 64.0 * n * top * top < math.inf:  # checked before any square is formed
-        raise ValueError("point cloud is too spread out to square its distances")
+    Q, s = _frame(P, mean)
     spread2 = float(np.add.reduce(Q * Q, axis=1).max())
     span, c, f = _Span(Q), np.zeros(n), None  # f: c's steps along V once c is on the hull
     for _ in range(64 * (n + 1)):
@@ -491,28 +511,25 @@ def min_enclosing_ball(cloud):
         lam, f = span.weights(f), None
         low = min(lam)
         if low >= 0.0:
-            c = c + mean
-            D = P - c
-            return Ball(c, math.sqrt(np.add.reduce(D * D, axis=1).max()), span.rows, lam)
+            c = c * s + mean
+            D = (P - c) / s  # c is in the cloud's hull: no offset exceeds 2 s
+            r = _unframe(math.sqrt(np.add.reduce(D * D, axis=1).max()), s, 1)
+            return Ball(c, r, span.rows, lam)
         span.drop(lam.index(low))
     raise NoConvergenceError(
         f"enclosing-ball loop did not stop within {64 * (n + 1)} rounds")
 
 
 def meb_support(cloud, ball, tol=None):
-    """Indices of cloud points on the boundary sphere of ``ball``.
-
-    ``tol`` defaults to 1e-9 R plus 16 eps max_i |x_i|: relative to the
-    radius, with a floor at the rounding of a distance computed from the
-    coordinates (at most 1.4 eps max_i |x_i| on regular simplices far from
-    the origin), so neither a small cloud nor a far one changes the answer.
+    """Indices of cloud points on the boundary sphere of ``ball``, within
+    ``tol`` of it: by default 1e-9 R plus the coordinates' rounding
+    (:func:`_rounding`), so neither a small cloud nor a far one changes it.
     """
     P = _as_points(cloud)
     if tol is None:
-        scale = float(np.linalg.norm(P, axis=1).max())
-        tol = 1e-9 * ball.radius + 16.0 * np.finfo(float).eps * scale
-    d = np.linalg.norm(P - ball.center, axis=1)
-    return np.nonzero(np.abs(d - ball.radius) <= tol)[0]
+        tol = 1e-9 * ball.radius + _rounding(P)
+    d, s = _frame(P, ball.center)
+    return np.nonzero(np.abs(np.linalg.norm(d, axis=1) - ball.radius / s) <= tol / s)[0]
 
 
 def regular_simplex(n, d=1.0, center=None):

@@ -13,8 +13,8 @@ import numpy as np
 from .bounds import AtomicMeasure
 from .errors import DomainError, NoConvergenceError
 from .genvar import RadialCost
-from .geometry import (CONTAIN_TOL, RANK_TOL, Ball, _dot, _Span, as_cloud, diameter,
-                       jung_radius, meb_support, min_enclosing_ball, regular_simplex)
+from .geometry import (CONTAIN_TOL, RANK_TOL, Ball, _dot, _frame, _Span, _unframe, as_cloud,
+                       diameter, jung_radius, meb_support, min_enclosing_ball, regular_simplex)
 from .lp import hull_membership
 
 WEIGHT_FLOOR = 1e-12
@@ -96,10 +96,11 @@ class JungReport:
 
 def isodiametric_bound(n, d, cost=None):
     """Sharp upper bound v(r_n * d) on the recentered moment of any
-    measure whose support has diameter at most d."""
+    measure whose support has diameter at most d; ValueError if not finite."""
     if cost is None:
         cost = RadialCost.power(2)
-    return float(cost(jung_radius(n) * d))
+    with np.errstate(over="ignore"):
+        return _unframe(cost(jung_radius(n) * d))
 
 
 def simplex_maximizer(n, d):
@@ -152,13 +153,14 @@ def _weights_at_atoms(atoms, ball, cost):
     moment above v(R), and weights on the ball's sphere whose barycenter
     is c attain it for every convex increasing radial cost v: their cost
     gradient at c, the sum of w_i v'(R) (c - x_i) / R, vanishes, so c is
-    their center.  The weights are the ball's own dual (its ``weights`` on
-    its ``support``, zero elsewhere), and the value is
-    sum w_i v(|x_i - c|).
+    their center.  The weights are the ball's own dual (zero off its
+    support), and the value, sum w_i v(|x_i - c|), is inf or nan on overflow.
     """
     w = np.zeros(len(atoms))
     w[ball.support] = ball.weights
-    return w, float(w @ cost(np.linalg.norm(atoms - ball.center, axis=1)))
+    D, s = _frame(atoms, ball.center)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w, float(w @ cost(s * np.linalg.norm(D, axis=1)))
 
 
 def _sq_dists(rows, c):
@@ -379,45 +381,39 @@ def _finish(rows, first, R, d):
 def _search_one(config, restart):
     """One restart: ascend the enclosing-ball radius of the configuration
     under the diameter cap (boundary atoms step outward, worst pairs get
-    pulled back together), then weight the final atoms on the final
-    ball's sphere.  The radius level v(R) is exactly the largest
-    recentered moment any measure on the atoms can achieve, so it is the
-    search objective, and the restart's value is read off the ball the
-    ascent ends with (:func:`_weights_at_atoms`): no second ball and no
-    inner minimization.
+    pulled back together), then read the restart's value off the ball the
+    ascent ends with (:func:`_weights_at_atoms`).  The radius level v(R) is
+    exactly the largest recentered moment any measure on the atoms can
+    achieve, so no second ball and no inner minimization run.
 
-    Each step's enclosing ball is guessed to have the support of the
-    previous ball plus the atoms the step pushed outward (``first``), and
-    :func:`_guess_ball` certifies the guess by the duality of the moment
-    problem, the test that ends :func:`min_enclosing_ball`'s loop too.
-    Every step follows one rule: the certified ball if there is one, else
-    ``min_enclosing_ball(cand)``, and the step is taken if its radius
-    grows by more than 1e-15 d.  The ball is unique, so the certificate
-    changes only its rounding.  Only the projection works on arrays: each
-    candidate is converted to lists once, and the guess, the radius test
-    and the next state's :func:`_outward` run in plain floats.  A
-    :class:`Ball` is built only by :func:`min_enclosing_ball`, for the
-    first ball and the guesses that fail, and once at the end.
+    Each step's ball is guessed to have the previous ball's support plus
+    the atoms the step pushed outward (``first``), and :func:`_guess_ball`
+    certifies the guess by the duality of the moment problem, the test that
+    ends :func:`min_enclosing_ball`'s loop too.  Every step takes the
+    certified ball if there is one, else ``min_enclosing_ball(cand)``, and
+    is taken if its radius grows by more than 1e-15 d.  The ball is unique,
+    so the certificate changes only its rounding.  Only the projection
+    works on arrays: each candidate is converted to lists once, and the
+    guess, the radius test and :func:`_outward` run in plain floats.
 
     A rejected step changes neither the atoms nor the ball, so each state's
     boundary atoms, outward directions, support guess, stop and finish are
-    computed once, when it is accepted, and serve all of its halvings.  A
-    state whose sphere holds a near-regular k-simplex first tries its
-    :func:`_finish`, as one iteration that is projected and tested like a
-    step, with the lifted atom added to the support guess, and, if
-    rejected, leaves the step as it is.  For k < n the finish lifts the
-    restart off the stationary k-simplex, where steps alone stall, to a
-    (k + 1)-simplex; for k = n it closes in one iteration the gap that
-    halving steps would crawl.  Where the Jung stop holds (R at least
-    :func:`_jung_floor`), every step would be rejected, so the restart
-    halves to the floor without taking them and converges exactly when
-    those halvings fit within ``max_iters``.  The first step is d / 4, each
-    rejected step halves it, and a restart converges when it falls below
-    1e-9 d.  Every tolerance is relative to d + R (or to d), so the search
-    does not depend on the scale of the diameter cap.
+    computed once, when it is accepted.  A state whose sphere holds a
+    near-regular k-simplex first tries its :func:`_finish`, projected and
+    tested like a step, with the lifted atom added to the support guess:
+    for k < n it lifts the restart off the stationary k-simplex, where
+    steps alone stall, and for k = n it closes the gap that halving steps
+    would crawl.  Where the Jung stop holds (R at least :func:`_jung_floor`)
+    every step would be rejected, so the restart halves to the floor
+    without taking them and converges exactly when those halvings fit
+    within ``max_iters``.  The first step is d / 4, each rejected step
+    halves it, and a restart converges when it falls below 1e-9 d.  Every
+    tolerance is relative to d + R (or to d), and the ascent runs on d's
+    frame (:func:`geometry._frame`), scaling its atoms and ball back.
     """
     rng = np.random.default_rng(config.seed + restart)
-    n, N, d, cost = config.n, config.atom_count, config.d, config.cost
+    s = _frame(np.array([config.d]), 0.0)[1]
+    n, N, d, cost = config.n, config.atom_count, config.d / s, config.cost
 
     atoms = _project_diameter(rng.uniform(-0.5 * d, 0.5 * d, (N, n)), d)
     rows = atoms.tolist()
@@ -458,7 +454,8 @@ def _search_one(config, restart):
         if step < step_floor:
             converged = True
             break
-    w, val = _weights_at_atoms(atoms, Ball(c, R, support, lam), cost)
+    atoms = atoms * s
+    w, val = _weights_at_atoms(atoms, Ball(np.multiply(c, s), R * s, support, lam), cost)
     return atoms, w, val, converged
 
 
@@ -471,13 +468,14 @@ def search_max(config):
     Values within 1e-12 relative of the largest tie, and the first restart
     among them wins: restarts that end at the bound agree to a few ulps,
     and another numpy/BLAS build rounds the ascent differently by as much.
+    A value that is no finite float raises ValueError.
     """
     t0 = time.perf_counter()
     per_restart, ends = [], []
     converged_count = 0
     for r in range(config.restarts):
         atoms, w, val, converged = _search_one(config, r)
-        per_restart.append(val)
+        per_restart.append(_unframe(val))
         ends.append((atoms, w))
         converged_count += bool(converged)
     if converged_count == 0:
@@ -492,9 +490,9 @@ def search_max(config):
     measure = AtomicMeasure(atoms[keep], w[keep] / w[keep].sum())
     # the atoms' distances as the projection reads them: the Gram identity
     # of geometry.diameter reads sides left at d one ulp above it
-    support, _ = measure.support()
+    support, s = _frame(measure.support()[0], 0.0)
     diff = support[:, None, :] - support[None, :, :]
-    residual = max(0.0, float(np.sqrt(np.add.reduce(diff * diff, axis=2)).max()) - config.d)
+    residual = max(0.0, s * float(np.sqrt(np.add.reduce(diff * diff, axis=2)).max()) - config.d)
     return SearchResult(measure, val, per_restart, residual,
                         converged_count, time.perf_counter() - t0)
 
@@ -600,13 +598,12 @@ def tension_check(points, r, tol=1e-9):
 def jung_verify(cloud, tol=1e-7):
     """Check the enclosing-ball radius against r_n times the diameter.
 
-    ``tight`` means the ratio is attained within ``tol``, relative: the
-    radius is at least (1 - tol) times the bound.  In that case the report
-    tries to extract n+1 atoms forming a simplex at the diameter.  ``ok``
-    allows the radius 1e-9 of the bound above it, the extraction takes the
-    points within ``tol`` times the radius of the sphere and clusters them
-    at max(1e-3, 10 tol) times the diameter, so no answer depends on the
-    scale of the cloud.
+    ``tight`` means the radius is at least (1 - tol) times the bound; then
+    the report tries to extract n+1 atoms forming a simplex at the
+    diameter.  ``ok`` allows the radius 1e-9 of the bound above it, the
+    extraction takes the points within ``tol`` times the radius of the
+    sphere and clusters them, in a frame, at max(1e-3, 10 tol) times the
+    diameter, so no answer depends on the scale of the cloud.
     """
     cloud = as_cloud(cloud)
     ball = min_enclosing_ball(cloud)
@@ -619,9 +616,10 @@ def jung_verify(cloud, tol=1e-7):
     extraction_ok = None
     if tight and dia > 0:
         idx = meb_support(cloud, ball, tol=tol * ball.radius)
-        found = _simplex_clusters(cloud.points[idx], n, dia, max(1e-3, 10 * tol) * dia)
+        P, s = _frame(cloud.points[idx], 0.0)
+        found = _simplex_clusters(P, n, dia / s, max(1e-3, 10 * tol) * dia / s)
         extraction_ok = found is not None
         if extraction_ok:
-            simplex_points = found[1]
+            simplex_points = found[1] * s
     return JungReport(ball.radius, bound, bool(ok), bool(tight),
                       simplex_points, extraction_ok)

@@ -31,6 +31,7 @@ from . import _kernel
 from ._kernel import ITERATION_LIMIT, UNBOUNDED
 from ._simplex_py import pivot as _pivot
 from .errors import NoConvergenceError
+from .geometry import _frame
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-8
@@ -267,7 +268,7 @@ def hull_membership(points, target):
     if X.shape[1] != tgt.size:
         raise ValueError(f"target has dimension {tgt.size}, points have {X.shape[1]}")
     N = X.shape[0]
-    D = tgt - X
+    D = -_frame(X, tgt)[0]  # the norms below cannot overflow, and the quotient is the same
     D = D / (np.linalg.norm(D, axis=1).max() or 1.0)  # 1 when every offset is 0
     U, s, _ = np.linalg.svd(D, full_matrices=False)
     span = s > FEAS_TOL * s[0]  # none when every offset is 0

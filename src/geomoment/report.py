@@ -1,9 +1,8 @@
 """Deterministic JSON serialization for reports and data files.
 
 Floats are written with 17 significant digits so that identical inputs
-produce byte-identical output and values round-trip exactly.  Non-finite
-floats (which valid reports should not contain) degrade to strings rather
-than producing invalid JSON.
+produce byte-identical output and values round-trip exactly.  A
+non-finite float, which no JSON number holds, raises ValueError.
 """
 
 import json
@@ -13,10 +12,8 @@ import numpy as np
 
 
 def _fmt_float(x):
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
+    if not math.isfinite(x):
+        raise ValueError(f"a report cannot hold the non-finite float {x!r}")
     return format(x, ".17g")
 
 

@@ -341,16 +341,26 @@ def test_equality_case_boundary_mean_indeterminate():
 
 
 def test_bound_on_a_cloud_whose_squares_overflow_raises():
-    # s^2 overflowed at 1e300 and the bound came out nan, silently
+    # s^2 overflowed at 1e300 and the bound came out nan, silently; the
+    # bound is near 1e600, which no float holds
     P = np.random.default_rng(0).normal(size=(10, 2)) * 1e300
-    with pytest.raises(ValueError, match="square its offsets"):
+    with pytest.raises(ValueError, match="not representable"):
         bhatia_davis_bound(Shape.cloud(PointCloud(P)), np.zeros(2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_bound_whose_offsets_from_xbar_overflow_raises():
+    # an offset of -1.8e308 is no float: the frame of xbar refuses it
+    # before any arithmetic can warn
+    with pytest.raises(ValueError, match="offsets from their origin are not finite"):
+        bhatia_davis_bound(PointCloud([[-8e307]]), [1e308])
 
 
 def test_primal_lp_value_on_a_cloud_whose_squares_overflow_raises():
     # primal_lp_value solved its own copy of the bound's envelope LP,
-    # without the bound's overflow check, and returned inf at 1e200
-    with pytest.raises(ValueError, match="square its offsets"):
+    # without the bound's overflow check, and returned inf at 1e200; the
+    # bound is 1e400, which no float holds
+    with pytest.raises(ValueError, match="not representable"):
         primal_lp_value(PointCloud([[1e200], [-1e200]]))
 
 

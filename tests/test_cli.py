@@ -273,17 +273,70 @@ def test_duality_domain_error_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", [["meb"], ["maxvar"], ["jung"],
-                                     ["bound", "--xbar", "0,0", "--cloud"]])
+                                     ["bound", "--xbar", "0,0", "--cloud"], ["duality"]])
 def test_cloud_whose_squares_overflow_exit_2(capsys, tmp_path, command):
     # at 1e300, meb, maxvar and jung died with an IndexError and bound
-    # printed "nan" and exited 0
-    path = tmp_path / "huge.csv"
-    write_cloud_csv(PointCloud(np.random.default_rng(0).normal(size=(10, 2)) * 1e300), path)
+    # printed "nan" and exited 0; then all four exited 2, and duality's
+    # hull test warned of an overflow.  In the frame of the mean meb and
+    # jung print the unit cloud's answer, scaled, while maxvar's variance,
+    # the bound and duality's R^2, near 1e600, are no float: exit 2
+    P = np.random.default_rng(0).normal(size=(10, 2))
+    P -= P.mean(axis=0)  # duality's precondition: the origin inside
+    path, unit = tmp_path / "huge.csv", tmp_path / "unit.csv"
+    write_cloud_csv(PointCloud(P * 1e300), path)
+    write_cloud_csv(PointCloud(P), unit)
     code, out, err = run_cli(capsys, *command, str(path))
-    assert code == 2
     assert "Traceback" not in err
     assert "nan" not in out and "inf" not in out
+    if command[0] in ("maxvar", "bound", "duality"):
+        assert code == 2 and "not representable" in err
+        return
+    assert code == 0
+    _, unit_out, _ = run_cli(capsys, *command, str(unit))
+    got, want = json.loads(out)["outputs"], json.loads(unit_out)["outputs"]
+    assert got["radius"] / 1e300 == pytest.approx(want["radius"], rel=1e-15)
+    if command[0] == "jung":
+        assert got["bound"] / 1e300 == pytest.approx(want["bound"], rel=1e-15)
+        assert (got["ok"], got["tight"]) == (want["ok"], want["tight"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [["--shape", "ball", "--R", "1e200", "--xbar", "5e199,0"],
+                                   ["--shape", "box", "--a", "1e200,1e200", "--xbar", "5e199,0"],
+                                   ["--shape", "interval", "--k=-1e200,1e200", "--xbar", "0"],
+                                   ["--shape", "diamond", "--a", "2e200,1e200", "--xbar", "0,0"]])
+def test_closed_form_bound_that_is_no_float_exit_2(capsys, shape):
+    # at 1e200 the ball printed "nan" with an overflow warning, the box
+    # "nan" and the interval "inf", each with exit 0
+    code, out, err = run_cli(capsys, "bound", *shape)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: the answer is not representable")
+
+
+@pytest.mark.filterwarnings("error")
+def test_chebyshev_level_that_is_no_float_exit_2(capsys, tmp_path):
+    # at 1e150 the cube of the radius overflowed: "lambda":"inf", exit 0
+    path = tmp_path / "huge.csv"
+    write_cloud_csv(PointCloud(np.random.default_rng(0).normal(size=(10, 2)) * 1e150), path)
+    code, out, err = run_cli(capsys, "chebyshev", str(path), "--cost", '{"kind":"power","p":3}')
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: the answer is not representable")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_genvar_on_atoms_whose_squares_overflow_exit_2(capsys, tmp_path, p):
+    # at 1e200, p = 2 printed "value":"inf" with exit 0, p = 1 died with a
+    # TypeError in the cutting planes, and p = 3 called the cut master's
+    # basis singular
+    path = tmp_path / "huge.json"
+    P = np.random.default_rng(0).normal(size=(5, 2)) * 1e200
+    write_measure_json(AtomicMeasure(P, np.full(5, 0.2)), path)
+    code, out, err = run_cli(capsys, "genvar", str(path), "--cost", f'{{"kind":"power","p":{p}}}')
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: the answer is not representable")
 
 
 @pytest.mark.filterwarnings("error")
@@ -298,6 +351,24 @@ def test_cloud_whose_sums_overflow_exit_2(capsys, tmp_path, command):
     assert code == 2
     assert err.startswith("invalid input:") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_isodiametric_at_a_diameter_whose_squares_overflow(capsys):
+    # at d = 1e160 the projection's squared sides overflowed: two warnings,
+    # then exit 2 on "non-finite coordinates".  The ascent runs on d's
+    # frame; v(r_n d) of the first power is a float, its square is not
+    args = ["isodiametric", "--n", "2", "--atoms", "6", "--restarts", "4", "--seed", "7"]
+    p1 = ["--cost", '{"kind":"power","p":1}']
+    values = []
+    for d in (1.0, 1e160):
+        code, out, err = run_cli(capsys, *args, *p1, "--d", repr(d))
+        assert code == 0
+        values.append(json.loads(out)["outputs"]["best_value"] / d)
+    assert values[1] == pytest.approx(values[0], rel=1e-12)
+    code, out, err = run_cli(capsys, *args, "--d", "1e160")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: the answer is not representable")
 
 
 def test_isodiametric_deterministic_and_csv(capsys, tmp_path):

@@ -15,6 +15,20 @@ def test_phi_outside_interval_is_inf():
     assert math.isinf(phi(Shape.interval(0.0, 1.0), [2.0]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_phi_far_from_the_origin():
+    # |x|^2 overflowed at 5e199: the ball read its interior point as
+    # outside, and phi returned +inf for it.  Its -|x|^2 is no float, so phi
+    # raises; a cloud at that scale contains its atoms
+    ball = Shape.ball(1e200)
+    assert ball.contains([5e199, 0.0]) and not ball.contains([1.1e200, 0.0])
+    with pytest.raises(ValueError, match="not representable"):
+        phi(ball, [5e199, 0.0])
+    cloud = Shape.cloud(PointCloud([[1e200, 0.0], [0.0, -1e200]]))
+    assert cloud.contains([1e200, 0.0]) and not cloud.contains([0.0, 0.0])
+    assert math.isinf(phi(cloud, [0.0, 0.0]))
+
+
 def test_phi_cloud_non_atom_is_inf():
     assert math.isinf(phi(PointCloud([-1.0, 1.0]), [0.0]))
     assert phi(PointCloud([-1.0, 1.0]), [1.0]) == pytest.approx(-1.0)

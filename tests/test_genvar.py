@@ -115,6 +115,18 @@ def test_weiszfeld_atom_collision():
     assert res.value == pytest.approx(0.4, abs=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [0.0, 3.0])
+def test_weiszfeld_on_atoms_at_one_point(x):
+    # at the origin the collision floor is 0, and an iterate at distance 0
+    # from every atom divided 0 by 0: a warning, which the CLI fuzz found.
+    # An atom at distance 0 is met, so all the mass is at one location
+    mu = AtomicMeasure(np.full((3, 2), x), [0.2, 0.3, 0.5])
+    res = generalized_variance(mu, RadialCost.power(1))
+    assert res.converged and res.value == 0.0
+    assert res.center.tolist() == [x, x]
+
+
 def test_chebyshev_quadratic_matches_enclosing_ball():
     rng = np.random.default_rng(5)
     for trial in range(100):

@@ -232,12 +232,16 @@ def test_meb_at_scales_whose_fourth_power_overflows(scale):
         assert min_enclosing_ball(P * scale).radius / scale == pytest.approx(radius, rel=1e-15)
 
 
-def test_meb_rejects_a_cloud_whose_squares_overflow():
-    # at 1e300 the squared distances overflow: this used to warn, then fail
-    # with an IndexError on an empty span
-    P = np.random.default_rng(0).normal(size=(10, 2)) * 1e300
-    with pytest.raises(ValueError, match="too spread out"):
-        min_enclosing_ball(P)
+def test_meb_at_a_scale_whose_squares_overflow():
+    # at 1e300 the squared distances overflowed: this warned, then failed
+    # with an IndexError on an empty span, and then the cloud was rejected
+    # as too spread out.  In the frame of its mean no square overflows, and
+    # the ball is the unit cloud's, scaled
+    P = np.random.default_rng(0).normal(size=(10, 2))
+    ball, huge = min_enclosing_ball(P), min_enclosing_ball(P * 1e300)
+    assert huge.radius / 1e300 == pytest.approx(ball.radius, rel=1e-15)
+    assert np.allclose(huge.center / 1e300, ball.center, rtol=0, atol=1e-15)
+    assert huge.support == ball.support
 
 
 def test_meb_near_sphere_high_dim_is_fast():

@@ -300,11 +300,14 @@ def test_jung_verdicts_do_not_depend_on_scale():
             assert (rep.ok, rep.tight, rep.extraction_ok) == verdict
 
 
-@pytest.mark.parametrize("p, d", [(1, 1e-6), (1, 1e6), (2, 1e-6), (2, 1e6), (3, 1e-6), (3, 1e6)])
+@pytest.mark.parametrize("p, d", [(1, 1e-6), (1, 1e6), (2, 1e-6), (2, 1e6), (3, 1e-6), (3, 1e6),
+                                  (1, 1e-150), (1, 1e160), (2, 1e-150), (2, 1e150)])
 def test_search_scale_invariant(p, d):
     # every tolerance of the search is relative to the diameter cap, and
     # the sphere's offsets to its radius; at d = 1e-6 the absolute ones
-    # used to change the restarts' values (power(3): all of them read 0)
+    # used to change the restarts' values (power(3): all of them read 0).
+    # The ascent runs on d's power-of-two frame, so its squares neither
+    # overflow at d = 1e160 nor underflow at 1e-150
     cost = RadialCost.power(p)
 
     def ratios(dd):

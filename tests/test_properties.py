@@ -9,7 +9,10 @@ slack of 1e-12 s D plus a few eps |t|.  The support set and the duality
 gap are exact statements only while that rounding is small against the
 spread, so their offsets are also held to 1e8 times the spread, where it
 is 2e-8 of it.  The minimax level v(R) of a power cost t^p moves by at
-most p (s R + slack)^(p-1) times the radius's slack.
+most p (s R + slack)^(p-1) times the radius's slack.  Every routine that
+solves in a power-of-two frame is also run at scales from 1e-150 to
+1e150, where its squares would overflow or lose digits to underflow
+without the frame.
 """
 
 import math
@@ -24,7 +27,7 @@ from geomoment import (PointCloud, RadialCost, bhatia_davis_bound,  # noqa: E402
                        biconjugate_at, chebyshev_level, diameter, duality_gap,
                        max_variance, meb_support, min_enclosing_ball,
                        primal_lp_value, regular_simplex,
-                       translated_biconjugate_zero)
+                       translated_biconjugate_zero, zero_mean_dual_center)
 from geomoment.isodiametric import _guess_ball  # noqa: E402
 
 EPS = np.finfo(float).eps
@@ -98,11 +101,12 @@ def test_min_enclosing_ball_invariant_high_dim(placed):
 
 
 @SETTINGS
-@given(placements(max_ratio=MAX_RATIO), st.integers(0, 8))
+@given(st.one_of(placements(max_ratio=MAX_RATIO),
+                 placements(max_ratio=1e5, scales=(-150.0, 150.0))), st.integers(0, 8))
 def test_meb_support_invariant(placed, interior):
     # a regular simplex, turned at random, with points inside its
     # circumball, down to 1e-4 R from its sphere: the support is exactly
-    # the n + 1 vertices
+    # the n + 1 vertices, at scales from 1e-150 to 1e150 too
     rng, n, s, t = placed
     V = regular_simplex(n, 1.0).vertices @ _rotation(rng, n)
     R = np.linalg.norm(V[0])
@@ -182,3 +186,57 @@ def test_envelope_values_scale(placed):
         assert abs(value(s * P, s) / s ** 2 - v0) <= 1e-9 * abs(v0)
     R = min_enclosing_ball(P).radius
     assert duality_gap(s * P) <= 1e-9 * (s * R) ** 2
+
+
+def _close(got, want, rel=1e-9):
+    return abs(got - want) <= rel * abs(want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(placements(max_ratio=1e5, scales=(-150.0, 150.0)))
+def test_answers_scale_to_the_limits_of_double_precision(placed):
+    # each routine works on the cloud in a power-of-two frame
+    # (geometry._frame), so its answer scales as s or s^2 however far s is
+    # from 1: up to the rounding of the placed coordinates, eps |t| with
+    # |t| at most 1e5 times the spread, every answer is within 1e-9 of the
+    # unit cloud's, scaled
+    rng, n, s, t = placed
+    P = rng.normal(size=(int(rng.integers(n + 2, 25)), n))
+    P -= P.mean(axis=0)
+    Q = s * P + t
+    assert _close(diameter(Q), s * diameter(P))
+    b0, b1 = min_enclosing_ball(P), min_enclosing_ball(Q)
+    assert _close(b1.radius, s * b0.radius)
+    assert np.linalg.norm(b1.center - (s * b0.center + t)) <= 1e-9 * s * b0.radius
+    rep0, rep1 = max_variance(P), max_variance(Q)
+    assert _close(rep1.dual_value, s * s * rep0.dual_value)
+    assert rep1.gap <= 1e-9 * rep1.dual_value
+    for p in (1, 2):
+        cost = RadialCost.power(p)
+        lam0, _ = chebyshev_level(P, cost)
+        lam1, _ = chebyshev_level(Q, cost, tol=1e-6 * (s * b0.radius) ** p)
+        assert _close(lam1, s ** p * lam0)
+    w = rng.dirichlet(np.ones(len(P)))
+    assert _close(bhatia_davis_bound(Q, w @ Q), s * s * bhatia_davis_bound(P, w @ P))
+    # the origin is part of these answers: the cloud is only scaled
+    x = rng.dirichlet(np.ones(len(P))) @ P
+    assert _close(primal_lp_value(s * P), s * s * primal_lp_value(P))
+    assert _close(biconjugate_at(s * P, s * x), s * s * biconjugate_at(P, x))
+    q0, v0 = zero_mean_dual_center(P)
+    q1, v1 = zero_mean_dual_center(s * P)
+    assert _close(v1, s * s * v0) and np.linalg.norm(q1 - s * q0) <= 1e-9 * s * b0.radius
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e100])
+def test_zero_mean_dual_center_far_from_unit_scale(s):
+    # its LP ran on the raw coordinates, whose absolute tolerances put the
+    # dual value 13% off at 1e-100 and 1e100; posed in the frame of the
+    # mean it scales as s^2, and its center as s
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        P = rng.normal(size=(int(rng.integers(4, 25)), int(rng.integers(1, 4))))
+        P -= P.mean(axis=0)
+        q0, v0 = zero_mean_dual_center(P)
+        q1, v1 = zero_mean_dual_center(P * s)
+        assert _close(v1 / (s * s), v0, rel=1e-12)
+        assert np.abs(q1 / s - q0).max() <= 1e-12 * np.abs(P).max()

@@ -97,3 +97,37 @@ def test_no_test_patches_the_search_internals():
     assert _search_internals_patched(probe) == [
         ("test_a", "_finish"), ("test_a", "_outward"), ("test_a", "_guess_ball"),
         ("<module>", "_jung_floor")]
+
+
+def _rescalings(tree):
+    """(top-level function, line) for each use of ``frexp`` or ``ldexp`` in
+    a module's tree, as a name or an attribute (``math.frexp``, ``np.ldexp``);
+    one outside any function is reported under "<module>"."""
+    found = []
+    for stmt in tree.body:
+        where = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for node in ast.walk(stmt):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("frexp", "ldexp") and isinstance(node, (ast.Name, ast.Attribute)):
+                found.append((where, node.lineno))
+            elif isinstance(node, ast.alias) and node.name.rpartition(".")[2] in ("frexp", "ldexp"):
+                found.append((where, stmt.lineno))
+    return found
+
+
+def test_only_the_frame_rescales():
+    # geometry._frame picks the one power of two every scale-free routine
+    # divides by; a routine that picks its own would grow back the
+    # per-routine rescaling the frame replaced
+    modules = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    found = []
+    for name in modules:
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        found += [(name, where) for where, _ in _rescalings(tree)]
+    assert set(found) == {("geometry.py", "_frame")}
+    # the check sees names, attributes and imports, at module level too
+    probe = ast.parse("from math import frexp\n"
+                      "def f(x):\n    return math.ldexp(1.0, np.frexp(x)[1])\n"
+                      "def g(x):\n    return ldexp(x, 2) + x.real\n")
+    assert _rescalings(probe) == [("<module>", 1), ("f", 3), ("f", 3), ("g", 5)]
