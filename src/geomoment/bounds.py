@@ -108,10 +108,12 @@ def bd_1d(k_lo, k_hi, xbar):
 
 
 def popoviciu(k_lo, k_hi):
-    """Range-only variance bound (k_hi - k_lo)^2 / 4."""
+    """Range-only variance bound (k_hi - k_lo)^2 / 4; ValueError if it is
+    no finite float."""
     if k_lo > k_hi:
         raise ValueError("k_lo must not exceed k_hi")
-    return 0.25 * (k_hi - k_lo) ** 2
+    (lo, hi), s = _frame(np.array([k_lo, k_hi], dtype=float), 0.0)
+    return _unframe(0.25 * (hi - lo) ** 2, s, 2)
 
 
 def in_hull_interior(points, target):

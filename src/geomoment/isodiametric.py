@@ -294,19 +294,27 @@ def _solve_spd(G, r):
     return y
 
 
-def _finish(rows, first, R, d):
+def _finish(rows, first, R, d, window):
     """The finish of a state near a regular k-simplex: its atoms as a list
     of lists, to be projected and tested as a step's are, with the guess at
     their ball's support; or None.
 
     It applies when the state's sphere holds k + 1 atoms (``first``), 1 <= k
-    <= n, every two of them within 1e-2 d of d apart, and the Jung stop does
-    not hold yet.  Those atoms are the active diameter constraints of an
-    active set (Nocedal and Wright, *Numerical Optimization*, ch. 15-16):
-    Gauss-Newton (ibid., ch. 10) solves |x_i - x_j|^2 = d^2 for every pair
-    of them.  Its steps are least-norm, -J^T (J J^T)^-1 r, so they hold no
-    rigid motion, and it stops once every residual is within 4 eps d^2 of 0,
-    or after eight steps.  Every other atom lies off the sphere with weight
+    <= n, every two of them within ``window`` d of d apart, and the Jung
+    stop does not hold yet.  The search passes a window of 1e-1 at each
+    accepted state, and an infinite one (no side test) once at the step
+    floor: the candidate is tested like any step, so no window can make the
+    search return a wrong value, only spend a step.  A wider window, or
+    the windowless finish on more states, is faster still, but the
+    benchmark's peak RSS grows with its call count (ROADMAP item 1) and
+    reads that as a regression, so neither goes further yet.
+
+    Those atoms are the active diameter constraints of an active set
+    (Nocedal and Wright, *Numerical Optimization*, ch. 15-16): Gauss-Newton
+    (ibid., ch. 10) solves |x_i - x_j|^2 = d^2 for every pair of them.
+    Its steps are least-norm, -J^T (J J^T)^-1 r, so they hold no rigid
+    motion, and it stops once every residual is within 4 eps d^2 of 0, or
+    after eight steps.  Every other atom lies off the sphere with weight
     0 and moves halfway toward the centroid of the k + 1: that keeps it in
     the ball, so the value cannot change, and takes it off the diameter
     pairs that the projection would otherwise pull back on every step.
@@ -329,7 +337,7 @@ def _finish(rows, first, R, d):
     P = [rows[i] for i in first]
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     for a, b in pairs:
-        if not abs(math.sqrt(_sq_dists([P[a]], P[b])[0]) - d) <= 1e-2 * d:
+        if not abs(math.sqrt(_sq_dists([P[a]], P[b])[0]) - d) <= window * d:
             return None
     for _ in range(8):
         E = [[x - y for x, y in zip(P[a], P[b])] for a, b in pairs]
@@ -403,13 +411,18 @@ def _search_one(config, restart):
     tested like a step, with the lifted atom added to the support guess:
     for k < n it lifts the restart off the stationary k-simplex, where
     steps alone stall, and for k = n it closes the gap that halving steps
-    would crawl.  Where the Jung stop holds (R at least :func:`_jung_floor`)
-    every step would be rejected, so the restart halves to the floor
-    without taking them and converges exactly when those halvings fit
-    within ``max_iters``.  The first step is d / 4, each rejected step
-    halves it, and a restart converges when it falls below 1e-9 d.  Every
-    tolerance is relative to d + R (or to d), and the ascent runs on d's
-    frame (:func:`geometry._frame`), scaling its atoms and ball back.
+    would crawl.  When the step falls below its floor on a state whose
+    finish was not tried, the restart tries the finish once more without
+    the side window, which lifts it off irregular simplices the window
+    does not admit: a taken candidate goes on ascending, and a rejected
+    one lets the restart converge as it would have.  Where the Jung stop
+    holds (R at least :func:`_jung_floor`) every step would be rejected, so
+    the restart halves to the floor without taking them and converges
+    exactly when those halvings fit within ``max_iters``.  The first step
+    is d / 4, each rejected step halves it, and a restart converges when it
+    falls below 1e-9 d.  Every tolerance is relative to d + R (or to d), and
+    the ascent runs on d's frame (:func:`geometry._frame`), scaling its
+    atoms and ball back.
     """
     rng = np.random.default_rng(config.seed + restart)
     s = _frame(np.array([config.d]), 0.0)[1]
@@ -422,7 +435,8 @@ def _search_one(config, restart):
     converged = False
     dirs, first = _outward(rows, c, R, d2, d)
     stop = R >= jung_floor
-    finish = None if stop else _finish(rows, first, R, d)
+    finish = None if stop else _finish(rows, first, R, d, 1e-1)
+    tried = finish is not None
     for it in range(config.max_iters):
         if stop:
             # this halving and every later one would be rejected
@@ -445,15 +459,20 @@ def _search_one(config, restart):
             atoms, rows, c, R, support, lam = cand, cand_rows, cand_c, reach, cand_support, cand_lam
             dirs, first = _outward(rows, c, R, d2, d)
             stop = R >= jung_floor
-            finish = None if stop else _finish(rows, first, R, d)
+            finish = None if stop else _finish(rows, first, R, d, 1e-1)
+            tried = finish is not None
             continue
-        if finish is not None:  # a rejected finish leaves the step as it is
+        if finish is None:
+            step *= 0.5
+        elif step >= step_floor:  # a rejected finish leaves the step as it is
             finish = None
             continue
-        step *= 0.5
         if step < step_floor:
-            converged = True
-            break
+            finish = None if tried else _finish(rows, first, R, d, math.inf)
+            tried = True
+            if finish is None:
+                converged = True
+                break
     atoms = atoms * s
     w, val = _weights_at_atoms(atoms, Ball(np.multiply(c, s), R * s, support, lam), cost)
     return atoms, w, val, converged

@@ -17,6 +17,20 @@ def _fmt_float(x):
     return format(x, ".17g")
 
 
+def _float_array(a):
+    """A float array of at least one dimension and one entry as JSON: one
+    nested %.17g layout built from its shape, filled in one % operation,
+    which formats each entry as :func:`_fmt_float` does."""
+    flat = a.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        _fmt_float(float(flat[finite.argmin()]))  # raises for the first, in C order
+    layout = "%.17g"
+    for k in reversed(a.shape):
+        layout = "[" + ",".join([layout] * k) + "]"
+    return layout % tuple(flat.tolist())
+
+
 def dumps(obj):
     """Serialize nested dicts/lists/scalars/ndarrays to compact JSON."""
     out = []
@@ -36,7 +50,10 @@ def _write(obj, out):
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out)
+        if obj.dtype.kind == "f" and obj.ndim and obj.size:
+            out.append(_float_array(obj))
+        else:
+            _write(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):

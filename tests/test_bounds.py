@@ -53,6 +53,11 @@ def test_popoviciu():
     assert popoviciu(-1.0, 3.0) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         popoviciu(1.0, 0.0)
+    # computed in a frame: the square of 2e200 raised OverflowError from
+    # Python's float power; an answer that no float holds raises ValueError
+    assert popoviciu(-1e150, 1e150) == pytest.approx(1e300, rel=1e-15)
+    with pytest.raises(ValueError, match="not representable"):
+        popoviciu(-1e200, 1e200)
 
 
 def test_bound_closed_forms():

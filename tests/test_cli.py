@@ -399,6 +399,31 @@ def test_reports_are_valid_json_with_17_digits(capsys, two_point_csv):
     assert val == (1 - 0.3) * (0.3 - 0)
 
 
+def test_report_float_arrays_match_the_element_wise_writer():
+    # a float array is written in one % operation, from a layout built from
+    # its shape; every shape, float32, a transposed view, signed zero, the
+    # smallest subnormal and the largest float read as the element-wise
+    # writer of the array's lists reads them, and so do int and bool arrays
+    rng = np.random.default_rng(3)
+    shapes = [(), (0,), (0, 3), (3, 0), (5,), (4, 2), (2, 3, 2)]
+    arrays = [rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+              for shape in shapes]
+    arrays += [a.astype(np.float32) for a in arrays]
+    arrays += [rng.normal(size=(3, 4)).T, np.arange(6).reshape(2, 3), np.array([True, False]),
+               np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308]])]
+    for a in arrays:
+        assert report.dumps({"a": a}) == report.dumps({"a": a.tolist()})
+    # a non-finite entry raises, naming the first in C order
+    for bad in ([[1.0, np.inf], [np.nan, 2.0]], [[1.0, 2.0], [-np.inf, np.nan]],
+                np.array([0.5, np.nan], dtype=np.float32)):
+        a = np.asarray(bad)
+        with pytest.raises(ValueError) as fast:
+            report.dumps(a)
+        with pytest.raises(ValueError) as slow:
+            report.dumps(a.tolist())
+        assert str(fast.value) == str(slow.value)
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["bound"]) == 2  # missing required --xbar
     capsys.readouterr()
