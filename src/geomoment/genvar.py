@@ -7,8 +7,8 @@ below by the measure the ball carries as its dual (weights on its support
 whose barycenter is its center, so their variance is R^2): one
 deterministic enclosing-ball loop and no LP; the inner
 minimization behind the generalized variance uses the closed form for the
-quadratic cost, a damped Weiszfeld iteration for the first-power cost, and
-a cutting-plane engine for everything else.  That engine is Kelley's: each
+quadratic cost, damped Newton for the first-power cost, and a
+cutting-plane engine for everything else.  That engine is Kelley's: each
 round solves the master LP over the cuts so far as its dual, an (n + 1)-row
 program over convex combinations of the cuts, whose optimum certifies a
 lower bound and whose LP duals give the next cut point.
@@ -171,44 +171,48 @@ class SaddleReport:
 
 def _cut_lp(cuts_g, cuts_c, lo, hi):
     """Kelley master min_z max_j (c_j + g_j . z) over the box [lo, hi],
-    solved as its LP dual.
+    solved as its LP dual in the master's own units.
 
-    With u = hi - lo and b_j = c_j + g_j . lo the dual is
+    With z = lo + u y (u = hi - lo, y in [0, 1]^n) and the cuts divided by
+    sigma, the mean |g_ji u_i|, cut j is b_j + a_j . y, where b_j = (c_j +
+    g_j . lo) / sigma and a_j = g_j u / sigma are of order 1 in any units,
+    as the simplex's absolute pivot tolerance needs.  The dual
 
-        max sum_j lam_j b_j - u . mu   subject to   sum_j lam_j = 1,
-        sum_j lam_j g_j + mu - nu = 0,   lam, mu, nu >= 0,
+        max sum_j lam_j b_j - sum_i mu_i   subject to   sum_j lam_j = 1,
+        sum_j lam_j a_j + mu - nu = 0,   lam, mu, nu >= 0,
 
-    n + 1 rows by ncuts + 2n columns.  Returns (z, lower_bound): the bound
-    is the dual optimum, and z = lo + s minimizes the master, where s is the
-    LP dual vector of the last n rows clipped to [0, u].  Every feasible lam
-    gives a lower bound on the master by weak duality, so the bound stays
-    valid even if the simplex stops short of its optimum.
+    has n + 1 rows and ncuts + 2n columns.  Returns (z, lower bound):
+    sigma times the dual optimum, and z = lo + u y, y the LP dual vector of
+    the last n rows clipped to [0, 1].  Every feasible lam gives a lower
+    bound by weak duality, even if the simplex stops short of its optimum.
 
     The simplex starts from a crash basis, so it runs no phase 1: lam_j = 1
     on the single cut j with the largest minimum over the box,
-    b_j - u . max(0, -g_j), and per coordinate i the slack that balances
-    g_ji, mu_i = -g_ji if g_ji < 0 and nu_i = g_ji otherwise.  Its matrix
-    [[1, 0], [g_j, +-I]] has determinant +-1 and its values (1, |g_j|) are
+    b_j - sum_i max(0, -a_ji), and per coordinate i the slack that balances
+    a_ji, mu_i = -a_ji if a_ji < 0 and nu_i = a_ji otherwise.  Its matrix
+    [[1, 0], [a_j, +-I]] has determinant +-1 and its values (1, |a_j|) are
     nonnegative, so that basis is feasible for every cut set.
     """
     G = np.asarray(cuts_g)
     ncuts, n = G.shape
     u = hi - lo
+    Gu = G * u
+    sigma = float(np.abs(Gu).mean()) or 1.0  # all cuts flat: any sigma will do
     A = np.zeros((n + 1, ncuts + 2 * n))
     A[0, :ncuts] = 1.0
-    A[1:, :ncuts] = G.T
+    A[1:, :ncuts] = Gu.T / sigma
     A[1:, ncuts:ncuts + n] = np.eye(n)
     A[1:, ncuts + n:] = -np.eye(n)
     rhs = np.zeros(n + 1)
     rhs[0] = 1.0
-    b = np.asarray(cuts_c) + G @ lo
-    c = np.concatenate([-b, u, np.zeros(n)])
-    j = int(np.argmax(b + np.minimum(G, 0.0) @ u))
-    basis = np.concatenate([[j], ncuts + np.arange(n) + n * (G[j] >= 0)])
+    b = (np.asarray(cuts_c) + G @ lo) / sigma
+    c = np.concatenate([-b, np.ones(n), np.zeros(n)])
+    j = int(np.argmax(b + np.minimum(A[1:, :ncuts], 0.0).sum(axis=0)))
+    basis = np.concatenate([[j], ncuts + np.arange(n) + n * (A[1:, j] >= 0)])
     sol = solve_lp(LpProblem(c, A, rhs), basis=basis)
     if sol.status is not LpStatus.OPTIMAL:
         raise NoConvergenceError("cut relaxation must be feasible and bounded on a box")
-    return lo + np.clip(sol.duals[1:], 0.0, u), -sol.value
+    return lo + u * np.clip(sol.duals[1:], 0.0, 1.0), -sol.value * sigma
 
 
 def _minimize_convex(oracle, lo, hi, tol, max_iters=300, init_points=()):
@@ -243,7 +247,7 @@ def _minimize_convex(oracle, lo, hi, tol, max_iters=300, init_points=()):
     if best_z is None:
         add_cut(0.5 * (lo + hi))
 
-    scale = 1.0 + float(np.abs(hi - lo).max())
+    scale = float((hi - lo).max())
     gap = math.inf
     for _ in range(max_iters):
         z_lp, lower = _cut_lp(cuts_g, cuts_c, lo, hi)
@@ -265,10 +269,11 @@ def chebyshev_level(cloud, cost, tol=None):
 
     Since v is nondecreasing, min_z max_i v(|x_i - z|) = v(R) for the
     smallest enclosing ball (radius R), attained at its center z: the
-    returned level is the cost that z actually attains.  The ball is solved
-    once, on the cloud recentred on its mean, and its loop stops when the
-    center's affine weights w on points of the sphere are nonnegative.
-    That measure, the ball's dual, certifies the level from below: every
+    returned level v(r) is the cost that z attains: the ball's radius r is
+    the largest distance from z to a point.  The ball is solved once, on
+    the cloud as given, and its loop stops when the center's affine weights
+    w on points of the sphere are nonnegative.  That measure, the ball's
+    dual, certifies the level from below: every
     center has max_i |x_i - z|^2 >= sum w_i |x_i - z|^2 >= var(w), and
     var(w) = R^2 up to rounding; a certified bracket [v(sqrt(var(w))),
     lambda = v(r)] wider than ``tol`` plus the rounding of lambda,
@@ -280,19 +285,18 @@ def chebyshev_level(cloud, cost, tol=None):
         tol = DEFAULT_TOL_ITER
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    P = as_cloud(cloud).points
-    shift = P.mean(axis=0)
-    Q = P - shift
-    ball = min_enclosing_ball(Q)
-    z = ball.center + shift
-    D, s = _frame(P, z)
-    r = _unframe(np.linalg.norm(D, axis=1).max(), s, 1)
-    D, s = _frame(Q[ball.support], ball.weights @ Q[ball.support])
+    cloud = as_cloud(cloud)
+    P = cloud.points
+    ball = min_enclosing_ball(cloud)
+    z, r = ball.center, ball.radius
+    S = P[ball.support]
+    D, s = _frame(S, ball.weights @ S)
+    # v at sqrt(var(w)), at r, and a few ulps of r and of the coordinates above r
+    t = np.array([math.sqrt(_unframe(ball.weights @ (D * D).sum(axis=1), s, 2)), r,
+                  r + 8.0 * EPS * (r + float(np.abs(P).max()))])
     with np.errstate(over="ignore"):  # v overflows to inf, which lambda is checked for
-        lower = float(cost(math.sqrt(_unframe(ball.weights @ (D * D).sum(axis=1), s, 2))))
-        lam = _unframe(cost(r))
-        # a few ulps of r and of the coordinates, through v
-        rounding = float(cost(r + 8.0 * EPS * (r + float(np.abs(P).max())))) - lam
+        lower, lam, top = cost(t).tolist()
+    lam, rounding = _unframe(lam), top - lam
     if lam - lower > tol + rounding:
         raise NoConvergenceError(
             f"minimax level bracket [{lower}, {lam}] is wider than tol={tol}",
@@ -301,44 +305,97 @@ def chebyshev_level(cloud, cost, tol=None):
     return lam, z
 
 
-def _weiszfeld(P, w, tol, max_iters=5000):
-    """Damped Weiszfeld iteration for the weighted first-power center.
+def _median_center(P, w, tol, max_iters=500):
+    """Damped Newton for the first-power center: the z that minimizes
+    f(z) = sum_i w_i |x_i - z|, the weighted geometric median.
 
-    Certificate: at z the objective exceeds the optimum by at most
-    (norm of the minimal subgradient) * (largest atom distance).  An iterate
-    that meets an atom takes the subgradient there.
+    It runs on the atoms in the frame of their weighted mean, its start
+    (:func:`_frame`), so their scale changes nothing.  Off the atoms f has
+    gradient g = sum_i w_i u_i, u_i = (z - x_i) / d_i, and Hessian
+    H = sum_i w_i (I - u_i u_i^T) / d_i (Boyd and Vandenberghe, *Convex
+    Optimization*, 9.5); the Newton step -H^-1 g is backtracked on f.
+    Where H gives no step that descends (it is singular when z and the
+    atoms are collinear, so always for n = 1), z takes Weiszfeld's step
+    -g / sum_i (w_i / d_i), which descends, doubled while f falls.  An atom
+    x_j that is first nearest z is tested, as Vardi and Zhang ("The
+    multivariate L1-median and associated data depth", PNAS 2000) do: x_j
+    is the center when |sum_i w_i (x_j - x_i) / |x_j - x_i|| over the atoms
+    off x_j is at most the mass on it.  An iterate that meets an atom that
+    is not the center takes their step off it.
+
+    Certificate: f(z) - f* <= |g| max_i d_i, since the center lies in the
+    atoms' hull; at an atom the minimal subgradient's norm, that sum's norm
+    less the mass on the atom, takes |g|'s place.  Returns (center, gap,
+    converged) in the atoms' units, the center the last iterate if the
+    rounds run out; Newton and Weiszfeld steps and the step off an atom all
+    descend, so it is the best one.
     """
-    z = w @ P
+    m = w @ P
+    Y, s = _frame(P, m)
     # z meets an atom within 1e-13 of the atoms' spread about their mean,
     # plus the rounding of a distance between coordinates of size max |x|
-    # (as meb_support allows), so the scale of the atoms changes nothing
-    spread = float(np.linalg.norm(P - z, axis=1).max())
-    collision = 1e-13 * spread + 16.0 * EPS * float(np.abs(P).max())
+    spread = float(np.sqrt((Y * Y).sum(axis=1).max()))
+    collision = 1e-13 * spread + 16.0 * EPS * float(np.abs(P).max()) / s
+
+    def at(z):
+        D = z - Y
+        d = np.sqrt((D * D).sum(axis=1))
+        return z, D, d, float(w @ d)
+
+    z, D, d, f = at(np.zeros(Y.shape[1]))
+    tested, gap = set(), math.inf
     for _ in range(max_iters):
-        d = np.linalg.norm(P - z, axis=1)
-        j = int(np.argmin(d))
-        if d[j] <= collision:
-            mask = np.arange(P.shape[0]) != j
-            dm = d[mask]
-            if not mask.any() or not (dm > 0).all():
-                return z, 0.0, True  # all mass at one location
-            g_other = ((z - P[mask]) / dm[:, None] * w[mask, None]).sum(axis=0)
-            r = float(np.linalg.norm(g_other))
-            residual = max(0.0, r - w[j])
-            gap = residual * float(d.max())
-            if gap <= tol:
-                return z, gap, True
-            inv = w[mask] / dm
-            t_other = (inv @ P[mask]) / inv.sum()
-            z = (1.0 - w[j] / r) * t_other + (w[j] / r) * z
-            continue
-        g = ((z - P) / d[:, None] * w[:, None]).sum(axis=0)
+        j = int(d.argmin())
+        if j not in tested or d[j] <= collision:
+            tested.add(j)
+            E = Y[j] - Y
+            e = np.sqrt((E * E).sum(axis=1))
+            off = e > collision
+            a = w[off] / e[off]
+            r = float(np.linalg.norm(a @ E[off]))
+            mass = float(w[~off].sum())
+            if r <= mass:  # x_j is the center
+                return P[j].copy(), 0.0, True
+            if d[j] <= collision:
+                gap = (r - mass) * float(e.max())
+                if gap * s <= tol:
+                    return P[j].copy(), _unframe(gap, s, 1), True
+                # Vardi and Zhang's step off x_j, toward Weiszfeld's map of
+                # the other atoms
+                z, D, d, f = at((1.0 - mass / r) * ((a @ Y[off]) / a.sum()) + (mass / r) * Y[j])
+                continue
+        a = w / d
+        U = D / d[:, None]
+        g = w @ U
         gap = float(np.linalg.norm(g)) * float(d.max())
-        if gap <= tol:
-            return z, gap, True
-        inv = w / d
-        z = (inv @ P) / inv.sum()
-    return z, gap, False
+        if gap * s <= tol:
+            return m + s * z, _unframe(gap, s, 1), True
+        try:
+            step = np.linalg.solve(a.sum() * np.eye(len(g)) - (U.T * a) @ U, -g)
+        except np.linalg.LinAlgError:  # H singular
+            step = np.full(len(g), math.inf)
+        new = None
+        # the center is within max d_i of z: a longer step is H's rounding
+        if float(np.linalg.norm(step)) <= d.max():
+            slope, t = float(g @ step), 1.0
+            while slope < 0.0 and t > 1e-3 and new is None:
+                trial = at(z + t * step)
+                if trial[3] <= f + 1e-4 * t * slope + 4.0 * EPS * f:
+                    new = trial
+                t *= 0.5
+        if new is None:
+            # Weiszfeld's step, doubled while f falls: on a line, where H is
+            # singular, it crawls away from an atom it has just passed
+            step = -g / a.sum()
+            new = at(z + step)
+            while 2.0 * float(np.linalg.norm(step)) <= d.max():
+                step = 2.0 * step
+                trial = at(z + step)
+                if trial[3] >= new[3]:
+                    break
+                new = trial
+        z, D, d, f = new
+    return m + s * z, _unframe(gap, s, 1), False
 
 
 def generalized_variance(measure, cost, tol=None):
@@ -346,19 +403,20 @@ def generalized_variance(measure, cost, tol=None):
     cost sum, with the attaining center.
 
     Quadratic cost: exact (center is the mean, value the variance).
-    First-power cost: Weiszfeld with an atom-collision safeguard.  Other
-    costs: cutting planes with a two-sided certificate.  Those work in the
-    atoms' units: ValueError if their bounding box's squared diagonal, or
-    the cost there, is no finite float.
+    First-power cost: damped Newton with a gradient certificate
+    (:func:`_median_center`).  Other costs, and a first-power center Newton
+    does not certify: cutting planes with a two-sided certificate, whose
+    oracle works in the atoms' units: ValueError if their bounding box's
+    squared diagonal, or the cost there, is no finite float.
     """
     if tol is None:
         tol = DEFAULT_TOL_CLOSED if (cost.kind == "power" and cost.p == 2) else DEFAULT_TOL_ITER
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     P, w = measure.support()
-    n = P.shape[1]
     unique = cost.strictly_convex or P.shape[0] == 1
-    Y, s = _frame(P.max(axis=0), P.min(axis=0))
+    lo, hi = P.min(axis=0), P.max(axis=0)
+    Y, s = _frame(hi, lo)
     with np.errstate(over="ignore"):
         _unframe(cost(math.sqrt(_unframe(Y @ Y, s, 2))))
 
@@ -372,7 +430,7 @@ def generalized_variance(measure, cost, tol=None):
         return GenVarResult(float(cost(0.0)), P[0].copy(), True, 0.0, unique)
 
     if cost.kind == "power" and cost.p == 1:
-        z, gap, ok = _weiszfeld(P, w, tol)
+        z, gap, ok = _median_center(P, w, tol)
         if ok:
             d = np.linalg.norm(P - z, axis=1)
             return GenVarResult(float(w @ d), z, True, gap, unique)
@@ -382,18 +440,13 @@ def generalized_variance(measure, cost, tol=None):
         init = [w @ P]
 
     def oracle(z):
-        d = np.linalg.norm(P - z, axis=1)
-        f = float(w @ cost(d))
-        safe = d > 1e-300
-        g = np.zeros(n)
-        if safe.any():
-            coef = w[safe] * cost.slope(d[safe]) / d[safe]
-            g = (coef[:, None] * (z - P[safe])).sum(axis=0)
-        return f, g
+        D = z - P
+        d = np.sqrt((D * D).sum(axis=1))
+        # unit vectors, so no slope overflows; at an atom 0 is a subgradient
+        U = np.divide(D, d[:, None], out=np.zeros_like(D), where=d[:, None] > 0)
+        return float(w @ cost(d)), (w * cost.slope(d)) @ U
 
-    lo = P.min(axis=0)
-    hi = P.max(axis=0)
-    pad = 1e-9 * (1.0 + np.abs(P).max())
+    pad = 1e-9 * float((hi - lo).max())
     val, z, gap, ok = _minimize_convex(oracle, lo - pad, hi + pad, tol,
                                        init_points=init + [p for p in P[:8]])
     if not ok:

@@ -5,14 +5,17 @@ in [-150, 150], and, where the answer does not refer to the origin,
 translated by up to 1e6 times its spread; the clouds are normal, with
 duplicate points, a single point, collinear, or in 10 to 16 dimensions.
 Every run must exit with 0, 2, 3 or 4, with no traceback and no warning,
-and print no nan or inf when it exits 0.  Where the same command on the
+and print no nan or inf when it exits 0; chebyshev and genvar may exit 2
+but not 3 or 4 where the unit run exits 0.  Where the same command on the
 unit cloud exits 0 too, the answers of meb, maxvar, jung, duality, bound
-on a cloud, chebyshev with a power cost and isodiametric must be the unit
-answers scaled: within 1e-9 relative, plus the rounding of the placed
-coordinates, eps sqrt(n) max|x| on a length, which the offsets make up to
-1e6 times larger than at the origin.  Answers that underflow below 1e-290
-lose their digits to the float format and are only checked to be finite;
-one that overflows exits 2 as not representable.
+on a cloud, chebyshev, genvar and isodiametric with a power cost, and
+chebyshev and genvar with a piecewise-linear cost whose knots' abscissae
+are scaled with the cloud, must be the unit answers scaled: within 1e-9
+relative, plus the rounding of the placed coordinates, eps sqrt(n) max|x|
+on a length, which the offsets make up to 1e6 times larger than at the
+origin, plus for genvar the two runs' certified gaps.  Answers that
+underflow below 1e-290 lose their digits to the float format and are only
+checked to be finite; one that overflows exits 2 as not representable.
 """
 
 import contextlib
@@ -30,12 +33,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from geomoment import AtomicMeasure, PointCloud, write_cloud_csv, write_measure_json  # noqa: E402
 from geomoment.cli import main  # noqa: E402
 
-EPS = np.finfo(float).eps
-POWER_COMMANDS = ("chebyshev", "genvar", "isodiametric")
+EPS = float(np.finfo(float).eps)  # a Python float: a slack too large for a float is inf
 # (output key, degree) of each answer compared with the unit cloud's
 ANSWERS = {"meb": [("radius", 1)], "maxvar": [("dual_value", 2), ("primal_value", 2)],
            "jung": [("radius", 1), ("bound", 1)], "duality": [("radius", 1)],
            "bound": [("bound", 2)], "chebyshev": [("lambda", None)],
+           "genvar": [("value", None)],
            "isodiametric": [("best_value", None), ("bound", None)]}
 
 
@@ -102,9 +105,12 @@ def cases(draw):
 def _argv(command, rng, P, s, t, p, tmp):
     """The arguments of one run on the cloud s P + t, files written to tmp."""
     Q = s * P + t
-    cost = ('{"kind":"pwl","knots":[[0,0],[1,1],[2,3]]}' if p == "pwl"
+    # the knots' abscissae are lengths, scaled with the cloud, and their
+    # values are not: v_s(s r) = v(r), an answer of degree 0
+    cost = (f'{{"kind":"pwl","knots":[[0,0],[{s!r},1],[{2 * s!r},3]]}}' if p == "pwl"
             else f'{{"kind":"power","p":{p}}}')
-    # genvar's and chebyshev's tolerance is absolute: 1e-6 of v at unit scale
+    # genvar's and chebyshev's tolerance is absolute: 1e-6 of v at unit
+    # scale, which is the default for a PWL cost at every scale
     tol = 0.0 if p == "pwl" else 1e-6 * _pow(s, p)
     tol = ["--tol", repr(tol)] if 0.0 < tol < math.inf else []
     if command == "isodiametric":
@@ -150,11 +156,16 @@ def test_cli_answers_scale_to_the_limits_of_double_precision(tmp_path_factory, c
     command, rng, P, s, t, p = case
     tmp = tmp_path_factory.mktemp("fuzz")
     state = rng.bit_generator.state
-    got = _check_run(*_run(*_argv(command, rng, P, s, t, p, tmp)))
-    if command not in ANSWERS or (command in POWER_COMMANDS and p == "pwl"):
+    code, out, err = _run(*_argv(command, rng, P, s, t, p, tmp))
+    got = _check_run(code, out, err)
+    if command not in ANSWERS or (command == "isodiametric" and p == "pwl"):
         return
     rng.bit_generator.state = state  # the unit run draws what the scaled one drew
     want = _check_run(*_run(*_argv(command, rng, P, 1.0, np.zeros_like(t), p, tmp)))
+    if want is not None and command in ("chebyshev", "genvar"):
+        # the scale changes no certificate: only an answer that no float
+        # holds (exit 2) keeps a scaled run from the unit run's exit 0
+        assert code in (0, 2), err
     if want is None or got is None:
         return
     # a length's rounding, eps sqrt(n) max|x|, moves an answer of degree q
@@ -163,11 +174,17 @@ def test_cli_answers_scale_to_the_limits_of_double_precision(tmp_path_factory, c
     L = 4.0 * s * max(float(np.linalg.norm(P, axis=1).max()), 1e-300)
     rounding = EPS * math.sqrt(P.shape[1]) * (float(np.abs(s * P + t).max()) + L)
     for key, q in ANSWERS[command]:
-        q = q or p
+        if q is None and p == "pwl":
+            # degree 0, and v(r / s) has slopes up to 2 / s
+            q, slack = 0, 8.0 * rounding / s
+        else:
+            q = q or p
+            slack = 4.0 * q * _pow(L, q - 1) * rounding
         scaled = _pow(s, q, want[key])
         if abs(scaled) < 1e-290:  # lost to underflow
             continue
-        assert abs(got[key] - scaled) <= 1e-9 * abs(scaled) + 4.0 * q * _pow(L, q - 1) * rounding, \
-            (key, got[key], scaled)
+        if command == "genvar":  # each value is certified within its gap
+            slack += got["inner_gap"] + _pow(s, q, want["inner_gap"])
+        assert abs(got[key] - scaled) <= 1e-9 * abs(scaled) + slack, (key, got[key], scaled)
     if command == "duality":
         assert got["gap"] <= 1e-9 * got["radius"] ** 2

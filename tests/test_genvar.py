@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -405,3 +407,135 @@ def test_kelley_cut_eviction_keeps_results_certified(cost, monkeypatch):
     assert max(lengths) <= 12
     # without eviction every round's master has more cuts than the last
     assert any(b <= a for a, b in zip(lengths, lengths[1:]))
+
+
+def _minimax_p1_measures(seed):
+    """The first-power measures of the benchmark's first ``minimax`` round
+    at ``seed``, made by ``perfbench/workloads.py`` as the benchmark makes
+    them: 20, 25, 30 and 5 atoms in R^2 ... R^5."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [inst.measure for inst in workloads.minimax_round(np.random.default_rng(seed))
+            if isinstance(inst, workloads.GenvarInstance) and inst.cost.kind == "power"
+            and inst.cost.p == 1]
+
+
+def test_median_center_first_minimax_round_is_exact_and_quick():
+    # the default tol certifies 1e-6, and Newton lands on the tol = 1e-10
+    # answer to rounding, within 20 rounds on every measure
+    for mu in _minimax_p1_measures(5):
+        ref = generalized_variance(mu, RadialCost.power(1), tol=1e-10)
+        res = generalized_variance(mu, RadialCost.power(1))
+        assert ref.converged and res.converged and res.inner_gap <= genvar.DEFAULT_TOL_ITER
+        assert res.value <= ref.value + 1e-14 * ref.value
+        P, w = mu.support()
+        assert genvar._median_center(P, w, genvar.DEFAULT_TOL_ITER, max_iters=20)[2]
+
+
+def test_median_center_stops_on_a_far_optimal_atom():
+    # a benchmark measure (seed 13, 5 atoms in R^5) whose center is an atom
+    # more than half the spread from the weighted mean, Newton's start: the
+    # atom test ends the descent there in one round, with no gap
+    mu = _minimax_p1_measures(13)[3]
+    P, w = mu.support()
+    m = w @ P
+    res = generalized_variance(mu, RadialCost.power(1))
+    j = int(np.argmin(np.linalg.norm(P - res.center, axis=1)))
+    assert res.converged and res.inner_gap == 0.0 and np.array_equal(res.center, P[j])
+    assert np.linalg.norm(P[j] - m) > 0.5 * np.linalg.norm(P - m, axis=1).max()
+    # the atom's optimality condition, read independently
+    E = np.delete(P[j] - P, j, axis=0)
+    pull = (np.delete(w, j) / np.linalg.norm(E, axis=1)) @ E
+    assert np.linalg.norm(pull) <= w[j]
+    assert genvar._median_center(P, w, genvar.DEFAULT_TOL_ITER, max_iters=1)[2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_median_center_collinear_atoms_in_the_plane():
+    # on a line every Hessian is singular along it, so each round takes
+    # Weiszfeld's step.  The center is the weighted median on the line, the
+    # atom at t = 0 (mass 0.3 below it, 0.45 above); the weighted mean,
+    # t = 0.725, is nearest the atom at t = 0.5, which is not
+    t = np.array([-1.0, 0.0, 0.5, 2.0, 3.0])
+    w = np.array([0.3, 0.25, 0.05, 0.2, 0.2])
+    P = np.outer(t, [3.0, -4.0]) + [1.0, 2.0]
+    res = generalized_variance(AtomicMeasure(P, w), RadialCost.power(1), tol=1e-10)
+    assert res.converged and res.inner_gap <= 1e-10
+    assert np.array_equal(res.center, P[1])
+    assert res.value == pytest.approx(5.0 * float(w @ np.abs(t)), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_median_center_flat_median_in_one_dimension():
+    # mass 1/2 on each side of [0, 2], so every point of it is a center;
+    # the weighted mean, 3.9375, is nearest the atom at 5.5, which is not
+    P = np.array([[-1.0], [0.0], [2.0], [5.5], [13.0]])
+    w = np.array([0.25, 0.25, 0.125, 0.125, 0.25])
+    res = generalized_variance(AtomicMeasure(P, w), RadialCost.power(1), tol=1e-10)
+    assert res.converged and res.inner_gap <= 1e-10
+    assert 0.0 <= res.center[0] <= 2.0
+    assert res.value == pytest.approx(4.4375, rel=1e-14)
+
+
+def test_median_center_duplicated_atoms_match_merged():
+    # two copies of the atom at the origin, which is the weighted mean but
+    # not the center: meeting one copy, the other is mass on the same atom,
+    # not a sign that all the mass is at one location
+    P = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    w = np.array([0.05, 0.05, 0.3, 0.3, 0.3])
+    assert np.array_equal(w @ P, [0.0, 0.0])
+    res = generalized_variance(AtomicMeasure(P, w), RadialCost.power(1), tol=1e-10)
+    merged = generalized_variance(AtomicMeasure(P[1:], [0.1, 0.3, 0.3, 0.3]),
+                                  RadialCost.power(1), tol=1e-10)
+    assert res.converged and merged.converged
+    assert abs(res.value - merged.value) <= 1e-10
+    assert np.linalg.norm(res.center - merged.center) <= 1e-6
+    # the origin is 0.13 (1 - 1/sqrt 2) worse than the center
+    assert res.value < float(w @ np.linalg.norm(P, axis=1)) - 1e-3
+
+
+_KNOTS = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0], [3.0, 5.0]])
+
+
+def test_kelley_pwl_value_at_scale_1e9_is_the_unit_value():
+    # atoms and knot abscissae scaled together by 1e9: the master's cuts
+    # had gradients near 1e-9, below the simplex's pivot tolerance, so it
+    # pivoted on none of them, and its bound read the best value seen:
+    # 1.19156 was printed certified with gap 0, 1.4% above the value the
+    # unit center attains
+    rng = np.random.default_rng(2)
+    P, w = rng.normal(size=(12, 3)), rng.dirichlet(np.ones(12))
+    unit = generalized_variance(AtomicMeasure(P, w), RadialCost.piecewise_linear(_KNOTS))
+    cost = RadialCost.piecewise_linear(_KNOTS * [1e9, 1.0])
+    res = generalized_variance(AtomicMeasure(1e9 * P, w), cost)
+    assert unit.value == pytest.approx(1.17485, abs=1e-5)
+    assert res.converged and res.inner_gap <= 1e-6
+    assert abs(res.value - unit.value) <= res.inner_gap + unit.inner_gap
+
+
+@pytest.mark.parametrize("kind", ["pwl", "power3"])
+def test_kelley_answers_do_not_depend_on_scale(kind):
+    # 20 measures at nine scales s, atoms (and a PWL cost's knot abscissae)
+    # times s and tol 1e-6 s^p: every run is certified, and none prints a
+    # value that the unit run's center, scaled, beats by more than the gap
+    p = 3 if kind == "power3" else 0
+
+    def cost(s):
+        return RadialCost.power(3) if p else RadialCost.piecewise_linear(_KNOTS * [s, 1.0])
+
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        N, n = int(rng.integers(3, 15)), int(rng.integers(1, 5))
+        P, w = rng.normal(size=(N, n)), rng.dirichlet(np.ones(N))
+        unit = generalized_variance(AtomicMeasure(P, w), cost(1.0), tol=1e-6)
+        for s in (1e-100, 1e-30, 1e-9, 1e-3, 1.0, 1e3, 1e9, 1e30, 1e100):
+            tol = 1e-6 * s ** p
+            res = generalized_variance(AtomicMeasure(s * P, w), cost(s), tol=tol)
+            assert res.converged and res.inner_gap <= tol
+            beat = float(w @ cost(s)(np.linalg.norm(s * P - s * unit.center, axis=1)))
+            assert res.value - res.inner_gap <= beat * (1.0 + 1e-12), (s, res.value, beat)
+            assert abs(res.value / s ** p - unit.value) \
+                <= res.inner_gap / s ** p + unit.inner_gap + 1e-12 * unit.value, s
