@@ -1,12 +1,10 @@
 """Kernel selection: compiled simplex core with pure-python fallback.
 
-The compiled extension is preferred; set GEOMOMENT_PURE_PYTHON=1 (or call
-:func:`set_kernel`) to force the numpy fallback.  Both kernels implement
-the same pivot rules with the same elementwise arithmetic, so switching
-kernels does not change results.
+The compiled extension is used whenever it imports; otherwise the numpy
+kernel runs.  :func:`set_kernel` switches kernels in-process (the benchmark
+and the tests use it).  Both kernels implement the same pivot rules with the
+same elementwise arithmetic, so switching kernels does not change results.
 """
-
-import os
 
 from . import _simplex_py
 
@@ -19,18 +17,15 @@ _KERNELS = {"python": _simplex_py.simplex_iterate}
 try:
     from . import _simplex_core
 
-    _KERNELS["cython"] = _simplex_core.simplex_iterate
+    _KERNELS["compiled"] = _simplex_core.simplex_iterate
 except ImportError:
     pass
 
-if os.environ.get("GEOMOMENT_PURE_PYTHON"):
-    _active = "python"
-else:
-    _active = "cython" if "cython" in _KERNELS else "python"
+_active = "compiled" if "compiled" in _KERNELS else "python"
 
 
 def kernel_name():
-    """Name of the active pivot kernel ('cython' or 'python')."""
+    """Name of the active pivot kernel ('compiled' or 'python')."""
     return _active
 
 

@@ -1,8 +1,10 @@
 """Pure-python (numpy) simplex pivot kernel.
 
-Mirrors ``geomoment._simplex_core`` operation for operation: same entering
-and leaving rules, same elementwise tableau arithmetic, so both kernels
-take identical pivot sequences on identical input.
+The reference for the hand-written C kernel ``geomoment._simplex_core``,
+which follows it operation for operation: same entering and leaving rules,
+same elementwise tableau arithmetic, so both kernels take identical pivot
+sequences on identical input (tests/test_kernel.py checks this).  It runs
+wherever the C kernel is not built.
 """
 
 import numpy as np

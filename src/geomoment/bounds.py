@@ -29,6 +29,8 @@ class AtomicMeasure:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.size != len(atoms):
             raise ValueError(f"{w.size} weights for {len(atoms)} atoms")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if w.min() < -1e-12:
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:

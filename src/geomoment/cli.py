@@ -343,7 +343,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        run_report = args.func(args)
+        text = report.dumps(args.func(args))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -362,7 +362,7 @@ def main(argv=None):
     except NoConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return 4
-    sys.stdout.write(report.dumps(run_report) + "\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -34,9 +34,9 @@ EPS = np.finfo(float).eps
 class RadialCost:
     """Convex increasing radial profile v; the cost is V(x) = v(|x|).
 
-    Either a power t^p with p >= 1 or a piecewise-linear profile given by
-    knots [(t, v(t)), ...] with nondecreasing, nonnegative slopes and a
-    positive final slope (so sublevel sets stay compact).
+    Either a power t^p with finite p >= 1 or a piecewise-linear profile
+    given by finite knots [(t, v(t)), ...] with nondecreasing, nonnegative
+    slopes and a positive final slope (so sublevel sets stay compact).
     """
 
     __slots__ = ("kind", "p", "knots", "_slopes")
@@ -44,13 +44,15 @@ class RadialCost:
     def __init__(self, kind, p=None, knots=None):
         self.kind = kind
         if kind == "power":
-            if p is None or p < 1:
-                raise ValueError("power cost requires p >= 1")
+            if p is None or not (math.isfinite(p) and p >= 1):
+                raise ValueError(f"power cost requires a finite p >= 1, got {p!r}")
             self.p = float(p)
         elif kind == "pwl":
             k = np.asarray(knots, dtype=float)
             if k.ndim != 2 or k.shape[1] != 2 or k.shape[0] < 2:
                 raise ValueError("pwl cost requires at least two (t, v) knots")
+            if not np.isfinite(k).all():
+                raise ValueError("pwl knots must be finite")
             t, v = k[:, 0], k[:, 1]
             if t[0] != 0.0:
                 raise ValueError("first knot abscissa must be 0")

@@ -20,6 +20,8 @@ def test_measure_validation():
         AtomicMeasure([0.0, 1.0], [1.5, -0.5])
     with pytest.raises(ValueError):
         AtomicMeasure([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError):
+        AtomicMeasure([[0.0], [1.0]], [np.nan, np.nan])
 
 
 def test_mean_examples():

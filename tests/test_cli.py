@@ -148,13 +148,33 @@ def test_genvar_power1_inline_cost(capsys, tmp_path):
         1 / math.sqrt(3), abs=1e-6)
 
 
-def test_genvar_bad_cost_exit_2(capsys, tmp_path):
+BAD_COSTS = ['{"kind":"power","p":0.2}', '{"kind":"power","p":NaN}',
+             '{"kind":"power","p":Infinity}',
+             '{"kind":"pwl","knots":[[0,0],[1,1],[Infinity,Infinity]]}']
+
+
+def test_genvar_bad_cost_exit_2(capsys, tmp_path, simplex_csv):
+    # every command that takes a cost rejects one below p = 1 or not finite
+    # as a parse error; an infinite one reached the report and a traceback
     mu = AtomicMeasure([[0.0]], [1.0])
     path = tmp_path / "m.json"
     write_measure_json(mu, path)
-    code, _, err = run_cli(capsys, "genvar", str(path), "--cost",
-                           '{"kind":"power","p":0.2}')
-    assert code == 2
+    commands = [["genvar", str(path)], ["chebyshev", simplex_csv],
+                ["isodiametric", "--n", "2", "--atoms", "4", "--restarts", "2"]]
+    for command in commands:
+        for cost in BAD_COSTS:
+            code, out, err = run_cli(capsys, *command, "--cost", cost)
+            assert (code, out) == (2, ""), (command[0], cost)
+            assert err.startswith("parse error: cost spec:"), (command[0], cost, err)
+
+
+def test_report_no_json_holds_exit_2(capsys, monkeypatch, simplex_csv):
+    # report.dumps raises ValueError on a non-finite float; main reports it
+    # as invalid input, not as a traceback
+    monkeypatch.setattr(cli, "chebyshev_level", lambda *args, **kwargs: (math.inf, np.zeros(2)))
+    code, out, err = run_cli(capsys, "chebyshev", simplex_csv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: a report cannot hold the non-finite float inf")
 
 
 def test_chebyshev(capsys, simplex_csv):
